@@ -29,6 +29,8 @@
 //!
 //! [`state_digest`]: shift_machine::Machine::state_digest
 
+use std::sync::Arc;
+
 use shift_isa::Gpr;
 use shift_machine::{Exit, Fault, Injection, NatFaultKind};
 use shift_obs::Json;
@@ -734,7 +736,7 @@ fn world_from_json(doc: &Json) -> Result<World, String> {
     for file in arr_field(doc, "files")? {
         let name = str_field(file, "name")?.to_string();
         let data = unhex(str_field(file, "data")?)?;
-        world.files.insert(name, data);
+        Arc::make_mut(&mut world.files).insert(name, data);
     }
     world.args = unhex_arr(doc, "args")?;
     world.net_input = unhex_arr(doc, "net")?.into();
@@ -1038,7 +1040,7 @@ mod tests {
             .arg(b"--flag".to_vec())
             .net(vec![0x00, 0x01, 0xfe])
             .kbd(b"line\n".to_vec());
-        world.files.insert("empty".into(), Vec::new());
+        Arc::make_mut(&mut world.files).insert("empty".into(), Vec::new());
         let back = world_from_json(&Json::parse(&world_to_json(&world).render()).unwrap()).unwrap();
         assert_eq!(back, world);
     }

@@ -6,6 +6,8 @@
 //! shape, every mode key) must round-trip through render → parse exactly,
 //! and malformed or mislabeled documents must fail to parse, never panic.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use shift_core::replay::{
     mode_from_key, mode_key, ConnectionLog, Expected, OpenLoopLog, ReplayLog,
@@ -91,7 +93,7 @@ fn world_strategy() -> impl Strategy<Value = World> {
         .prop_map(|(files, net, kbd, args)| {
             let mut w = World::new();
             for (i, data) in files {
-                w.files.insert(NAMES[i].to_string(), data);
+                Arc::make_mut(&mut w.files).insert(NAMES[i].to_string(), data);
             }
             w.net_input = net.into();
             w.kbd_input = kbd.into();

@@ -223,7 +223,10 @@ pub struct Sample {
 /// Capacity is fixed at arming time; when full, the oldest event is evicted
 /// and counted in [`TraceRing::dropped`] (surfaced as the
 /// `obs.trace.dropped` metric). A zero capacity records nothing but still
-/// counts, mirroring [`crate::TaintJournal`].
+/// counts, mirroring [`crate::TaintJournal`]. Storage grows with the events
+/// actually recorded rather than being reserved up front: a connection
+/// records a few dozen events, far below the cap, and reserving the whole
+/// ring per connection cost more host time than recording into it.
 #[derive(Clone, Debug)]
 pub struct TraceRing {
     worker: u64,
@@ -256,7 +259,7 @@ impl TraceRing {
             cap,
             seq: 0,
             dropped: 0,
-            events: VecDeque::with_capacity(cap.min(DEFAULT_TRACE_CAP)),
+            events: VecDeque::new(),
             sample_every: 0,
             next_sample: 0,
             samples: Vec::new(),

@@ -13,6 +13,9 @@
 //!   translation cannot be a single shift: the region number is folded down
 //!   next to the shifted offset, landing every tag in region 0 (which the
 //!   paper reuses because it is reserved for IA-32 code);
+//! * [`tag_range`] — the same translation for a whole run of data bytes
+//!   (first tag byte, tag-byte count, edge masks), which the runtime's taint
+//!   sources and policy sinks use to touch the bitmap in bulk;
 //! * [`HostShadow`] — a host-side, byte-granularity reference taint map.
 //!   The *instrumented guest code* maintains the real bitmap in simulated
 //!   memory; the shadow is the oracle the test-suite (and the `debug_taint`
@@ -179,15 +182,105 @@ pub fn tag_location(vaddr: u64, gran: Granularity) -> Result<TagLocation, TagAdd
     Ok(TagLocation { byte_addr, mask })
 }
 
-/// Number of bytes of tag space needed to cover `len` data bytes starting at
-/// `vaddr` (used to pre-reserve bitmap pages).
-pub fn tag_span(vaddr: u64, len: u64, gran: Granularity) -> u64 {
-    if len == 0 {
-        return 0;
+/// The tag bytes covering a run of data bytes: the bulk counterpart of
+/// [`TagLocation`], produced by [`tag_range`].
+///
+/// A run of `n` data bytes maps to `len` consecutive tag bytes starting at
+/// `byte_addr`. Interior tag bytes belong to the run entirely; only the two
+/// edge bytes may hold bits of neighbouring data, which `lo_mask` and
+/// `hi_mask` exclude (both are `0xff` at word granularity, where a tag byte
+/// is one flag). A one-byte span uses `lo_mask & hi_mask`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TagRange {
+    /// Full virtual address (region 0) of the first tag byte.
+    pub byte_addr: u64,
+    /// Number of tag bytes the run touches (0 for an empty run).
+    pub len: u64,
+    /// The run's bits within the first tag byte.
+    pub lo_mask: u8,
+    /// The run's bits within the last tag byte.
+    pub hi_mask: u8,
+    gran: Granularity,
+    /// Bit index of the run's first data byte within the first tag byte.
+    lead: u8,
+}
+
+impl TagRange {
+    /// The run's bits within tag byte `i` of the span (`i < len`).
+    #[inline]
+    pub fn mask(&self, i: u64) -> u8 {
+        let mut m = 0xff;
+        if i == 0 {
+            m &= self.lo_mask;
+        }
+        if i + 1 == self.len {
+            m &= self.hi_mask;
+        }
+        m
     }
-    let first = offset_of(vaddr) >> gran.byte_shift();
-    let last = offset_of(vaddr + len - 1) >> gran.byte_shift();
-    last - first + 1
+
+    /// Marks or clears the run's taint in `tags`, the span's current tag
+    /// bytes (`tags.len() == len`): a masked read-modify-write that leaves
+    /// the edge bytes' neighbouring bits alone.
+    pub fn apply(&self, tags: &mut [u8], tainted: bool) {
+        debug_assert_eq!(tags.len() as u64, self.len);
+        let Some(last) = tags.len().checked_sub(1) else { return };
+        let (lo, hi) = (tags[0], tags[last]);
+        tags.fill(if tainted { 0xff } else { 0 });
+        let blend = |old: u8, mask: u8| if tainted { old | mask } else { old & !mask };
+        tags[0] = blend(lo, self.mask(0));
+        if last > 0 {
+            tags[last] = blend(hi, self.hi_mask);
+        }
+    }
+
+    /// Whether data byte `i` of the run is tainted, given the span's tag
+    /// bytes `tags`.
+    #[inline]
+    pub fn is_tainted(&self, tags: &[u8], i: u64) -> bool {
+        let bit = u64::from(self.lead) + i;
+        let byte = tags[(bit >> 3) as usize];
+        match self.gran {
+            Granularity::Byte => byte & (1 << (bit & 7)) != 0,
+            Granularity::Word => byte != 0,
+        }
+    }
+}
+
+/// Translates the `len` data bytes starting at `vaddr` to the tag bytes
+/// that cover them — [`tag_location`] for a whole run at once, so bulk
+/// taint sources and sinks can touch the bitmap one page span at a time.
+///
+/// An empty run covers no tag bytes and is always valid.
+///
+/// # Errors
+///
+/// [`TagAddrError::RegionZero`] when the run starts in region 0, and
+/// [`TagAddrError::Unimplemented`] when any of its bytes is unimplemented —
+/// which includes every run that crosses from one region into the next,
+/// since the unimplemented hole separates them.
+pub fn tag_range(vaddr: u64, len: u64, gran: Granularity) -> Result<TagRange, TagAddrError> {
+    if len == 0 {
+        return Ok(TagRange { byte_addr: 0, len: 0, lo_mask: 0, hi_mask: 0, gran, lead: 0 });
+    }
+    let first = tag_location(vaddr, gran)?;
+    let end = vaddr.checked_add(len - 1).ok_or(TagAddrError::Unimplemented)?;
+    if !is_implemented(end) || region_of(end) != region_of(vaddr) {
+        return Err(TagAddrError::Unimplemented);
+    }
+    let last = tag_location(end, gran)?;
+    let (lo_mask, hi_mask) = match gran {
+        Granularity::Byte => (0xffu8 << first.bit(), 0xffu8 >> (7 - last.bit())),
+        Granularity::Word => (0xff, 0xff),
+    };
+    Ok(TagRange {
+        byte_addr: first.byte_addr,
+        len: last.byte_addr - first.byte_addr + 1,
+        lo_mask,
+        hi_mask,
+        gran,
+        lead: (offset_of(vaddr) & 7) as u8,
+    })
 }
 
 /// Host-side reference taint map at byte granularity.
@@ -585,14 +678,32 @@ mod tests {
     }
 
     #[test]
-    fn tag_span_counts_touched_tag_bytes() {
+    fn tag_range_edges_and_errors() {
+        let base = make_vaddr(1, 0x1003);
+        // Bytes 3..=12 of a tag-byte-aligned block: two tag bytes.
+        let r = tag_range(base, 10, Granularity::Byte).unwrap();
+        assert_eq!(r.byte_addr, tag_location(base, Granularity::Byte).unwrap().byte_addr);
+        assert_eq!((r.len, r.lo_mask, r.hi_mask), (2, 0xf8, 0x1f));
+        // Within one tag byte both edges apply.
+        let one = tag_range(base, 2, Granularity::Byte).unwrap();
+        assert_eq!((one.len, one.mask(0)), (1, 0x18));
+        let w = tag_range(base, 10, Granularity::Word).unwrap();
+        assert_eq!((w.len, w.mask(0), w.mask(1)), (2, 0xff, 0xff));
+        assert_eq!(tag_range(0x1000, 0, Granularity::Byte).map(|r| r.len), Ok(0));
+        assert_eq!(tag_range(0x1000, 4, Granularity::Byte), Err(TagAddrError::RegionZero));
+        let region_end = make_vaddr(1, shift_isa::IMPL_MASK);
+        assert_eq!(tag_range(region_end, 1, Granularity::Byte).map(|r| r.len), Ok(1));
+        assert_eq!(tag_range(region_end, 2, Granularity::Byte), Err(TagAddrError::Unimplemented));
+        assert_eq!(tag_range(u64::MAX, 2, Granularity::Word), Err(TagAddrError::Unimplemented));
+    }
+
+    #[test]
+    fn tag_range_counts_touched_tag_bytes() {
         let base = make_vaddr(1, 0);
-        assert_eq!(tag_span(base, 0, Granularity::Byte), 0);
-        assert_eq!(tag_span(base, 1, Granularity::Byte), 1);
-        assert_eq!(tag_span(base, 8, Granularity::Byte), 1);
-        assert_eq!(tag_span(base, 9, Granularity::Byte), 2);
-        assert_eq!(tag_span(base, 8, Granularity::Word), 1);
-        assert_eq!(tag_span(base, 9, Granularity::Word), 2);
+        for (len, byte, word) in [(0, 0, 0), (1, 1, 1), (8, 1, 1), (9, 2, 2)] {
+            assert_eq!(tag_range(base, len, Granularity::Byte).unwrap().len, byte);
+            assert_eq!(tag_range(base, len, Granularity::Word).unwrap().len, word);
+        }
     }
 
     #[test]

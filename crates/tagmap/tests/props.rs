@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use shift_isa::{make_vaddr, region_of, IMPL_MASK};
-use shift_tagmap::{tag_location, tag_span, Granularity, HostShadow};
+use shift_tagmap::{tag_location, tag_range, Granularity, HostShadow};
 
 fn data_addr() -> impl Strategy<Value = u64> {
     // Any implemented address in regions 1–7.
@@ -97,16 +97,43 @@ proptest! {
         prop_assert_eq!(la.byte_addr == lb.byte_addr, same_word);
     }
 
-    /// `tag_span` covers exactly the tag bytes the per-byte translation
-    /// touches.
+    /// `tag_range` agrees with the per-byte translation: its span covers
+    /// exactly the tag bytes the data bytes' tags land in, each tag byte's
+    /// mask is the union of their bits, and applying a mark or clear and
+    /// reading it back sees exactly the run changed.
     #[test]
-    fn span_matches_pointwise_translation(addr in data_addr(), len in 1u64..256) {
+    fn tag_range_matches_pointwise_translation(
+        addr in data_addr(),
+        len in 0u64..200,
+        fill in any::<u8>(),
+    ) {
         prop_assume!(shift_isa::offset_of(addr) + len <= IMPL_MASK);
         for gran in Granularity::ALL {
-            let span = tag_span(addr, len, gran);
-            let first = tag_location(addr, gran).unwrap().byte_addr;
-            let last = tag_location(addr + len - 1, gran).unwrap().byte_addr;
-            prop_assert_eq!(span, last - first + 1);
+            let r = tag_range(addr, len, gran).unwrap();
+            if len > 0 {
+                let first = tag_location(addr, gran).unwrap().byte_addr;
+                let last = tag_location(addr + len - 1, gran).unwrap().byte_addr;
+                prop_assert_eq!((r.byte_addr, r.len), (first, last - first + 1));
+            }
+            let mut expect_masks = vec![0u8; r.len as usize];
+            for i in 0..len {
+                let loc = tag_location(addr + i, gran).unwrap();
+                expect_masks[(loc.byte_addr - r.byte_addr) as usize] |= loc.mask;
+            }
+            for (j, &m) in expect_masks.iter().enumerate() {
+                prop_assert_eq!(r.mask(j as u64), m, "tag byte {}", j);
+            }
+            for tainted in [true, false] {
+                let mut tags = vec![fill; r.len as usize];
+                r.apply(&mut tags, tainted);
+                for (j, (&t, &m)) in tags.iter().zip(&expect_masks).enumerate() {
+                    let want = if tainted { fill | m } else { fill & !m };
+                    prop_assert_eq!(t, want, "tag byte {}", j);
+                }
+                for i in 0..len {
+                    prop_assert_eq!(r.is_tainted(&tags, i), tainted);
+                }
+            }
         }
     }
 
