@@ -123,13 +123,19 @@ fn bench_memory(c: &mut Criterion) {
     });
 
     // Page-crossing bulk copy — the span-at-a-time `write_bytes` path used
-    // by syscall buffers and string traffic.
+    // by syscall buffers and string traffic — with a live spill-NaT slot
+    // outside the span, as an instrumented guest keeps one banked, so the
+    // span-wide NaT invalidation runs on every page.
     let blob = vec![0xA5u8; 3 * PAGE_SIZE as usize];
     g.throughput(Throughput::Bytes(blob.len() as u64));
     g.bench_function("write_bytes_3_pages", |b| {
         let mut mem = Memory::new();
         mem.map_range(base, 4 * PAGE_SIZE);
-        b.iter(|| mem.write_bytes(base + 100, &blob).unwrap())
+        mem.set_spill_nat(base, true);
+        b.iter(|| {
+            mem.write_bytes(base + 100, &blob).unwrap();
+            mem.spill_nat(base)
+        })
     });
 
     g.finish();

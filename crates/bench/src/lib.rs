@@ -1322,13 +1322,7 @@ mod tests {
         let s = spawn_latency();
         assert_eq!(s.large_pages, 4 * s.small_pages, "images must differ 4x in size");
         assert_eq!(s.spawn_owned_pages, 0, "a fresh spawn must own no private pages");
-        assert!(
-            s.o1_ratio < 1.5,
-            "spawn cost scaled with image size: {} ns (small) vs {} ns (large), ratio {:.2}",
-            s.small_spawn_ns,
-            s.large_spawn_ns,
-            s.o1_ratio
-        );
+        // `o1_ratio` is host wall-clock time: the CI bench smoke gates it.
     }
 
     #[test]

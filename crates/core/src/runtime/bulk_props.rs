@@ -2,8 +2,9 @@
 //! source (`write_guest`) and the policy-sink read (`read_tainted`) against a
 //! per-byte reference that translates, reads and writes one tag byte at a
 //! time. Both sides must leave the same guest bytes, the same bitmap, the
-//! same memory digest and the same copy-on-write counters — with and without
-//! an open checkpoint, and again after rolling it back.
+//! same memory digest (which covers the banked spill NaTs) and the same
+//! copy-on-write counters — with and without an open checkpoint, and again
+//! after rolling it back.
 
 use proptest::prelude::*;
 use shift_isa::{Insn, Op};
@@ -21,7 +22,10 @@ const WINDOW: u64 = 0x10000;
 /// (one tag page covers 32 KiB of data).
 const TAG_PAGE_EDGE: u64 = 0x8000;
 
-/// The per-byte read-modify-write the bulk delivery replaces.
+/// The per-byte read-modify-write the bulk delivery replaces. Data and tag
+/// bytes both go through single-byte `write_int` stores, so the reference
+/// invalidates banked spill NaTs one store at a time, independently of the
+/// bulk path's span-wide invalidation.
 fn per_byte_write(
     m: &mut Machine,
     gran: Granularity,
@@ -29,7 +33,9 @@ fn per_byte_write(
     bytes: &[u8],
     tainted: bool,
 ) -> Result<(), MemError> {
-    m.mem.write_bytes(addr, bytes)?;
+    for (i, &b) in (0u64..).zip(bytes) {
+        m.mem.write_int(addr + i, 1, u64::from(b))?;
+    }
     for i in 0..bytes.len() as u64 {
         let loc = tag_location(addr + i, gran).expect("window lives in region 1");
         let byte = m.mem.read_int(loc.byte_addr, 1)?;
@@ -58,9 +64,12 @@ fn per_byte_read(
 
 /// A machine with the data window mapped and its bitmap pre-dirtied with a
 /// seeded pattern of all-clean, all-tainted and mixed 64-byte tag blocks (so
-/// a delivery can leave its tag bytes unchanged); `freeze` turns the
-/// dirtied pages into shared ones, so the first write to each takes a COW
-/// fault.
+/// a delivery can leave its tag bytes unchanged), and with three spill slots
+/// banked: one in the data window just below the tag-page edge, one in the
+/// window's tag span at that edge, and one on the stack, outside both. The
+/// first two sit where the proptest's deliveries land, so a bulk write must
+/// drop exactly the banked slots it overlaps. `freeze` turns the dirtied
+/// pages into shared ones, so the first write to each takes a COW fault.
 fn dirty_machine(gran: Granularity, seed: u64, freeze: bool) -> Machine {
     let image =
         Image::builder().code(vec![Insn::new(Op::Halt)]).map(layout::DATA_BASE, WINDOW).build();
@@ -84,6 +93,12 @@ fn dirty_machine(gran: Granularity, seed: u64, freeze: bool) -> Machine {
         })
         .collect();
     m.mem.write_bytes(tags.byte_addr, &pattern).unwrap();
+    let edge_tags = tag_location(layout::DATA_BASE + TAG_PAGE_EDGE, gran).unwrap().byte_addr;
+    for slot in [layout::DATA_BASE + TAG_PAGE_EDGE - 8, edge_tags - 8, layout::stack_top() - 8] {
+        let value = m.mem.read_int(slot, 8).unwrap();
+        m.mem.write_int(slot, 8, value).unwrap();
+        m.mem.set_spill_nat(slot, true);
+    }
     if freeze {
         m.mem.freeze();
     }

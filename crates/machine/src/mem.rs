@@ -695,8 +695,10 @@ impl Memory {
                 }
             }
         }
-        // Overwriting any part of a spill slot invalidates its banked NaT —
-        // skippable in O(1) when no NaT is banked (the common case).
+        // Overwriting any part of a spill slot invalidates its banked NaT.
+        // The empty-bank exit is not the common case: the instrumented
+        // Apache guest keeps one slot banked for its whole run, so its
+        // stores pay this one hash probe.
         if !self.spill_nat.is_empty() {
             self.spill_nat.remove(&(addr & !7));
         }
@@ -747,7 +749,9 @@ impl Memory {
     /// Runs page-span at a time (one check + one journal touch + at most
     /// one COW fault per page); on error, spans before the faulting page
     /// have already been written, matching the per-byte loop's
-    /// partial-write semantics.
+    /// partial-write semantics. Banked spill NaTs inside a span are dropped
+    /// in one pass over the bank, so invalidation costs O(banked slots) per
+    /// span, not O(bytes written).
     ///
     /// # Errors
     ///
@@ -761,19 +765,11 @@ impl Memory {
             let slot = self.slot_for(a, true)?;
             let frame = self.page_bytes_mut(slot);
             frame[off..off + span].copy_from_slice(&data[done..done + span]);
-            if !self.spill_nat.is_empty() {
-                // Invalidate every 8-byte spill slot the span overlaps.
-                let first = a & !7;
-                let last = (a + span as u64 - 1) & !7;
-                let mut s = first;
-                loop {
-                    self.spill_nat.remove(&s);
-                    if s == last {
-                        break;
-                    }
-                    s += 8;
-                }
-            }
+            // Drop every banked spill slot the span overlaps. The bank holds
+            // a handful of slots; a page span overlaps up to 512.
+            let first = a & !7;
+            let last = (a + span as u64 - 1) & !7;
+            self.spill_nat.retain(|&s| s < first || s > last);
             done += span;
         }
         Ok(())
@@ -1012,6 +1008,26 @@ mod tests {
         // Byte store into the slot kills it.
         m.write_bytes(base + 3, &[1]).unwrap();
         assert!(!m.spill_nat(base));
+    }
+
+    #[test]
+    fn bulk_write_drops_exactly_the_banked_slots_it_overlaps() {
+        let mut m = Memory::new();
+        let base = make_vaddr(1, 0x10000);
+        m.map_range(base, 3 * PAGE_SIZE);
+        // A two-page span with ragged ends: the slots holding its first and
+        // last bytes die, and so does one at its page crossing; their outer
+        // neighbours survive. Random spans rarely land a banked slot on an
+        // end, so the differential proptests do not pin these edges.
+        let (start, len) = (base + 13, PAGE_SIZE + 20);
+        let (first, last) = (start & !7, (start + len - 1) & !7);
+        let slots = [first - 8, first, base + PAGE_SIZE, last, last + 8, base + 2 * PAGE_SIZE];
+        for s in slots {
+            m.set_spill_nat(s, true);
+        }
+        m.write_bytes(start, &vec![0; len as usize]).unwrap();
+        let banked: Vec<bool> = slots.iter().map(|&s| m.spill_nat(s)).collect();
+        assert_eq!(banked, [true, false, false, false, true, true]);
     }
 
     #[test]
