@@ -9,7 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use shift_core::Granularity;
+use shift_core::{Granularity, Mode, ShiftOptions};
+use shift_ir::ProgramBuilder;
 use shift_isa::{make_vaddr, AluOp, CmpRel, ExtKind, Gpr, Insn, MemSize, Op, Pr};
 use shift_machine::{layout, Image, MachineSeed, Memory, NullOs, PAGE_SIZE};
 use shift_tagmap::HostShadow;
@@ -83,6 +84,74 @@ fn bench_dispatch(c: &mut Criterion) {
         })
     });
 
+    g.finish();
+}
+
+/// The byte-mode instrumentation of one `ld8` and one `st1` — the
+/// program `shift disasm` lists — with its `br b0` return replaced by a
+/// counted loop back to its first instruction. Its Figure-4 tag-address
+/// sequences and store tag merge are what the superblock decoder fuses,
+/// so this loop is the fused path's A/B guard.
+fn instrumented_ld_st_image() -> (Image, u64) {
+    let mut pb = ProgramBuilder::new();
+    let g = pb.global_zeroed("cell", 16);
+    pb.func("main", 0, move |f| {
+        let p = f.global_addr(g);
+        let v = f.load8(p, 0);
+        let b = f.andi(v, 0xff);
+        f.store1(b, p, 8);
+        f.ret(Some(b));
+    });
+    let mode = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
+    let compiled =
+        shift_compiler::Compiler::new(mode).compile(&pb.build().unwrap()).expect("compiles");
+    let (start, end) = compiled.func_ranges["main"];
+    // Everything but the final `br b0` is straight-line.
+    let body = &compiled.image.code[start..end - 1];
+    assert!(body.iter().all(|i| !i.op.is_control()), "template body must be straight-line");
+
+    // r20 is free in `main`; the template's own predicates are p6/p7.
+    let ctr = Gpr::R20;
+    let mut code = vec![Insn::new(Op::MovI { dst: ctr, imm: DISPATCH_ITERS })];
+    code.extend_from_slice(body);
+    code.push(Insn::new(Op::AluI { op: AluOp::Add, dst: ctr, src1: ctr, imm: -1 }));
+    code.push(Insn::new(Op::CmpI {
+        rel: CmpRel::Eq,
+        pt: Pr::P1,
+        pf: Pr::P2,
+        src1: ctr,
+        imm: 0,
+        nat_aware: false,
+    }));
+    code.push(Insn::new(Op::Jmp { target: 1 }).under(Pr::P2));
+    code.push(Insn::new(Op::Halt));
+    let insns = 2 + (body.len() as u64 + 3) * DISPATCH_ITERS as u64;
+    let mut image = compiled.image;
+    image.code = code;
+    image.entry = 0;
+    image.symbols.clear();
+    (image, insns)
+}
+
+fn bench_instrumented_dispatch(c: &mut Criterion) {
+    let (image, insns) = instrumented_ld_st_image();
+    let seed = MachineSeed::new(&image);
+    let mut g = c.benchmark_group("dispatch/instrumented_ld_st");
+    g.throughput(Throughput::Elements(insns));
+    // Fused superblock micro-ops vs. the unfused per-instruction stepper,
+    // in one process (DESIGN.md §13).
+    g.bench_function("superblock", |b| {
+        b.iter(|| {
+            let mut m = seed.spawn();
+            m.run(&mut NullOs, u64::MAX)
+        })
+    });
+    g.bench_function("per_insn", |b| {
+        b.iter(|| {
+            let mut m = seed.spawn();
+            m.run_per_insn(&mut NullOs, u64::MAX)
+        })
+    });
     g.finish();
 }
 
@@ -176,16 +245,20 @@ fn bench_apache_request(c: &mut Criterion) {
     // tag-propagate, and check — the composite all the hot paths feed.
     g.bench_function("request_byte_1k", |b| {
         b.iter(|| {
-            let run = run_apache(
-                shift_core::Mode::Shift(shift_core::ShiftOptions::baseline(Granularity::Byte)),
-                1 << 10,
-                1,
-            );
+            let run =
+                run_apache(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)), 1 << 10, 1);
             run.latency()
         })
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_dispatch, bench_memory, bench_shadow, bench_apache_request);
+criterion_group!(
+    benches,
+    bench_dispatch,
+    bench_instrumented_dispatch,
+    bench_memory,
+    bench_shadow,
+    bench_apache_request
+);
 criterion_main!(benches);

@@ -52,14 +52,12 @@ impl Cpu {
         }
     }
 
-    /// Reads a GPR (with its NaT bit). `r0` always reads as non-NaT zero.
+    /// Reads a GPR (with its NaT bit). `r0` always reads as non-NaT zero:
+    /// every write path skips `r0`, so its slot holds zero from
+    /// [`Cpu::new`] on and the read needs no test.
     #[inline]
     pub fn gpr(&self, r: Gpr) -> RegVal {
-        if r == Gpr::R0 {
-            RegVal::of(0)
-        } else {
-            RegVal { value: self.gpr[r.index()], nat: self.nat[r.index()] }
-        }
+        RegVal { value: self.gpr[r.index()], nat: self.nat[r.index()] }
     }
 
     /// Writes a GPR (with its NaT bit). Writes to `r0` are ignored.
@@ -69,6 +67,15 @@ impl Cpu {
             self.gpr[r.index()] = v.value;
             self.nat[r.index()] = v.nat;
         }
+    }
+
+    /// Writes a GPR the caller knows is not `r0` — the superblock decoder
+    /// lowers every `r0` destination of a register-writing kind to a no-op.
+    #[inline]
+    pub(crate) fn set_gpr_nz(&mut self, r: Gpr, v: RegVal) {
+        debug_assert!(r != Gpr::R0, "r0 destination reached a specialised kind");
+        self.gpr[r.index()] = v.value;
+        self.nat[r.index()] = v.nat;
     }
 
     /// Convenience: writes a non-NaT value.

@@ -3,7 +3,7 @@
 use shift_isa::{AluOp, CostModel, ExtKind, Insn, MemSize, Op, Provenance};
 use shift_obs::{FuncSpan, Profiler, TaintObserver, TraceKind, TraceRing};
 
-use crate::block::{BlockProgram, NPROV};
+use crate::block::{BlockProgram, Kind, MicroOp, TagAddr, NPROV};
 use crate::cache::CacheHierarchy;
 use crate::cpu::{Cpu, RegVal};
 use crate::fault::{Fault, NatFaultKind};
@@ -143,6 +143,16 @@ pub enum StepOut {
     Exit(Exit),
 }
 
+/// Why a micro-op left its superblock before the block's end.
+enum Leave {
+    /// An architectural fault at the micro-op's instruction.
+    Fault(Fault),
+    /// A `syscall`: the handler runs after the block's accounting flushes.
+    Syscall(u32),
+    /// `halt`.
+    Halt,
+}
+
 /// Host-side counters for the superblock dispatch tier (see
 /// [`Machine::superblock_stats`]). Purely diagnostic: these count *host*
 /// dispatch decisions, never modelled events, and are excluded from
@@ -159,6 +169,11 @@ pub struct SuperblockStats {
     pub flushes: u64,
     /// Superblocks in the decoded program.
     pub blocks: u64,
+    /// Tag-address templates (either form) fused into one micro-op each in
+    /// the decoded program.
+    pub fused_tag_addrs: u64,
+    /// Store tag merges fused into one micro-op each in the decoded program.
+    pub fused_merges: u64,
 }
 
 impl Machine {
@@ -503,6 +518,10 @@ impl Machine {
     ///
     /// * no per-instruction fetch bounds check, budget compare, or `ip`
     ///   store — `ip` lives in a local and is written back only on exit;
+    /// * one dispatch per micro-op, and fewer micro-ops than instructions:
+    ///   kinds are specialised at decode and the SHIFT instrumentation
+    ///   templates are fused (see [`crate::block`]); pure and impure blocks
+    ///   run the same kernel, [`Machine::exec_uop`];
     /// * retire accounting lands in stack-local accumulators that persist
     ///   *across* chained blocks and flush only on a side exit. Per-op
     ///   accounting is gone entirely: every block merges its precomputed
@@ -530,7 +549,7 @@ impl Machine {
         let mut ins = [0u64; NPROV];
         // Instructions retired into the local accumulators but not yet
         // flushed (== the sums of `ins`): completed blocks retire every
-        // entered micro-op exactly once, including predicated-off slots.
+        // covered instruction exactly once, including predicated-off slots.
         let mut pending = 0u64;
         let mut ip = self.cpu.ip;
 
@@ -582,28 +601,17 @@ impl Machine {
                 }
             }};
         }
-        // Records a cycle *deviation* from the block's precomputed full-pass
-        // accounting: a cache stall, a predicated-off slot, a taken `chk.s`.
-        // Wrapping because a deviation can be negative (`pred_off - base`);
-        // the block's base entries always merge in before any flush, which
-        // restores an exact non-negative total.
-        macro_rules! dev {
-            ($prov:expr, $delta:expr) => {{
-                let i = $prov.index();
-                cyc[i] = cyc[i].wrapping_add($delta);
-            }};
-        }
         // Settles accounting for a partially-executed block: micro-ops
-        // `..=$j` all entered, so charge each its static base cost and one
-        // retired instruction. Dynamic deviations (stalls, pred-off slots)
-        // were already recorded by `dev!` as they happened, so base + recorded
+        // `..=$j` all entered, so charge each its static base cost and the
+        // instructions it covers. Dynamic deviations (stalls, pred-off
+        // slots) were already recorded as they happened, so base + recorded
         // deviations reproduces the per-instruction charges exactly.
         macro_rules! settle {
             ($uops:expr, $j:expr) => {{
                 for u in &$uops[..=$j] {
                     let i = u.prov.index();
                     cyc[i] = cyc[i].wrapping_add(u64::from(u.base));
-                    ins[i] += 1;
+                    ins[i] += u64::from(u.n);
                 }
             }};
         }
@@ -614,12 +622,6 @@ impl Machine {
                 flush!();
                 self.cpu.ip = $ip;
                 return StepOut::Exit($e);
-            }};
-        }
-        macro_rules! fault_at {
-            ($uops:expr, $j:expr, $ip:expr, $f:expr) => {{
-                settle!($uops, $j);
-                exit_at!($ip, Exit::Fault($f))
             }};
         }
 
@@ -643,284 +645,23 @@ impl Machine {
             self.block_hits += 1;
             let base_ip = ip;
             let first = blk.uop_start as usize;
-            let uops = &prog.uops[first..first + blk.len as usize];
-            let mut next_ip = base_ip + uops.len();
+            let uops = &prog.uops[first..first + blk.uop_len as usize];
+            let mut next_ip = base_ip + blk.len as usize;
 
-            if blk.pure {
-                // Static-accounting fast path: no predication, no faults, no
-                // dynamic cycle costs — semantics only, then a sparse merge
-                // of the block's precomputed per-provenance totals.
-                for u in uops {
-                    match u.op {
-                        Op::Alu { op, dst, src1, src2 } => {
-                            let a = self.cpu.gpr(src1);
-                            let b = self.cpu.gpr(src2);
-                            let v = alu(op, a.value, b.value);
-                            let self_cancel = src1 == src2 && matches!(op, AluOp::Xor | AluOp::Sub);
-                            let nat = if self_cancel { false } else { a.nat || b.nat };
-                            self.cpu.set_gpr(dst, RegVal { value: v, nat });
-                        }
-                        Op::AluI { op, dst, src1, imm } => {
-                            let a = self.cpu.gpr(src1);
-                            let v = alu(op, a.value, imm as u64);
-                            self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                        }
-                        Op::MovI { dst, imm } => self.cpu.set_gpr_val(dst, imm as u64),
-                        Op::Mov { dst, src } => {
-                            let v = self.cpu.gpr(src);
-                            self.cpu.set_gpr(dst, v);
-                        }
-                        Op::Ext { kind, size, dst, src } => {
-                            let a = self.cpu.gpr(src);
-                            let v = extend(kind, size, a.value);
-                            self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                        }
-                        Op::Cmp { rel, pt, pf, src1, src2, nat_aware } => {
-                            let a = self.cpu.gpr(src1);
-                            let b = self.cpu.gpr(src2);
-                            self.do_cmp(rel, pt, pf, a, b, nat_aware);
-                        }
-                        Op::CmpI { rel, pt, pf, src1, imm, nat_aware } => {
-                            let a = self.cpu.gpr(src1);
-                            self.do_cmp(rel, pt, pf, a, RegVal::of(imm as u64), nat_aware);
-                        }
-                        Op::Tnat { pt, pf, src } => {
-                            let nat = self.cpu.gpr(src).nat;
-                            self.cpu.set_pr(pt, nat);
-                            self.cpu.set_pr(pf, !nat);
-                        }
-                        Op::Tset { dst } => {
-                            let v = self.cpu.gpr(dst);
-                            self.cpu.set_gpr(dst, RegVal { value: v.value, nat: true });
-                        }
-                        Op::Tclr { dst } => {
-                            let v = self.cpu.gpr(dst);
-                            self.cpu.set_gpr(dst, RegVal::of(v.value));
-                        }
-                        Op::MovFromBr { dst, br } => {
-                            let v = self.cpu.br(br);
-                            self.cpu.set_gpr_val(dst, v);
-                        }
-                        Op::Nop => {}
-                        // Terminators (always the last micro-op).
-                        Op::Jmp { target } => next_ip = target,
-                        Op::Call { link, target } => {
-                            self.cpu.set_br(link, (base_ip + uops.len()) as u64);
-                            next_ip = target;
-                        }
-                        Op::JmpBr { br } => next_ip = self.cpu.br(br) as usize,
-                        // Excluded from pure blocks by construction.
-                        Op::Ld { .. }
-                        | Op::St { .. }
-                        | Op::StSpill { .. }
-                        | Op::LdFill { .. }
-                        | Op::ChkS { .. }
-                        | Op::MovToBr { .. }
-                        | Op::Syscall { .. }
-                        | Op::Halt => unreachable!("impure op in pure superblock"),
-                    }
-                }
-                merge_accts!(blk);
-                pending += len;
-                ip = next_ip;
-                continue;
-            }
-
-            for (j, u) in uops.iter().enumerate() {
-                if !self.cpu.pr(u.qp) {
-                    dev!(u.prov, self.cost.pred_off.wrapping_sub(u64::from(u.base)));
-                    continue;
-                }
-                let ip = base_ip + j;
-                match u.op {
-                    Op::Alu { op, dst, src1, src2 } => {
-                        let a = self.cpu.gpr(src1);
-                        let b = self.cpu.gpr(src2);
-                        let v = alu(op, a.value, b.value);
-                        let self_cancel = src1 == src2 && matches!(op, AluOp::Xor | AluOp::Sub);
-                        let nat = if self_cancel { false } else { a.nat || b.nat };
-                        self.cpu.set_gpr(dst, RegVal { value: v, nat });
-                    }
-                    Op::AluI { op, dst, src1, imm } => {
-                        let a = self.cpu.gpr(src1);
-                        let v = alu(op, a.value, imm as u64);
-                        self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                    }
-                    Op::MovI { dst, imm } => self.cpu.set_gpr_val(dst, imm as u64),
-                    Op::Mov { dst, src } => {
-                        let v = self.cpu.gpr(src);
-                        self.cpu.set_gpr(dst, v);
-                    }
-                    Op::Ext { kind, size, dst, src } => {
-                        let a = self.cpu.gpr(src);
-                        let v = extend(kind, size, a.value);
-                        self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                    }
-                    Op::Cmp { rel, pt, pf, src1, src2, nat_aware } => {
-                        let a = self.cpu.gpr(src1);
-                        let b = self.cpu.gpr(src2);
-                        self.do_cmp(rel, pt, pf, a, b, nat_aware);
-                    }
-                    Op::CmpI { rel, pt, pf, src1, imm, nat_aware } => {
-                        let a = self.cpu.gpr(src1);
-                        self.do_cmp(rel, pt, pf, a, RegVal::of(imm as u64), nat_aware);
-                    }
-                    Op::Ld { size, ext, dst, addr, spec } => {
-                        let a = self.cpu.gpr(addr);
-                        if a.nat {
-                            if spec {
-                                self.stats.deferred_loads += 1;
-                                self.cpu.set_gpr(dst, RegVal::NAT);
-                            } else {
-                                fault_at!(
-                                    uops,
-                                    j,
-                                    ip,
-                                    Fault::NatConsumption { kind: NatFaultKind::LoadAddress, ip }
-                                );
-                            }
-                        } else {
-                            match self.mem.read_int(a.value, size.bytes()) {
-                                Ok(raw) => {
-                                    dev!(u.prov, self.cache.access(a.value, size.bytes()));
-                                    let v = extend(ext, size, raw);
-                                    self.cpu.set_gpr(dst, RegVal::of(v));
-                                    if u.prov == Provenance::Original {
-                                        self.stats.loads += 1;
-                                    }
-                                }
-                                Err(_) if spec => {
-                                    dev!(u.prov, self.cache.mem_latency);
-                                    self.stats.deferred_loads += 1;
-                                    self.cpu.set_gpr(dst, RegVal::NAT);
-                                }
-                                Err(e) => fault_at!(uops, j, ip, mem_fault(e, ip)),
-                            }
-                        }
-                    }
-                    Op::St { size, src, addr } => {
-                        let a = self.cpu.gpr(addr);
-                        let v = self.cpu.gpr(src);
-                        if a.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::StoreAddress, ip }
-                            );
-                        }
-                        if v.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::StoreValue, ip }
-                            );
-                        }
-                        match self.mem.write_int(a.value, size.bytes(), v.value) {
-                            Ok(()) => {
-                                dev!(u.prov, self.cache.access(a.value, size.bytes()));
-                                if u.prov == Provenance::Original {
-                                    self.stats.stores += 1;
-                                }
-                            }
-                            Err(e) => fault_at!(uops, j, ip, mem_fault(e, ip)),
-                        }
-                    }
-                    Op::StSpill { src, addr } => {
-                        let a = self.cpu.gpr(addr);
-                        let v = self.cpu.gpr(src);
-                        if a.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::StoreAddress, ip }
-                            );
-                        }
-                        match self.mem.write_int(a.value, 8, v.value) {
-                            Ok(()) => {
-                                dev!(u.prov, self.cache.access(a.value, 8));
-                                self.cpu.unat = set_unat_bit(self.cpu.unat, a.value, v.nat);
-                                self.mem.set_spill_nat(a.value, v.nat);
-                                if u.prov == Provenance::Original {
-                                    self.stats.stores += 1;
-                                }
-                            }
-                            Err(e) => fault_at!(uops, j, ip, mem_fault(e, ip)),
-                        }
-                    }
-                    Op::LdFill { dst, addr } => {
-                        let a = self.cpu.gpr(addr);
-                        if a.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::LoadAddress, ip }
-                            );
-                        }
-                        match self.mem.read_int(a.value, 8) {
-                            Ok(raw) => {
-                                dev!(u.prov, self.cache.access(a.value, 8));
-                                let nat = self.mem.spill_nat(a.value);
-                                self.cpu.set_gpr(dst, RegVal { value: raw, nat });
-                                if u.prov == Provenance::Original {
-                                    self.stats.loads += 1;
-                                }
-                            }
-                            Err(e) => fault_at!(uops, j, ip, mem_fault(e, ip)),
-                        }
-                    }
-                    Op::MovToBr { br, src } => {
-                        let v = self.cpu.gpr(src);
-                        if v.nat {
-                            fault_at!(
-                                uops,
-                                j,
-                                ip,
-                                Fault::NatConsumption { kind: NatFaultKind::BranchMove, ip }
-                            );
-                        }
-                        self.cpu.set_br(br, v.value);
-                    }
-                    Op::Tnat { pt, pf, src } => {
-                        let nat = self.cpu.gpr(src).nat;
-                        self.cpu.set_pr(pt, nat);
-                        self.cpu.set_pr(pf, !nat);
-                    }
-                    Op::Tset { dst } => {
-                        let v = self.cpu.gpr(dst);
-                        self.cpu.set_gpr(dst, RegVal { value: v.value, nat: true });
-                    }
-                    Op::Tclr { dst } => {
-                        let v = self.cpu.gpr(dst);
-                        self.cpu.set_gpr(dst, RegVal::of(v.value));
-                    }
-                    Op::MovFromBr { dst, br } => {
-                        let v = self.cpu.br(br);
-                        self.cpu.set_gpr_val(dst, v);
-                    }
-                    Op::Nop => {}
-                    // Terminators (always the last micro-op of a block).
-                    // Unconditional transfers carry `branch_taken` in
-                    // `u.base` already (folded at decode time).
-                    Op::ChkS { src, target } => {
-                        if self.cpu.gpr(src).nat {
-                            dev!(u.prov, self.cost.chk_set.wrapping_sub(u64::from(u.base)));
-                            self.stats.chk_taken += 1;
-                            next_ip = target;
-                        }
-                    }
-                    Op::Jmp { target } => next_ip = target,
-                    Op::Call { link, target } => {
-                        self.cpu.set_br(link, (ip + 1) as u64);
-                        next_ip = target;
-                    }
-                    Op::JmpBr { br } => next_ip = self.cpu.br(br) as usize,
-                    Op::Syscall { num } => {
+            // One kernel for every block; a pure block's micro-ops are all
+            // unpredicated, so its instance compiles the predicate test out.
+            let left = if blk.pure {
+                self.walk_block::<true>(prog, uops, base_ip, &mut cyc, &mut next_ip)
+            } else {
+                self.walk_block::<false>(prog, uops, base_ip, &mut cyc, &mut next_ip)
+            };
+            if let Some((j, leave)) = left {
+                settle!(uops, j);
+                let ip = base_ip + usize::from(uops[j].off);
+                match leave {
+                    Leave::Fault(f) => exit_at!(ip, Exit::Fault(f)),
+                    Leave::Syscall(num) => {
                         self.stats.syscalls += 1;
-                        settle!(uops, j);
                         // Flush *before* the handler runs: the `Os` gets
                         // `&mut Machine` and must see stats, fuel, and
                         // countdowns exactly as the per-instruction path
@@ -932,21 +673,291 @@ impl Machine {
                             SysResult::Stop(exit) => StepOut::Exit(exit),
                         };
                     }
-                    Op::Halt => {
-                        settle!(uops, j);
-                        flush!();
-                        self.cpu.ip = ip;
-                        return StepOut::Exit(Exit::Halted(
-                            self.cpu.gpr(shift_isa::Gpr::RET).value as i64,
-                        ));
+                    Leave::Halt => {
+                        exit_at!(ip, Exit::Halted(self.cpu.gpr(shift_isa::Gpr::RET).value as i64))
                     }
                 }
             }
-
             merge_accts!(blk);
             pending += len;
             ip = next_ip;
         }
+    }
+
+    /// Walks one block's micro-ops through [`Machine::exec_uop`]. Returns
+    /// `None` when the block ran to its end, or the index of the micro-op
+    /// that left it early and why. `PURE` skips the predicate test, which
+    /// every micro-op of a pure block passes.
+    #[inline(always)]
+    fn walk_block<const PURE: bool>(
+        &mut self,
+        prog: &BlockProgram,
+        uops: &[MicroOp],
+        base_ip: usize,
+        cyc: &mut [u64; NPROV],
+        next_ip: &mut usize,
+    ) -> Option<(usize, Leave)> {
+        for (j, u) in uops.iter().enumerate() {
+            if !PURE && !self.cpu.pr(u.qp) {
+                let i = u.prov.index();
+                cyc[i] = cyc[i].wrapping_add(self.cost.pred_off.wrapping_sub(u64::from(u.base)));
+                continue;
+            }
+            if let Err(leave) = self.exec_uop(prog, u, base_ip + usize::from(u.off), cyc, next_ip) {
+                return Some((j, leave));
+            }
+        }
+        None
+    }
+
+    /// The superblock kernel: executes one entered micro-op whose first
+    /// instruction sits at `ip`. Architecturally identical to stepping its
+    /// covered instructions through `step_impl`; cycle costs that deviate
+    /// from the micro-op's `base` (cache stalls, a taken `chk.s`, a fused
+    /// merge's squashed members) are added to `cyc` as wrapping deviations,
+    /// and a taken transfer overwrites `next_ip`.
+    #[inline(always)]
+    fn exec_uop(
+        &mut self,
+        prog: &BlockProgram,
+        u: &MicroOp,
+        ip: usize,
+        cyc: &mut [u64; NPROV],
+        next_ip: &mut usize,
+    ) -> Result<(), Leave> {
+        // Records a cycle *deviation* from the block's precomputed full-pass
+        // accounting. Wrapping because a deviation can be negative
+        // (`pred_off - base`); the block's base entries always merge in
+        // before any flush, which restores an exact non-negative total.
+        macro_rules! dev {
+            ($delta:expr) => {{
+                let i = u.prov.index();
+                cyc[i] = cyc[i].wrapping_add($delta);
+            }};
+        }
+        macro_rules! nat_fault {
+            ($kind:expr) => {
+                return Err(Leave::Fault(Fault::NatConsumption { kind: $kind, ip }))
+            };
+        }
+        // Register-register and register-immediate ALU forms: the result's
+        // NaT bit is the OR of the sources'.
+        macro_rules! rr {
+            ($dst:expr, $a:expr, $b:expr, |$x:ident, $y:ident| $v:expr) => {{
+                let (p, q) = (self.cpu.gpr($a), self.cpu.gpr($b));
+                let ($x, $y) = (p.value, q.value);
+                self.cpu.set_gpr_nz($dst, RegVal { value: $v, nat: p.nat || q.nat });
+            }};
+        }
+        macro_rules! ri {
+            ($dst:expr, $a:expr, |$x:ident| $v:expr) => {{
+                let p = self.cpu.gpr($a);
+                let $x = p.value;
+                self.cpu.set_gpr_nz($dst, RegVal { value: $v, nat: p.nat });
+            }};
+        }
+        match u.kind {
+            Kind::Nop => {}
+            Kind::Add { dst, a, b } => rr!(dst, a, b, |x, y| x.wrapping_add(y)),
+            Kind::Sub { dst, a, b } => rr!(dst, a, b, |x, y| x.wrapping_sub(y)),
+            Kind::And { dst, a, b } => rr!(dst, a, b, |x, y| x & y),
+            Kind::Or { dst, a, b } => rr!(dst, a, b, |x, y| x | y),
+            Kind::Xor { dst, a, b } => rr!(dst, a, b, |x, y| x ^ y),
+            Kind::Shl { dst, a, b } => rr!(dst, a, b, |x, y| x.wrapping_shl(y as u32)),
+            Kind::Shr { dst, a, b } => rr!(dst, a, b, |x, y| x.wrapping_shr(y as u32)),
+            Kind::Sar { dst, a, b } => {
+                rr!(dst, a, b, |x, y| (x as i64).wrapping_shr(y as u32) as u64)
+            }
+            Kind::Mul { dst, a, b } => rr!(dst, a, b, |x, y| x.wrapping_mul(y)),
+            Kind::AddI { dst, a, imm } => ri!(dst, a, |x| x.wrapping_add(imm)),
+            Kind::AndI { dst, a, imm } => ri!(dst, a, |x| x & imm),
+            Kind::OrI { dst, a, imm } => ri!(dst, a, |x| x | imm),
+            Kind::XorI { dst, a, imm } => ri!(dst, a, |x| x ^ imm),
+            Kind::ShlI { dst, a, imm } => ri!(dst, a, |x| x.wrapping_shl(imm as u32)),
+            Kind::ShrI { dst, a, imm } => ri!(dst, a, |x| x.wrapping_shr(imm as u32)),
+            Kind::SarI { dst, a, imm } => {
+                ri!(dst, a, |x| (x as i64).wrapping_shr(imm as u32) as u64)
+            }
+            Kind::MulI { dst, a, imm } => ri!(dst, a, |x| x.wrapping_mul(imm)),
+            Kind::MovI { dst, imm } => self.cpu.set_gpr_nz(dst, RegVal::of(imm)),
+            Kind::Mov { dst, src } => {
+                let v = self.cpu.gpr(src);
+                self.cpu.set_gpr_nz(dst, v);
+            }
+            Kind::Ext { kind, size, dst, src } => ri!(dst, src, |x| extend(kind, size, x)),
+            Kind::Cmp { rel, pt, pf, a, b, nat_aware } => {
+                let (p, q) = (self.cpu.gpr(a), self.cpu.gpr(b));
+                self.do_cmp(rel, pt, pf, p, q, nat_aware);
+            }
+            Kind::CmpI { rel, pt, pf, a, imm, nat_aware } => {
+                let p = self.cpu.gpr(a);
+                self.do_cmp(rel, pt, pf, p, RegVal::of(imm), nat_aware);
+            }
+            Kind::Ld { size, ext, dst, addr, spec } => {
+                let a = self.cpu.gpr(addr);
+                if a.nat {
+                    if !spec {
+                        nat_fault!(NatFaultKind::LoadAddress);
+                    }
+                    self.stats.deferred_loads += 1;
+                    self.cpu.set_gpr(dst, RegVal::NAT);
+                } else {
+                    match self.mem.read_int(a.value, size.bytes()) {
+                        Ok(raw) => {
+                            dev!(self.cache.access(a.value, size.bytes()));
+                            self.cpu.set_gpr(dst, RegVal::of(extend(ext, size, raw)));
+                            if u.prov == Provenance::Original {
+                                self.stats.loads += 1;
+                            }
+                        }
+                        Err(_) if spec => {
+                            dev!(self.cache.mem_latency);
+                            self.stats.deferred_loads += 1;
+                            self.cpu.set_gpr(dst, RegVal::NAT);
+                        }
+                        Err(e) => return Err(Leave::Fault(mem_fault(e, ip))),
+                    }
+                }
+            }
+            Kind::St { size, src, addr } => {
+                let (a, v) = (self.cpu.gpr(addr), self.cpu.gpr(src));
+                if a.nat {
+                    nat_fault!(NatFaultKind::StoreAddress);
+                }
+                if v.nat {
+                    nat_fault!(NatFaultKind::StoreValue);
+                }
+                if let Err(e) = self.mem.write_int(a.value, size.bytes(), v.value) {
+                    return Err(Leave::Fault(mem_fault(e, ip)));
+                }
+                dev!(self.cache.access(a.value, size.bytes()));
+                if u.prov == Provenance::Original {
+                    self.stats.stores += 1;
+                }
+            }
+            Kind::StSpill { src, addr } => {
+                let (a, v) = (self.cpu.gpr(addr), self.cpu.gpr(src));
+                if a.nat {
+                    nat_fault!(NatFaultKind::StoreAddress);
+                }
+                if let Err(e) = self.mem.write_int(a.value, 8, v.value) {
+                    return Err(Leave::Fault(mem_fault(e, ip)));
+                }
+                dev!(self.cache.access(a.value, 8));
+                self.cpu.unat = set_unat_bit(self.cpu.unat, a.value, v.nat);
+                self.mem.set_spill_nat(a.value, v.nat);
+                if u.prov == Provenance::Original {
+                    self.stats.stores += 1;
+                }
+            }
+            Kind::LdFill { dst, addr } => {
+                let a = self.cpu.gpr(addr);
+                if a.nat {
+                    nat_fault!(NatFaultKind::LoadAddress);
+                }
+                let raw = match self.mem.read_int(a.value, 8) {
+                    Ok(raw) => raw,
+                    Err(e) => return Err(Leave::Fault(mem_fault(e, ip))),
+                };
+                dev!(self.cache.access(a.value, 8));
+                let nat = self.mem.spill_nat(a.value);
+                self.cpu.set_gpr(dst, RegVal { value: raw, nat });
+                if u.prov == Provenance::Original {
+                    self.stats.loads += 1;
+                }
+            }
+            Kind::MovToBr { br, src } => {
+                let v = self.cpu.gpr(src);
+                if v.nat {
+                    nat_fault!(NatFaultKind::BranchMove);
+                }
+                self.cpu.set_br(br, v.value);
+            }
+            Kind::MovFromBr { dst, br } => {
+                let v = self.cpu.br(br);
+                self.cpu.set_gpr_nz(dst, RegVal::of(v));
+            }
+            Kind::Tnat { pt, pf, src } => {
+                let nat = self.cpu.gpr(src).nat;
+                self.cpu.set_pr(pt, nat);
+                self.cpu.set_pr(pf, !nat);
+            }
+            Kind::Tset { dst } => {
+                let v = self.cpu.gpr(dst);
+                self.cpu.set_gpr_nz(dst, RegVal { value: v.value, nat: true });
+            }
+            Kind::Tclr { dst } => {
+                let v = self.cpu.gpr(dst);
+                self.cpu.set_gpr_nz(dst, RegVal::of(v.value));
+            }
+            // Terminators (always the last micro-op of a block).
+            // Unconditional transfers carry `branch_taken` in `u.base`
+            // already (folded at decode time).
+            Kind::ChkS { src, target } => {
+                if self.cpu.gpr(src).nat {
+                    dev!(self.cost.chk_set.wrapping_sub(u64::from(u.base)));
+                    self.stats.chk_taken += 1;
+                    *next_ip = target;
+                }
+            }
+            Kind::Jmp { target } => *next_ip = target,
+            Kind::Call { link, target } => {
+                self.cpu.set_br(link, (ip + 1) as u64);
+                *next_ip = target;
+            }
+            Kind::JmpBr { br } => *next_ip = self.cpu.br(br) as usize,
+            Kind::Syscall { num } => return Err(Leave::Syscall(num)),
+            Kind::Halt => return Err(Leave::Halt),
+            // Fused instrumentation templates (see `crate::block`).
+            Kind::TagAddr(i) => {
+                let t = &prog.tag_addrs[i as usize];
+                let (offset, byte, nat) = self.tag_byte_addr(t);
+                self.cpu.set_gpr_nz(t.s1, RegVal { value: offset, nat });
+                self.cpu.set_gpr_nz(t.s2, RegVal { value: byte, nat });
+            }
+            Kind::TagAddrBit(i) => {
+                let t = &prog.tag_addrs[i as usize];
+                let (offset, _, nat) = self.tag_byte_addr(t);
+                let bit = offset & t.bit_mask;
+                self.cpu.set_gpr_nz(t.s1, RegVal { value: bit, nat });
+                let mask = t.width_mask.wrapping_shl(bit as u32);
+                self.cpu.set_gpr_nz(t.s2, RegVal { value: mask, nat });
+            }
+            Kind::TagMerge(i) => {
+                let m = &prog.merges[i as usize];
+                let nat = self.cpu.gpr(m.src).nat;
+                self.cpu.set_pr(m.pt, nat);
+                self.cpu.set_pr(m.pf, !nat);
+                let (x, y) = (self.cpu.gpr(m.t1), self.cpu.gpr(m.t2));
+                if nat {
+                    self.cpu
+                        .set_gpr_nz(m.t1, RegVal { value: x.value | y.value, nat: x.nat || y.nat });
+                    dev!(m.dev_tainted);
+                } else {
+                    let y = RegVal { value: y.value ^ m.imm, nat: y.nat };
+                    self.cpu.set_gpr_nz(m.t2, y);
+                    self.cpu
+                        .set_gpr_nz(m.t1, RegVal { value: x.value & y.value, nat: x.nat || y.nat });
+                    dev!(m.dev_clean);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The shared head of both tag-address templates: writes the tag byte
+    /// address into `s0` and returns the implemented offset (`s1` after
+    /// the `and`), the tag byte index (`s2` after the `shr`), and the NaT
+    /// bit every result inherits from the address register.
+    #[inline(always)]
+    fn tag_byte_addr(&mut self, t: &TagAddr) -> (u64, u64, bool) {
+        let a = self.cpu.gpr(t.addr);
+        let region = a.value.wrapping_shr(t.region_shift as u32).wrapping_add(t.bias);
+        let offset = a.value & t.impl_mask;
+        let byte = offset.wrapping_shr(t.gran_shift as u32);
+        let addr = region.wrapping_shl(t.stride_shift as u32) | byte;
+        self.cpu.set_gpr_nz(t.s0, RegVal { value: addr, nat: a.nat });
+        (offset, byte, a.nat)
     }
 
     /// Runs like [`Machine::run`] but with the superblock tier disabled:
@@ -1015,6 +1026,8 @@ impl Machine {
             misses: self.block_misses,
             flushes: self.block_flushes,
             blocks: self.blocks.block_count() as u64,
+            fused_tag_addrs: self.blocks.tag_addrs.len() as u64,
+            fused_merges: self.blocks.merges.len() as u64,
         }
     }
 

@@ -211,7 +211,10 @@ impl Table {
 #[derive(Clone, Debug)]
 pub struct Memory {
     table: Arc<Table>,
-    spill_nat: HashSet<u64>,
+    /// Banked spill-NaT slots (8-aligned addresses), sorted ascending. The
+    /// bank holds a handful of slots, so a binary search beats hashing and
+    /// the digest walks it in order without sorting.
+    spill_nat: Vec<u64>,
     journal: Option<Journal>,
     epoch: u64,
     /// Bumped on `begin_checkpoint` and `rollback_checkpoint`; a frame whose
@@ -229,7 +232,7 @@ impl Default for Memory {
     fn default() -> Memory {
         Memory {
             table: Arc::new(Table::default()),
-            spill_nat: HashSet::new(),
+            spill_nat: Vec::new(),
             journal: None,
             epoch: 0,
             journal_gen: 0,
@@ -253,7 +256,7 @@ impl Default for Memory {
 struct Journal {
     pre_pages: HashMap<u64, PreImage>,
     pre_mapped: HashSet<u64>,
-    pre_spill_nat: HashSet<u64>,
+    pre_spill_nat: Vec<u64>,
 }
 
 /// A journaled page pre-image. Never holds an `Owned` page: capture either
@@ -698,9 +701,9 @@ impl Memory {
         // Overwriting any part of a spill slot invalidates its banked NaT.
         // The empty-bank exit is not the common case: the instrumented
         // Apache guest keeps one slot banked for its whole run, so its
-        // stores pay this one hash probe.
+        // stores pay this one binary search of the sorted bank.
         if !self.spill_nat.is_empty() {
-            self.spill_nat.remove(&(addr & !7));
+            self.set_spill_nat(addr, false);
         }
         Ok(())
     }
@@ -708,17 +711,19 @@ impl Memory {
     /// Sets or clears the banked NaT bit of the 8-byte spill slot at `addr`
     /// (callers must have just written the slot with `write_int`).
     pub fn set_spill_nat(&mut self, addr: u64, nat: bool) {
-        if nat {
-            self.spill_nat.insert(addr & !7);
-        } else {
-            self.spill_nat.remove(&(addr & !7));
+        match (self.spill_nat.binary_search(&(addr & !7)), nat) {
+            (Err(at), true) => self.spill_nat.insert(at, addr & !7),
+            (Ok(at), false) => {
+                self.spill_nat.remove(at);
+            }
+            _ => {}
         }
     }
 
     /// Reads the banked NaT bit of the 8-byte spill slot at `addr`
     /// (non-destructive, like `ld8.fill`).
     pub fn spill_nat(&self, addr: u64) -> bool {
-        self.spill_nat.contains(&(addr & !7))
+        self.spill_nat.binary_search(&(addr & !7)).is_ok()
     }
 
     /// Reads `out.len()` bytes starting at `addr` (no alignment requirement).
@@ -749,9 +754,9 @@ impl Memory {
     /// Runs page-span at a time (one check + one journal touch + at most
     /// one COW fault per page); on error, spans before the faulting page
     /// have already been written, matching the per-byte loop's
-    /// partial-write semantics. Banked spill NaTs inside a span are dropped
-    /// in one pass over the bank, so invalidation costs O(banked slots) per
-    /// span, not O(bytes written).
+    /// partial-write semantics. Banked spill NaTs inside a span are one
+    /// sorted range of the bank, dropped together, so invalidation costs
+    /// O(log banked slots) per span, not O(bytes written).
     ///
     /// # Errors
     ///
@@ -765,11 +770,13 @@ impl Memory {
             let slot = self.slot_for(a, true)?;
             let frame = self.page_bytes_mut(slot);
             frame[off..off + span].copy_from_slice(&data[done..done + span]);
-            // Drop every banked spill slot the span overlaps. The bank holds
-            // a handful of slots; a page span overlaps up to 512.
+            // Drop every banked spill slot the span overlaps: one sorted
+            // range of the bank, found by two binary searches.
             let first = a & !7;
             let last = (a + span as u64 - 1) & !7;
-            self.spill_nat.retain(|&s| s < first || s > last);
+            let lo = self.spill_nat.partition_point(|&s| s < first);
+            let hi = self.spill_nat.partition_point(|&s| s <= last);
+            self.spill_nat.drain(lo..hi);
             done += span;
         }
         Ok(())
@@ -840,9 +847,7 @@ impl Memory {
             h.word(m);
         }
         h.word(u64::MAX);
-        let mut nats: Vec<u64> = self.spill_nat.iter().copied().collect();
-        nats.sort_unstable();
-        for n in nats {
+        for &n in &self.spill_nat {
             h.word(n);
         }
     }

@@ -11,7 +11,7 @@
 //! (total and per-provenance cycle/instruction counts included).
 
 use proptest::prelude::*;
-use shift_isa::{AluOp, CmpRel, ExtKind, Gpr, Insn, MemSize, Op, Pr};
+use shift_isa::{AluOp, CmpRel, ExtKind, Gpr, Insn, MemSize, Op, Pr, Provenance};
 use shift_machine::{layout, Exit, Fault, Image, Injection, MachineSeed, NullOs};
 
 /// Retired-instruction budget for every differential run: generated
@@ -66,6 +66,54 @@ enum Step {
     /// `syscall` — [`NullOs`] stops the run with a `BadSyscall` fault,
     /// exercising the block's syscall side exit.
     Sys,
+    /// The Figure-4 tag-address template (`bit`: with the bit-index
+    /// tail) over a random address value and NaT, with random constants,
+    /// registers `reg(k + i·d)` (distinct, since 11 is prime), and an
+    /// optional near miss that must keep it from fusing.
+    TagAddr { bit: bool, k: usize, d: usize, consts: [i64; 7], value: i64, nat: bool, miss: Miss },
+    /// The store tag merge over a random source NaT and random scratch
+    /// values, with an optional near miss.
+    Merge { k: usize, d: usize, imm: i64, vals: [i64; 2], nat: bool, miss: Miss },
+}
+
+/// How a generated template departs from the fusable shape. `at` picks
+/// the member (or the scratch register) the departure touches.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Miss {
+    /// Fusable as emitted.
+    None,
+    /// The address register is one of the scratch registers (for the
+    /// merge: its two scratch registers coincide).
+    Aliased(u8),
+    /// One member is predicated (for the merge: the `tnat`).
+    Predicated(u8),
+    /// One member carries a different provenance.
+    MixedProv(u8),
+    /// A branch targets a member other than the first.
+    BranchInto(u8),
+}
+
+/// Applies `miss` to a template about to be appended at `code.len()`:
+/// re-tags or predicates one member, or emits a conditional jump into it.
+fn emit_template(code: &mut Vec<Insn>, mut members: Vec<Insn>, miss: Miss) {
+    let len = members.len();
+    match miss {
+        Miss::Predicated(_) if len == 4 => members[0] = members[0].under(Pr::P1),
+        Miss::Predicated(at) => {
+            let m = &mut members[usize::from(at) % len];
+            *m = m.under(Pr::P1);
+        }
+        Miss::MixedProv(at) => {
+            let m = &mut members[usize::from(at) % len];
+            *m = m.with_prov(Provenance::Relax);
+        }
+        Miss::BranchInto(at) => {
+            let target = code.len() + 2 + usize::from(at) % (len - 1);
+            code.push(Insn::new(Op::Jmp { target }).under(Pr::P1));
+        }
+        Miss::None | Miss::Aliased(_) => {}
+    }
+    code.extend(members);
 }
 
 fn assemble(steps: &[Step]) -> Vec<Insn> {
@@ -159,6 +207,59 @@ fn assemble(steps: &[Step]) -> Vec<Insn> {
                 code.push(Insn::new(Op::Jmp { target: top }).under(Pr::P2));
             }
             Step::Sys => code.push(Insn::new(Op::Syscall { num: 99 })),
+            Step::TagAddr { bit, k, d, consts: c, value, nat, miss } => {
+                let [addr, s0, s1, s2] = [0, 1, 2, 3].map(|i| reg(k + i * d));
+                let addr = match miss {
+                    Miss::Aliased(at) => [s0, s1, s2][usize::from(at) % 3],
+                    _ => addr,
+                };
+                code.push(Insn::new(Op::MovI { dst: addr, imm: value }));
+                if nat {
+                    code.push(Insn::new(Op::Tset { dst: addr }));
+                }
+                let (shr, and) = (AluOp::Shr, AluOp::And);
+                let mut t = vec![
+                    Op::AluI { op: shr, dst: s0, src1: addr, imm: c[0] },
+                    Op::AluI { op: AluOp::Add, dst: s0, src1: s0, imm: c[1] },
+                    Op::AluI { op: AluOp::Shl, dst: s0, src1: s0, imm: c[2] },
+                    Op::MovI { dst: s1, imm: c[3] },
+                    Op::Alu { op: and, dst: s1, src1: addr, src2: s1 },
+                    Op::AluI { op: shr, dst: s2, src1: s1, imm: c[4] },
+                    Op::Alu { op: AluOp::Or, dst: s0, src1: s0, src2: s2 },
+                ];
+                if bit {
+                    t.push(Op::AluI { op: and, dst: s1, src1: s1, imm: c[5] });
+                    t.push(Op::MovI { dst: s2, imm: c[6] });
+                    t.push(Op::Alu { op: AluOp::Shl, dst: s2, src1: s2, src2: s1 });
+                }
+                let members =
+                    t.into_iter().map(|op| Insn::tagged(op, Provenance::LdTagCompute)).collect();
+                emit_template(&mut code, members, miss);
+            }
+            Step::Merge { k, d, imm, vals, nat, miss } => {
+                let [src, t1, t2] = [0, 1, 2].map(|i| reg(k + i * d));
+                let t2 = if let Miss::Aliased(_) = miss { t1 } else { t2 };
+                code.push(Insn::new(Op::MovI { dst: t1, imm: vals[0] }));
+                code.push(Insn::new(Op::MovI { dst: t2, imm: vals[1] }));
+                if nat {
+                    code.push(Insn::new(Op::Tset { dst: src }));
+                }
+                let sc = Provenance::StTagCompute;
+                let members = vec![
+                    Insn::tagged(Op::Tnat { pt: Pr::P6, pf: Pr::P7, src }, sc),
+                    Insn::tagged(Op::Alu { op: AluOp::Or, dst: t1, src1: t1, src2: t2 }, sc)
+                        .under(Pr::P6),
+                    Insn::tagged(Op::AluI { op: AluOp::Xor, dst: t2, src1: t2, imm }, sc)
+                        .under(Pr::P7),
+                    Insn::tagged(Op::Alu { op: AluOp::And, dst: t1, src1: t1, src2: t2 }, sc)
+                        .under(Pr::P7),
+                ];
+                let miss = match miss {
+                    Miss::MixedProv(at) => Miss::MixedProv(at % 3 + 1),
+                    other => other,
+                };
+                emit_template(&mut code, members, miss);
+            }
         }
     }
     code.push(Insn::new(Op::MovI { dst: Gpr::R8, imm: 0 }));
@@ -202,8 +303,63 @@ fn step_strategy() -> BoxedStrategy<Step> {
         (any::<u8>(), any::<u8>()).prop_map(|(count, body)| Step::Loop { count, body }),
         (any::<u8>(), any::<u8>()).prop_map(|(count, body)| Step::Loop { count, body }),
         Just(Step::Sys),
+        tag_addr_strategy(),
+        tag_addr_strategy(),
+        merge_strategy(),
     ]
     .boxed()
+}
+
+fn miss_strategy() -> BoxedStrategy<Miss> {
+    prop_oneof![
+        Just(Miss::None),
+        Just(Miss::None),
+        Just(Miss::None),
+        any::<u8>().prop_map(Miss::Aliased),
+        any::<u8>().prop_map(Miss::Predicated),
+        any::<u8>().prop_map(Miss::MixedProv),
+        any::<u8>().prop_map(Miss::BranchInto),
+    ]
+    .boxed()
+}
+
+fn tag_addr_strategy() -> BoxedStrategy<Step> {
+    (
+        (any::<bool>(), 0usize..11, 1usize..11),
+        prop::collection::vec(any::<i64>(), 7),
+        (any::<i64>(), any::<bool>(), miss_strategy()),
+    )
+        .prop_map(|((bit, k, d), consts, (value, nat, miss))| Step::TagAddr {
+            bit,
+            k,
+            d,
+            consts: consts.try_into().expect("seven constants"),
+            value,
+            nat,
+            miss,
+        })
+        .boxed()
+}
+
+fn merge_strategy() -> BoxedStrategy<Step> {
+    (
+        0usize..11,
+        1usize..11,
+        any::<i64>(),
+        any::<i64>(),
+        any::<i64>(),
+        any::<bool>(),
+        miss_strategy(),
+    )
+        .prop_map(|(k, d, imm, v1, v2, nat, miss)| Step::Merge {
+            k,
+            d,
+            imm,
+            vals: [v1, v2],
+            nat,
+            miss,
+        })
+        .boxed()
 }
 
 /// Runs `image` through both dispatch tiers and asserts bit-identity of
@@ -310,5 +466,37 @@ fn mid_block_injection_fires_at_exact_instruction_count() {
             // The faulting "instruction" never retires; `ip` rests on it.
             assert_eq!(m.cpu.ip, countdown as usize, "countdown {countdown}");
         }
+    }
+}
+
+/// The generated templates really reach the fused kernels, and every near
+/// miss really decodes unfused — otherwise the differential proptests
+/// above would compare two unfused runs.
+#[test]
+fn generated_templates_fuse_and_near_misses_do_not() {
+    let fused = |step: Step| {
+        let sb = MachineSeed::new(&build_image(&[step])).spawn().superblock_stats();
+        (sb.fused_tag_addrs, sb.fused_merges)
+    };
+    let misses = [Miss::Aliased(1), Miss::Predicated(4), Miss::MixedProv(2), Miss::BranchInto(3)];
+    for bit in [false, true] {
+        let t = |miss| Step::TagAddr {
+            bit,
+            k: 2,
+            d: 3,
+            consts: [61, -1, 58, 0x0fff_ffff_ffff, 3, 7, 3],
+            value: 0x2000_0000_0000_1234,
+            nat: false,
+            miss,
+        };
+        assert_eq!(fused(t(Miss::None)), (1, 0), "bit={bit}");
+        for miss in misses {
+            assert_eq!(fused(t(miss)), (0, 0), "bit={bit} {miss:?}");
+        }
+    }
+    let m = |miss| Step::Merge { k: 4, d: 5, imm: -1, vals: [0x0f, 0x30], nat: true, miss };
+    assert_eq!(fused(m(Miss::None)), (0, 1));
+    for miss in misses {
+        assert_eq!(fused(m(miss)), (0, 0), "{miss:?}");
     }
 }
