@@ -46,36 +46,12 @@ fn sweep_workers(jobs: usize) -> usize {
     configured.min(jobs).max(1)
 }
 
-/// Runs `f` over `items` on a bounded worker pool (one OS thread per host
-/// core unless [`set_sweep_workers`] says otherwise, capped by the job
-/// count), preserving input order in the output. Every simulated Machine is
-/// independent, so the modelled numbers are identical to a serial sweep —
-/// only host wall-clock changes.
+/// Runs `f` over `items` on the shared host pool ([`shift_core::pool`]),
+/// sized by [`sweep_workers`], preserving input order in the output. Every
+/// simulated Machine is independent, so the modelled numbers are identical
+/// to a serial sweep — only host wall-clock changes.
 fn parallel_map<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = sweep_workers(n);
-    let next = AtomicUsize::new(0);
-    let out: Vec<std::sync::Mutex<Option<T>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                *out[i].lock().expect("result slot") = Some(r);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| m.into_inner().expect("result slot").expect("worker filled its slot"))
-        .collect()
+    shift_core::pool::map(items.len(), sweep_workers(items.len()), |i| f(&items[i]))
 }
 
 /// The mode groups behind Figures 7 and 8, in one canonical order:
@@ -1301,8 +1277,8 @@ mod tests {
 
     #[test]
     fn sweep_workers_override_caps_the_pool() {
-        // The override changes only host scheduling; parallel_map results
-        // stay ordered and complete.
+        // The override changes only host scheduling; the shared pool's
+        // results stay ordered and complete.
         set_sweep_workers(1);
         let serial: Vec<u64> = parallel_map(&[1u64, 2, 3, 4], |&x| x * x);
         set_sweep_workers(3);

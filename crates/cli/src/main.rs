@@ -43,7 +43,8 @@
 //! (completion − arrival) at p50/p99/p999, saturation throughput, queue
 //! depth, and peak resident pages. `--host-workers` sizes the host
 //! simulation pool only — every modelled number is bit-identical at any
-//! setting.
+//! setting. The four scheduler flags need `--arrivals`; like an argument
+//! `serve` does not know, one given without it is a usage error.
 //!
 //! Record/replay: `serve --record <path>` writes a replay log of the run —
 //! every connection's request stream, the session options, the injection
@@ -262,6 +263,12 @@ fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String
     let value = args.remove(i + 1);
     args.remove(i);
     Ok(Some(value))
+}
+
+/// [`take_opt`] for a numeric value: `Err` names the flag when the value
+/// does not parse.
+fn take_num<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, String> {
+    take_opt(args, flag)?.map(|n| n.parse().map_err(|_| format!("bad {flag} `{n}`"))).transpose()
 }
 
 /// Writes an observability artifact, mapping I/O failure to a usage-style
@@ -561,19 +568,23 @@ struct ServeOpts {
     /// Snapshot serving counters every N modelled cycles (arms the
     /// recorder; the samples land in the trace file's `timeseries`).
     sample_cycles: Option<u64>,
-    /// Open-loop arrival-process spec (`poisson:RATE`, `bursty:RATE[:B]`,
-    /// `diurnal:RATE[:A]`). `Some` switches serving to the event-driven
-    /// scheduler.
-    arrivals: Option<String>,
-    /// Accept-queue bound for open-loop admission control.
-    accept_cap: usize,
-    /// Resident-guest cap for the open-loop scheduler.
-    max_resident: usize,
-    /// Round-robin quantum in cycles (0 = run each CPU leg to its park).
-    quantum: u64,
+    /// `--arrivals` and the scheduler flags that go with it. `Some`
+    /// switches serving to the event-driven scheduler.
+    open_loop: Option<OpenLoopOpts>,
+}
+
+/// The open-loop half of [`ServeOpts`].
+struct OpenLoopOpts {
+    /// The arrival process (`poisson:RATE`, `bursty:RATE[:B]`,
+    /// `diurnal:RATE[:A]`).
+    process: shift_workloads::ArrivalProcess,
+    /// Modelled workers (`--workers`), accept-queue bound, resident-guest
+    /// cap, and round-robin quantum in cycles (0 = run each CPU leg to its
+    /// park).
+    cfg: shift_core::OpenLoopConfig,
     /// Host simulation pool for open-loop phase 1 (default: one thread per
     /// core). Modelled results are bit-identical at any setting.
-    host_workers: Option<usize>,
+    host_workers: usize,
 }
 
 impl ServeOpts {
@@ -583,13 +594,98 @@ impl ServeOpts {
     }
 }
 
-/// Serves a deterministic Apache request stream across a modelled fleet:
-/// one compile, `connections` fresh instances, `workers`-wide scheduling.
-/// Succeeds when every connection ran to a halt (served responses — 200s
-/// and 404s alike — are successes); otherwise exits with the first
-/// non-halt's code.
-fn cmd_serve(mode: Mode, opts: ServeOpts) -> ExitCode {
-    use shift_core::Injection;
+/// Parses `shift serve`'s arguments (after mode extraction). An argument
+/// left over once every flag is taken, or a scheduler flag given without
+/// `--arrivals`, is an error naming it.
+fn parse_serve(args: &mut Vec<String>) -> Result<ServeOpts, String> {
+    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let arrivals = take_opt(args, "--arrivals")?;
+    // Closed-loop `--workers` is the modelled fleet width and defaults to
+    // one instance per host core; open-loop workers are the event
+    // scheduler's modelled cores and default to the paper-scale width of 8.
+    let workers =
+        take_num(args, "--workers")?.unwrap_or(if arrivals.is_some() { 8 } else { host_cores });
+    let mut opts = ServeOpts {
+        workers,
+        connections: take_num(args, "--connections")?.unwrap_or(8),
+        requests: take_num(args, "--requests")?.unwrap_or(4),
+        size_kb: take_num(args, "--size-kb")?,
+        json: take_opt(args, "--json")?,
+        seed: take_num(args, "--seed")?,
+        inject: take_flag(args, "--inject"),
+        record: take_opt(args, "--record")?,
+        trace_out: take_opt(args, "--trace-out")?,
+        prom_out: take_opt(args, "--prom-out")?,
+        sample_cycles: take_num(args, "--sample-cycles")?,
+        open_loop: None,
+    };
+    let accept_cap = take_num(args, "--accept-cap")?;
+    let max_resident = take_num(args, "--max-resident")?;
+    let quantum = take_num(args, "--quantum")?;
+    let host_workers = take_num(args, "--host-workers")?;
+    if let Some(extra) = args.first() {
+        return Err(format!("unrecognised serve argument `{extra}`"));
+    }
+    let open_only = [
+        ("--accept-cap", accept_cap.is_some()),
+        ("--max-resident", max_resident.is_some()),
+        ("--quantum", quantum.is_some()),
+        ("--host-workers", host_workers.is_some()),
+    ];
+    if let (None, Some((flag, _))) = (&arrivals, open_only.iter().find(|(_, given)| *given)) {
+        return Err(format!("{flag} applies only to open-loop serving (--arrivals)"));
+    }
+    let Some(spec) = arrivals else { return Ok(opts) };
+    let process = shift_workloads::ArrivalProcess::parse(&spec)
+        .map_err(|e| format!("bad --arrivals `{spec}`: {e}"))?;
+    opts.open_loop = Some(OpenLoopOpts {
+        process,
+        cfg: shift_core::OpenLoopConfig {
+            workers,
+            accept_cap: accept_cap.unwrap_or(1024),
+            max_resident: max_resident.unwrap_or(256),
+            quantum: quantum.unwrap_or(100_000),
+        },
+        host_workers: host_workers.unwrap_or(host_cores),
+    });
+    Ok(opts)
+}
+
+/// One `shift serve` run, reduced to what [`cmd_serve`] prints and writes.
+/// Each serving loop fills it in its own branch of [`serve_run`].
+struct ServeRun {
+    seed: u64,
+    /// Injections armed by `--inject`.
+    armed: usize,
+    /// The loop's own report lines, printed after the `mode` line.
+    lines: Vec<String>,
+    violations: usize,
+    host_ns: u64,
+    /// Appended to the `host` line.
+    host_note: String,
+    /// The merged timeline when `--trace-out` asked for it, plus the note
+    /// appended to the `trace` line.
+    trace: Option<(Vec<shift_core::TraceEvent>, Vec<shift_core::Sample>, String)>,
+    registry: shift_core::Registry,
+    /// The replay log when `--record` asked for it, plus the `record`
+    /// line's parenthesised summary.
+    log: Option<(shift_core::ReplayLog, String)>,
+    /// The loop's own `--json` keys, between `seed` and `violations`.
+    pairs: Vec<(&'static str, shift_obs::Json)>,
+    /// What a failed `--json` write calls the document.
+    json_what: &'static str,
+    /// The exit of every connection that ran, in connection order.
+    exits: Vec<Exit>,
+}
+
+/// Serves a deterministic Apache request stream — closed loop across a
+/// `workers`-wide modelled fleet, or open loop under `--arrivals` — and
+/// collects what [`cmd_serve`] reports. The recording artifacts are
+/// assembled *after* the run from its inputs and report, so the serving
+/// path is identical with and without them.
+fn serve_run(mode: Mode, opts: &ServeOpts) -> ServeRun {
+    use shift_core::{Injection, ReplayLog};
+    use shift_obs::Json;
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     use shift_workloads::chaos;
     let stream = match opts.size_kb {
@@ -615,250 +711,137 @@ fn cmd_serve(mode: Mode, opts: ServeOpts) -> ExitCode {
     } else {
         Vec::new()
     };
-    // Recording is assembled *after* the run from its inputs and report, so
-    // the serving path is identical with and without --record.
     let world = fleet_world(stream);
-    if let Some(spec) = opts.arrivals.clone() {
-        return cmd_serve_open_loop(mode, &opts, &fleet, &conns, &faults, &world, seed, &spec);
-    }
-    let report = fleet.serve_chaos(&world, &conns, &faults, opts.workers);
-    println!("mode       : {}", mode_name(mode));
-    println!(
-        "fleet      : {} instances, {} connections x {} requests",
-        report.workers,
-        conns.len(),
-        opts.requests
-    );
-    println!(
+    let image = format!(
         "image      : {} insns compiled once, {} pristine pages per spawn",
         fleet.image().insn_count(),
         fleet.image().resident_pages()
     );
-    println!(
-        "requests   : {} served / {} recovered / {} dropped of {} delivered",
-        report.served, report.recovered, report.dropped, report.requests
-    );
-    println!(
-        "throughput : {:.0} req/s modelled ({} wall cycles)",
-        report.requests_per_sec(),
-        report.wall_cycles
-    );
-    println!(
-        "latency    : p50 {} / p99 {} cycles",
-        report.latency_percentile(50.0).unwrap_or(0),
-        report.latency_percentile(99.0).unwrap_or(0)
-    );
-    if !report.violations.is_empty() {
-        println!("violations : {}", report.violations.len());
-    }
-    if opts.inject {
-        let armed: usize = faults.iter().map(Vec::len).sum();
-        println!("chaos      : {armed} injections armed (seed {seed})");
-    }
-    println!("host       : {:.2} ms", report.host_ns as f64 / 1e6);
-    if let Some(path) = &opts.trace_out {
-        let events = report.merged_trace_events();
-        let samples = report.merged_samples();
-        let doc = shift_core::chrome_trace_json(&events, &samples);
-        if let Err(code) = write_artifact(path, "trace", &doc.render()) {
-            return code;
-        }
-        let dropped = report.trace_dropped();
-        println!(
-            "trace      : {} events / {} samples written to {path}{}",
-            events.len(),
-            samples.len(),
-            if dropped > 0 { format!(" ({dropped} dropped to ring caps)") } else { String::new() }
-        );
-    }
-    if let Some(path) = &opts.prom_out {
-        if let Err(code) =
-            write_artifact(path, "prometheus metrics", &report.registry.to_prometheus())
-        {
-            return code;
-        }
-        println!("metrics    : prometheus text written to {path}");
-    }
-    if let Some(path) = &opts.record {
-        let log = shift_core::ReplayLog::capture(
-            "apache", &fleet, &world, &conns, &faults, seed, &report,
-        );
-        if let Err(code) = write_artifact(path, "replay log", &log.render()) {
-            return code;
-        }
-        println!("record     : replay log written to {path} ({} connections)", conns.len());
-    }
-    if let Some(path) = &opts.json {
-        use shift_obs::Json;
-        let mut pairs = vec![
-            ("schema_version", Json::U64(shift_obs::SCHEMA_VERSION)),
-            ("mode", Json::Str(mode_name(mode))),
-            ("seed", Json::U64(seed)),
-            ("workers", Json::U64(report.workers as u64)),
-            ("connections", Json::U64(conns.len() as u64)),
-            ("requests", Json::U64(report.requests)),
-            ("served", Json::U64(report.served)),
-            ("recovered", Json::U64(report.recovered)),
-            ("dropped", Json::U64(report.dropped)),
-            ("wall_cycles", Json::U64(report.wall_cycles)),
-            ("requests_per_sec", Json::F64(report.requests_per_sec())),
-            ("violations", Json::U64(report.violations.len() as u64)),
-            ("host_ns", Json::U64(report.host_ns)),
-            ("metrics", report.registry.to_json()),
-        ];
-        if let Some(record) = &opts.record {
-            pairs.push(("record_log", Json::Str(record.clone())));
-        }
-        let doc = Json::obj(pairs);
-        if let Err(code) = write_artifact(path, "fleet report", &doc.render()) {
-            return code;
-        }
-        println!("report     : written to {path}");
-    }
-    match report.exits().iter().find(|e| !matches!(e, Exit::Halted(_))) {
-        Some(exit) => exit_code_for(exit),
-        None => ExitCode::Success,
-    }
-}
-
-/// Serves the open-loop workload selected by `--arrivals`: synthesizes the
-/// arrival schedule from the spec and the seed, drives the event-driven
-/// scheduler ([`shift_core::Fleet::serve_open_loop`]), and reports tail
-/// latency, saturation, and admission-control outcomes. Exit-code rules
-/// match closed-loop serve; shedding alone is not a failure (it is the
-/// admission controller doing its job).
-#[allow(clippy::too_many_arguments)]
-fn cmd_serve_open_loop(
-    mode: Mode,
-    opts: &ServeOpts,
-    fleet: &shift_core::Fleet,
-    conns: &[Vec<Vec<u8>>],
-    faults: &shift_core::FaultPlan,
-    world: &shift_core::World,
-    seed: u64,
-    spec: &str,
-) -> ExitCode {
-    use shift_core::OpenLoopConfig;
-    use shift_workloads::{chaos, ArrivalProcess};
-    let process = match ArrivalProcess::parse(spec) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("bad --arrivals `{spec}`: {e}");
-            return ExitCode::Usage;
-        }
+    let requests = |served, recovered, dropped, delivered| {
+        format!(
+            "requests   : {served} served / {recovered} recovered / {dropped} dropped of \
+             {delivered} delivered"
+        )
     };
-    let arrivals = process.schedule(conns.len(), chaos::derive(seed, "arrivals"));
-    let cfg = OpenLoopConfig {
-        workers: opts.workers,
-        accept_cap: opts.accept_cap,
-        max_resident: opts.max_resident,
-        quantum: opts.quantum,
-    };
-    let host = opts
-        .host_workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    let report = fleet.serve_open_loop(world, conns, faults, &arrivals, &cfg, host);
-    println!("mode       : {}", mode_name(mode));
-    println!("arrivals   : {} ({} connections offered)", process.spec(), report.offered);
-    println!(
-        "fleet      : {} modelled workers, accept-cap {}, max-resident {}, quantum {}",
-        cfg.workers, cfg.accept_cap, cfg.max_resident, cfg.quantum
-    );
-    println!(
-        "image      : {} insns compiled once, {} pristine pages per spawn",
-        fleet.image().insn_count(),
-        fleet.image().resident_pages()
-    );
-    println!(
-        "admission  : {} completed / {} shed of {} offered{}",
-        report.completed,
-        report.shed,
-        report.offered,
-        if report.saturated() { " — SATURATED" } else { "" }
-    );
-    println!(
-        "requests   : {} served / {} recovered / {} dropped of {} delivered",
-        report.served, report.recovered, report.dropped, report.requests
-    );
-    println!(
-        "sojourn    : p50 {} / p99 {} / p999 {} cycles (max {})",
-        report.sojourn_percentile(50.0).unwrap_or(0),
-        report.sojourn_percentile(99.0).unwrap_or(0),
-        report.sojourn_percentile(99.9).unwrap_or(0),
-        report.sojourn_max().unwrap_or(0)
-    );
-    println!(
-        "throughput : {:.0} req/s modelled, {:.1} conn/s ({} wall cycles, {:.1}% utilization)",
-        report.requests_per_sec(),
-        report.completions_per_sec(),
-        report.wall_cycles,
-        report.utilization() * 100.0
-    );
-    println!(
-        "queue      : peak depth {} / peak resident {} guests",
-        report.peak_queue_depth, report.peak_resident
-    );
-    println!(
-        "memory     : peak {} owned pages in any resident guest ({} total over the run)",
-        report.peak_owned_pages, report.owned_pages_total
-    );
-    if !report.violations.is_empty() {
-        println!("violations : {}", report.violations.len());
-    }
-    if opts.inject {
-        let armed: usize = faults.iter().map(Vec::len).sum();
-        println!("chaos      : {armed} injections armed (seed {seed})");
-    }
-    println!("host       : {:.2} ms ({host} host workers)", report.host_ns as f64 / 1e6);
-    if let Some(path) = &opts.trace_out {
-        let events = report.merged_trace_events();
-        let samples = report.merged_samples();
-        let doc = shift_core::chrome_trace_json(&events, &samples);
-        if let Err(code) = write_artifact(path, "trace", &doc.render()) {
-            return code;
-        }
-        println!(
-            "trace      : {} events / {} samples written to {path}",
-            events.len(),
-            samples.len()
-        );
-    }
-    if let Some(path) = &opts.prom_out {
-        if let Err(code) =
-            write_artifact(path, "prometheus metrics", &report.registry.to_prometheus())
-        {
-            return code;
-        }
-        println!("metrics    : prometheus text written to {path}");
-    }
-    if let Some(path) = &opts.record {
-        let log = shift_core::ReplayLog::capture_open_loop(
-            "apache",
-            fleet,
-            world,
-            conns,
-            faults,
+    let armed = faults.iter().map(Vec::len).sum();
+    let Some(ol) = &opts.open_loop else {
+        let report = fleet.serve_chaos(&world, &conns, &faults, opts.workers);
+        return ServeRun {
             seed,
-            &process.spec(),
-            &arrivals,
-            &report,
-        );
-        if let Err(code) = write_artifact(path, "replay log", &log.render()) {
-            return code;
-        }
-        println!(
-            "record     : replay log written to {path} ({} connections, {} shed)",
-            conns.len(),
-            report.shed
-        );
-    }
-    if let Some(path) = &opts.json {
-        use shift_obs::Json;
-        let mut pairs = vec![
-            ("schema_version", Json::U64(shift_obs::SCHEMA_VERSION)),
-            ("mode", Json::Str(mode_name(mode))),
-            ("seed", Json::U64(seed)),
-            ("arrivals", Json::Str(process.spec())),
+            armed,
+            lines: vec![
+                format!(
+                    "fleet      : {} instances, {} connections x {} requests",
+                    report.workers,
+                    conns.len(),
+                    opts.requests
+                ),
+                image,
+                requests(report.served, report.recovered, report.dropped, report.requests),
+                format!(
+                    "throughput : {:.0} req/s modelled ({} wall cycles)",
+                    report.requests_per_sec(),
+                    report.wall_cycles
+                ),
+                format!(
+                    "latency    : p50 {} / p99 {} cycles",
+                    report.latency_percentile(50.0).unwrap_or(0),
+                    report.latency_percentile(99.0).unwrap_or(0)
+                ),
+            ],
+            violations: report.violations.len(),
+            host_ns: report.host_ns,
+            host_note: String::new(),
+            trace: opts.trace_out.as_ref().map(|_| {
+                let dropped = report.trace_dropped();
+                let note = if dropped > 0 {
+                    format!(" ({dropped} dropped to ring caps)")
+                } else {
+                    String::new()
+                };
+                (report.merged_trace_events(), report.merged_samples(), note)
+            }),
+            log: opts.record.as_ref().map(|_| {
+                let log =
+                    ReplayLog::capture("apache", &fleet, &world, &conns, &faults, seed, &report);
+                (log, format!("{} connections", conns.len()))
+            }),
+            pairs: vec![
+                ("workers", Json::U64(report.workers as u64)),
+                ("connections", Json::U64(conns.len() as u64)),
+                ("requests", Json::U64(report.requests)),
+                ("served", Json::U64(report.served)),
+                ("recovered", Json::U64(report.recovered)),
+                ("dropped", Json::U64(report.dropped)),
+                ("wall_cycles", Json::U64(report.wall_cycles)),
+                ("requests_per_sec", Json::F64(report.requests_per_sec())),
+            ],
+            json_what: "fleet report",
+            exits: report.exits(),
+            registry: report.registry,
+        };
+    };
+    let (cfg, spec) = (ol.cfg, ol.process.spec());
+    let arrivals = ol.process.schedule(conns.len(), chaos::derive(seed, "arrivals"));
+    let report = fleet.serve_open_loop(&world, &conns, &faults, &arrivals, &cfg, ol.host_workers);
+    let sojourn = |p| report.sojourn_percentile(p).unwrap_or(0);
+    ServeRun {
+        seed,
+        armed,
+        lines: vec![
+            format!("arrivals   : {spec} ({} connections offered)", report.offered),
+            format!(
+                "fleet      : {} modelled workers, accept-cap {}, max-resident {}, quantum {}",
+                cfg.workers, cfg.accept_cap, cfg.max_resident, cfg.quantum
+            ),
+            image,
+            format!(
+                "admission  : {} completed / {} shed of {} offered{}",
+                report.completed,
+                report.shed,
+                report.offered,
+                if report.saturated() { " — SATURATED" } else { "" }
+            ),
+            requests(report.served, report.recovered, report.dropped, report.requests),
+            format!(
+                "sojourn    : p50 {} / p99 {} / p999 {} cycles (max {})",
+                sojourn(50.0),
+                sojourn(99.0),
+                sojourn(99.9),
+                report.sojourn_max().unwrap_or(0)
+            ),
+            format!(
+                "throughput : {:.0} req/s modelled, {:.1} conn/s ({} wall cycles, {:.1}% \
+                 utilization)",
+                report.requests_per_sec(),
+                report.completions_per_sec(),
+                report.wall_cycles,
+                report.utilization() * 100.0
+            ),
+            format!(
+                "queue      : peak depth {} / peak resident {} guests",
+                report.peak_queue_depth, report.peak_resident
+            ),
+            format!(
+                "memory     : peak {} owned pages in any resident guest ({} total over the run)",
+                report.peak_owned_pages, report.owned_pages_total
+            ),
+        ],
+        violations: report.violations.len(),
+        host_ns: report.host_ns,
+        host_note: format!(" ({} host workers)", ol.host_workers),
+        trace: opts
+            .trace_out
+            .as_ref()
+            .map(|_| (report.merged_trace_events(), report.merged_samples(), String::new())),
+        log: opts.record.as_ref().map(|_| {
+            let log = ReplayLog::capture_open_loop(
+                "apache", &fleet, &world, &conns, &faults, seed, &spec, &arrivals, &report,
+            );
+            (log, format!("{} connections, {} shed", conns.len(), report.shed))
+        }),
+        pairs: vec![
+            ("arrivals", Json::Str(spec.clone())),
             ("workers", Json::U64(cfg.workers as u64)),
             ("accept_cap", Json::U64(cfg.accept_cap as u64)),
             ("max_resident", Json::U64(cfg.max_resident as u64)),
@@ -873,33 +856,93 @@ fn cmd_serve_open_loop(
             ("dropped", Json::U64(report.dropped)),
             ("wall_cycles", Json::U64(report.wall_cycles)),
             ("requests_per_sec", Json::F64(report.requests_per_sec())),
-            ("sojourn_p50", Json::U64(report.sojourn_percentile(50.0).unwrap_or(0))),
-            ("sojourn_p99", Json::U64(report.sojourn_percentile(99.0).unwrap_or(0))),
-            ("sojourn_p999", Json::U64(report.sojourn_percentile(99.9).unwrap_or(0))),
+            ("sojourn_p50", Json::U64(sojourn(50.0))),
+            ("sojourn_p99", Json::U64(sojourn(99.0))),
+            ("sojourn_p999", Json::U64(sojourn(99.9))),
             ("sojourn_max", Json::U64(report.sojourn_max().unwrap_or(0))),
             ("utilization", Json::F64(report.utilization())),
             ("peak_queue_depth", Json::U64(report.peak_queue_depth)),
             ("peak_resident", Json::U64(report.peak_resident)),
             ("peak_owned_pages", Json::U64(report.peak_owned_pages)),
-            ("violations", Json::U64(report.violations.len() as u64)),
-            ("host_ns", Json::U64(report.host_ns)),
-            ("metrics", report.registry.to_json()),
-        ];
-        if let Some(record) = &opts.record {
-            pairs.push(("record_log", Json::Str(record.clone())));
+        ],
+        json_what: "open-loop report",
+        exits: report.connections.iter().filter_map(|c| c.exit.clone()).collect(),
+        registry: report.registry,
+    }
+}
+
+/// The `serve --json` document: the envelope every serve writes around the
+/// serving loop's own keys.
+fn serve_json(mode: Mode, run: &ServeRun, record: Option<&str>) -> shift_obs::Json {
+    use shift_obs::Json;
+    let mut pairs = vec![
+        ("schema_version", Json::U64(shift_obs::SCHEMA_VERSION)),
+        ("mode", Json::Str(mode_name(mode))),
+        ("seed", Json::U64(run.seed)),
+    ];
+    pairs.extend(run.pairs.iter().cloned());
+    pairs.extend([
+        ("violations", Json::U64(run.violations as u64)),
+        ("host_ns", Json::U64(run.host_ns)),
+        ("metrics", run.registry.to_json()),
+    ]);
+    if let Some(record) = record {
+        pairs.push(("record_log", Json::Str(record.to_string())));
+    }
+    Json::obj(pairs)
+}
+
+/// `shift serve`: serves the Apache stream (see [`serve_run`]), prints the
+/// report, and writes the artifacts the flags asked for. Succeeds when
+/// every connection that ran reached a halt (served responses — 200s and
+/// 404s alike — are successes; open-loop shedding is the admission
+/// controller doing its job); otherwise exits with the first non-halt's
+/// code.
+fn cmd_serve(mode: Mode, opts: ServeOpts) -> ExitCode {
+    let run = serve_run(mode, &opts);
+    println!("mode       : {}", mode_name(mode));
+    for line in &run.lines {
+        println!("{line}");
+    }
+    if run.violations > 0 {
+        println!("violations : {}", run.violations);
+    }
+    if opts.inject {
+        println!("chaos      : {} injections armed (seed {})", run.armed, run.seed);
+    }
+    println!("host       : {:.2} ms{}", run.host_ns as f64 / 1e6, run.host_note);
+    if let (Some(path), Some((events, samples, note))) = (&opts.trace_out, &run.trace) {
+        let doc = shift_core::chrome_trace_json(events, samples);
+        if let Err(code) = write_artifact(path, "trace", &doc.render()) {
+            return code;
         }
-        let doc = Json::obj(pairs);
-        if let Err(code) = write_artifact(path, "open-loop report", &doc.render()) {
+        println!(
+            "trace      : {} events / {} samples written to {path}{note}",
+            events.len(),
+            samples.len()
+        );
+    }
+    if let Some(path) = &opts.prom_out {
+        if let Err(code) = write_artifact(path, "prometheus metrics", &run.registry.to_prometheus())
+        {
+            return code;
+        }
+        println!("metrics    : prometheus text written to {path}");
+    }
+    if let (Some(path), Some((log, summary))) = (&opts.record, &run.log) {
+        if let Err(code) = write_artifact(path, "replay log", &log.render()) {
+            return code;
+        }
+        println!("record     : replay log written to {path} ({summary})");
+    }
+    if let Some(path) = &opts.json {
+        let doc = serve_json(mode, &run, opts.record.as_deref());
+        if let Err(code) = write_artifact(path, run.json_what, &doc.render()) {
             return code;
         }
         println!("report     : written to {path}");
     }
-    match report
-        .connections
-        .iter()
-        .filter_map(|c| c.exit.as_ref())
-        .find(|e| !matches!(e, Exit::Halted(_)))
-    {
+    match run.exits.iter().find(|e| !matches!(e, Exit::Halted(_))) {
         Some(exit) => exit_code_for(exit),
         None => ExitCode::Success,
     }
@@ -1383,12 +1426,8 @@ fn run() -> ExitCode {
             let benign = take_flag(&mut args, "--benign");
             let trace = take_flag(&mut args, "--trace");
             let parsed = (|| -> Result<AttackOpts, String> {
-                let trace_depth = match take_opt(&mut args, "--trace-depth")? {
-                    Some(n) => Some(n.parse().map_err(|_| format!("bad --trace-depth `{n}`"))?),
-                    // `--trace` alone keeps the historical 16-deep ring.
-                    None if trace => Some(16),
-                    None => None,
-                };
+                // `--trace` alone keeps the historical 16-deep ring.
+                let trace_depth = take_num(&mut args, "--trace-depth")?.or(trace.then_some(16));
                 Ok(AttackOpts {
                     benign,
                     trace_depth,
@@ -1427,103 +1466,37 @@ fn run() -> ExitCode {
                 _ => usage(),
             }
         }
-        "serve" => {
-            let parsed = (|| -> Result<ServeOpts, String> {
-                let take_num = |args: &mut Vec<String>, flag: &str, default: usize| match take_opt(
-                    args, flag,
-                )? {
-                    Some(n) => n.parse().map_err(|_| format!("bad {flag} `{n}`")),
-                    None => Ok(default),
-                };
-                let arrivals = take_opt(&mut args, "--arrivals")?;
-                // Closed-loop `--workers` is the modelled fleet width and
-                // defaults to one instance per host core; open-loop workers
-                // are the event scheduler's modelled cores and default to
-                // the paper-scale width of 8.
-                let default_workers = if arrivals.is_some() {
-                    8
-                } else {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                };
-                Ok(ServeOpts {
-                    workers: take_num(&mut args, "--workers", default_workers)?,
-                    connections: take_num(&mut args, "--connections", 8)?,
-                    requests: take_num(&mut args, "--requests", 4)?,
-                    size_kb: take_opt(&mut args, "--size-kb")?
-                        .map(|n| n.parse().map_err(|_| format!("bad --size-kb `{n}`")))
-                        .transpose()?,
-                    json: take_opt(&mut args, "--json")?,
-                    seed: take_opt(&mut args, "--seed")?
-                        .map(|n| n.parse().map_err(|_| format!("bad --seed `{n}`")))
-                        .transpose()?,
-                    inject: take_flag(&mut args, "--inject"),
-                    record: take_opt(&mut args, "--record")?,
-                    trace_out: take_opt(&mut args, "--trace-out")?,
-                    prom_out: take_opt(&mut args, "--prom-out")?,
-                    sample_cycles: take_opt(&mut args, "--sample-cycles")?
-                        .map(|n| n.parse().map_err(|_| format!("bad --sample-cycles `{n}`")))
-                        .transpose()?,
-                    arrivals,
-                    accept_cap: take_num(&mut args, "--accept-cap", 1024)?,
-                    max_resident: take_num(&mut args, "--max-resident", 256)?,
-                    quantum: match take_opt(&mut args, "--quantum")? {
-                        Some(n) => n.parse().map_err(|_| format!("bad --quantum `{n}`"))?,
-                        None => 100_000,
-                    },
-                    host_workers: take_opt(&mut args, "--host-workers")?
-                        .map(|n| n.parse().map_err(|_| format!("bad --host-workers `{n}`")))
-                        .transpose()?,
-                })
+        "serve" => match parse_serve(&mut args) {
+            Ok(opts) => cmd_serve(mode, opts),
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::Usage
+            }
+        },
+        "bench" => {
+            let json = take_flag(&mut args, "--json");
+            let scale =
+                if take_flag(&mut args, "--reference") { Scale::Reference } else { Scale::Test };
+            let parsed = (|| -> Result<(usize, u64), String> {
+                let workers = take_num(&mut args, "--workers")?.unwrap_or(0);
+                Ok((
+                    workers,
+                    take_num(&mut args, "--seed")?.unwrap_or_else(shift_workloads::master_seed),
+                ))
             })();
             match parsed {
-                Ok(opts) => cmd_serve(mode, opts),
+                Ok((workers, seed)) => cmd_bench(json, scale, workers, seed),
                 Err(e) => {
                     eprintln!("{e}");
                     ExitCode::Usage
                 }
             }
         }
-        "bench" => {
-            let json = take_flag(&mut args, "--json");
-            let scale =
-                if take_flag(&mut args, "--reference") { Scale::Reference } else { Scale::Test };
-            let workers = match take_opt(&mut args, "--workers") {
-                Ok(Some(n)) => match n.parse() {
-                    Ok(w) => w,
-                    Err(_) => {
-                        eprintln!("bad --workers `{n}`");
-                        return ExitCode::Usage;
-                    }
-                },
-                Ok(None) => 0,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::Usage;
-                }
-            };
-            let seed = match take_opt(&mut args, "--seed") {
-                Ok(Some(n)) => match n.parse() {
-                    Ok(s) => s,
-                    Err(_) => {
-                        eprintln!("bad --seed `{n}`");
-                        return ExitCode::Usage;
-                    }
-                },
-                Ok(None) => shift_workloads::master_seed(),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::Usage;
-                }
-            };
-            cmd_bench(json, scale, workers, seed)
-        }
         "replay" => {
             let parsed = (|| -> Result<(bool, Option<String>, Option<usize>), String> {
                 let debug = take_flag(&mut args, "--debug");
                 let shrink = take_opt(&mut args, "--shrink")?;
-                let connection = take_opt(&mut args, "--connection")?
-                    .map(|n| n.parse().map_err(|_| format!("bad --connection `{n}`")))
-                    .transpose()?;
+                let connection = take_num(&mut args, "--connection")?;
                 Ok((debug, shrink, connection))
             })();
             match parsed {
@@ -1648,6 +1621,103 @@ mod tests {
             let row = format!("{:>4}  {}", c.code(), c.describe());
             assert!(table.contains(&row), "help table missing row {row:?}:\n{table}");
         }
+    }
+
+    #[test]
+    fn serve_rejects_leftover_arguments() {
+        let err = parse_serve(&mut args(&["--conections", "2", "--requests", "1"])).err();
+        assert_eq!(err.as_deref(), Some("unrecognised serve argument `--conections`"));
+        let err = parse_serve(&mut args(&["--requests", "1", "stray"])).err();
+        assert_eq!(err.as_deref(), Some("unrecognised serve argument `stray`"));
+        let opts = parse_serve(&mut args(&["--connections", "2", "--requests", "1"])).unwrap();
+        assert_eq!((opts.connections, opts.requests), (2, 1));
+    }
+
+    #[test]
+    fn serve_rejects_open_loop_flags_without_arrivals() {
+        for flag in ["--quantum", "--accept-cap", "--max-resident", "--host-workers"] {
+            let err = parse_serve(&mut args(&[flag, "5"])).err().unwrap_or_default();
+            assert!(err.starts_with(flag) && err.contains("--arrivals"), "{flag}: {err:?}");
+            let mut with_arrivals = args(&["--arrivals", "poisson:1000", flag, "5"]);
+            let opts = parse_serve(&mut with_arrivals).unwrap();
+            assert!(opts.open_loop.is_some(), "{flag}");
+        }
+    }
+
+    /// The `serve --json` key sets that CI smokes and outside scripts read:
+    /// closed and open loop must each emit exactly these, in this order.
+    #[test]
+    fn serve_json_key_sets_are_pinned() {
+        let keys = |extra: &[&str]| {
+            let base = ["--connections", "2", "--requests", "1", "--workers", "2"];
+            let mut argv = args(&base);
+            argv.extend(args(extra));
+            argv.extend(args(&["--record", "run.json"]));
+            let opts = parse_serve(&mut argv).unwrap();
+            let mode = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
+            let run = serve_run(mode, &opts);
+            match serve_json(mode, &run, opts.record.as_deref()) {
+                shift_obs::Json::Obj(pairs) => pairs.into_iter().map(|(k, _)| k).collect(),
+                other => panic!("serve --json must be an object: {other:?}"),
+            }
+        };
+        let closed: Vec<String> = keys(&[]);
+        assert_eq!(
+            closed,
+            [
+                "schema_version",
+                "mode",
+                "seed",
+                "workers",
+                "connections",
+                "requests",
+                "served",
+                "recovered",
+                "dropped",
+                "wall_cycles",
+                "requests_per_sec",
+                "violations",
+                "host_ns",
+                "metrics",
+                "record_log",
+            ]
+        );
+        let open: Vec<String> = keys(&["--arrivals", "poisson:1000", "--host-workers", "1"]);
+        assert_eq!(
+            open,
+            [
+                "schema_version",
+                "mode",
+                "seed",
+                "arrivals",
+                "workers",
+                "accept_cap",
+                "max_resident",
+                "quantum",
+                "offered",
+                "completed",
+                "shed",
+                "saturated",
+                "requests",
+                "served",
+                "recovered",
+                "dropped",
+                "wall_cycles",
+                "requests_per_sec",
+                "sojourn_p50",
+                "sojourn_p99",
+                "sojourn_p999",
+                "sojourn_max",
+                "utilization",
+                "peak_queue_depth",
+                "peak_resident",
+                "peak_owned_pages",
+                "violations",
+                "host_ns",
+                "metrics",
+                "record_log",
+            ]
+        );
     }
 
     #[test]

@@ -27,11 +27,10 @@
 //! fleet wall-clock is the busiest instance's total — so throughput
 //! ([`FleetReport::requests_per_sec`]) scales with `W` deterministically on
 //! any host, while every per-connection number stays fixed. Host threads
-//! (scoped workers over sharded queues with stealing) only accelerate the
-//! simulation itself.
+//! (the shared [`crate::pool`], claiming connections from one cursor) only
+//! accelerate the simulation itself.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use shift_machine::{Exit, Injection, Stats, Violation};
 use shift_obs::{merge_events, merge_samples, Registry, Sample, TraceEvent, TraceKind, TraceRing};
@@ -40,6 +39,7 @@ use shift_obs::SCHEDULER_TRACK;
 
 use crate::event::{self, Disposition, OpenLoopConfig, Segment};
 use crate::metrics::serve_metrics;
+use crate::pool;
 use crate::replay::Expected;
 use crate::{CompileError, FlightConfig, ProgramImage, ServeReport, SessionStep, Shift, World};
 
@@ -147,10 +147,7 @@ impl FleetReport {
     /// Modelled fleet throughput: requests served per modelled second at
     /// [`CLOCK_HZ`].
     pub fn requests_per_sec(&self) -> f64 {
-        if self.wall_cycles == 0 {
-            return 0.0;
-        }
-        self.served as f64 * CLOCK_HZ as f64 / self.wall_cycles as f64
+        per_second(self.served, self.wall_cycles)
     }
 
     /// The `p`-th percentile (0–100) of per-request serve latency in
@@ -168,21 +165,22 @@ impl FleetReport {
     /// — bit-identical at any worker width (see [`shift_obs::trace`]).
     /// Empty when the flight recorder was not armed.
     pub fn merged_trace_events(&self) -> Vec<TraceEvent> {
-        let rings: Vec<&TraceRing> =
-            self.connections.iter().filter_map(|c| c.trace.as_ref()).collect();
-        merge_events(&rings)
+        merge_events(&self.rings())
     }
 
     /// The fleet's merged time-series samples, ordered by `(cycle, worker)`.
     pub fn merged_samples(&self) -> Vec<Sample> {
-        let rings: Vec<&TraceRing> =
-            self.connections.iter().filter_map(|c| c.trace.as_ref()).collect();
-        merge_samples(&rings)
+        merge_samples(&self.rings())
     }
 
     /// Total trace events dropped to ring caps across the fleet.
     pub fn trace_dropped(&self) -> u64 {
-        self.connections.iter().filter_map(|c| c.trace.as_ref()).map(TraceRing::dropped).sum()
+        self.rings().into_iter().map(TraceRing::dropped).sum()
+    }
+
+    /// Every armed flight-recorder ring, in connection order.
+    fn rings(&self) -> Vec<&TraceRing> {
+        self.connections.iter().filter_map(|c| c.trace.as_ref()).collect()
     }
 
     /// `true` when no connection lost a request.
@@ -245,9 +243,9 @@ impl Fleet {
     /// from; each connection's network queue is its own request list, so
     /// per-connection request ordering is preserved by construction.
     ///
-    /// Host-side, up to `workers` scoped threads drain sharded connection
-    /// queues with stealing; results land in connection order regardless of
-    /// which thread computed them.
+    /// Host-side, up to `workers` threads of the shared [`crate::pool`]
+    /// claim connections one at a time; results land in connection order
+    /// regardless of which thread computed them.
     pub fn serve(&self, base: &World, connections: &[Vec<Vec<u8>>], workers: usize) -> FleetReport {
         self.serve_chaos(base, connections, &[], workers)
     }
@@ -265,44 +263,7 @@ impl Fleet {
         faults: &FaultPlan,
         workers: usize,
     ) -> FleetReport {
-        let start = std::time::Instant::now();
-        let n = connections.len();
-        let width = workers.max(1);
-        let host_workers = width.min(n.max(1));
-        // Shard round-robin: worker k owns connections k, k+host, … — the
-        // same assignment the modelled fleet uses, so an unstolen run
-        // touches each connection on its "own" instance's thread.
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..host_workers).map(|k| Mutex::new((k..n).step_by(host_workers).collect())).collect();
-        let slots: Vec<Mutex<Option<ConnectionReport>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for k in 0..host_workers {
-                let queues = &queues;
-                let slots = &slots;
-                s.spawn(move || loop {
-                    // Own queue first, then steal from the back of others.
-                    let mut job = queues[k].lock().expect("queue poisoned").pop_front();
-                    if job.is_none() {
-                        for other in queues {
-                            job = other.lock().expect("queue poisoned").pop_back();
-                            if job.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    let Some(c) = job else { break };
-                    let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
-                    let report = self.serve_one(base, &connections[c], inj, c, width);
-                    *slots[c].lock().expect("slot poisoned") = Some(report);
-                });
-            }
-        });
-        let reports: Vec<ConnectionReport> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("slot poisoned").expect("connection not served"))
-            .collect();
-        Self::aggregate(width, reports, start.elapsed().as_nanos() as u64)
+        self.serve_closed(base, connections, faults, workers, workers)
     }
 
     /// The reference path: serves every connection in order on this thread.
@@ -314,11 +275,26 @@ impl Fleet {
         connections: &[Vec<Vec<u8>>],
         workers: usize,
     ) -> FleetReport {
+        self.serve_closed(base, connections, &[], workers, 1)
+    }
+
+    /// The closed loop behind [`Fleet::serve_chaos`] and
+    /// [`Fleet::serve_sequential`]: every connection on a modelled fleet of
+    /// `workers` instances, simulated on `host_workers` host threads.
+    fn serve_closed(
+        &self,
+        base: &World,
+        connections: &[Vec<Vec<u8>>],
+        faults: &FaultPlan,
+        workers: usize,
+        host_workers: usize,
+    ) -> FleetReport {
         let start = std::time::Instant::now();
         let width = workers.max(1);
-        let reports: Vec<ConnectionReport> = (0..connections.len())
-            .map(|c| self.serve_one(base, &connections[c], NO_INJECTIONS, c, width))
-            .collect();
+        let reports = pool::map(connections.len(), host_workers, |c| {
+            let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
+            self.serve_one(base, &connections[c], inj, c, width)
+        });
         Self::aggregate(width, reports, start.elapsed().as_nanos() as u64)
     }
 
@@ -453,38 +429,14 @@ impl Fleet {
         assert_eq!(connections.len(), arrivals.len(), "one arrival cycle per connection");
         let start = std::time::Instant::now();
         let n = connections.len();
-        let host = host_workers.max(1).min(n.max(1));
         let width = cfg.workers.max(1);
-        // Phase 1: parallel trace capture over the bounded host pool (the
-        // same sharded work-stealing shape as `serve_chaos`).
-        type TracedSlot = Mutex<Option<(ConnectionReport, Vec<Segment>)>>;
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..host).map(|k| Mutex::new((k..n).step_by(host).collect())).collect();
-        let slots: Vec<TracedSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for k in 0..host {
-                let queues = &queues;
-                let slots = &slots;
-                s.spawn(move || loop {
-                    let mut job = queues[k].lock().expect("queue poisoned").pop_front();
-                    if job.is_none() {
-                        for other in queues {
-                            job = other.lock().expect("queue poisoned").pop_back();
-                            if job.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    let Some(c) = job else { break };
-                    let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
-                    let traced = self.serve_one_traced(base, &connections[c], inj, c, width);
-                    *slots[c].lock().expect("slot poisoned") = Some(traced);
-                });
-            }
-        });
-        let (reports, traces): (Vec<ConnectionReport>, Vec<Vec<Segment>>) = slots
+        // Phase 1: parallel trace capture over the bounded host pool.
+        let (reports, traces): (Vec<ConnectionReport>, Vec<Vec<Segment>>) =
+            pool::map(n, host_workers, |c| {
+                let inj = faults.get(c).map_or(NO_INJECTIONS, Vec::as_slice);
+                self.serve_one_traced(base, &connections[c], inj, c, width)
+            })
             .into_iter()
-            .map(|slot| slot.into_inner().expect("slot poisoned").expect("connection not traced"))
             .unzip();
         // Phase 2: the sequential event loop.
         let trace_on = self.shift.flight().is_some();
@@ -493,13 +445,9 @@ impl Fleet {
         // run in connection order over *admitted* connections only — shed
         // connections never ran in the model, so their pre-simulated
         // results are discarded.
-        let mut stats = Stats::new();
-        let mut registry = Registry::new();
-        let mut violations = Vec::new();
+        let mut merged = Merge::default();
         let mut rows: Vec<OpenConnection> = Vec::with_capacity(n);
         let mut sojourns: Vec<u64> = Vec::new();
-        let (mut requests, mut served, mut recovered, mut dropped) = (0u64, 0u64, 0u64, 0u64);
-        let (mut owned_pages_total, mut peak_owned_pages) = (0u64, 0u64);
         for (c, (mut report, disposition)) in
             reports.into_iter().zip(des.dispositions.iter().copied()).enumerate()
         {
@@ -518,15 +466,7 @@ impl Fleet {
                     let outcome = Expected::of(&report);
                     let sojourn = finished - arrivals[c];
                     sojourns.push(sojourn);
-                    stats.merge(&report.stats);
-                    registry.merge(&report.registry);
-                    violations.extend(report.violations.iter().cloned());
-                    requests += report.requests_delivered;
-                    served += report.served;
-                    recovered += report.recovered;
-                    dropped += report.dropped;
-                    owned_pages_total += report.owned_pages as u64;
-                    peak_owned_pages = peak_owned_pages.max(report.owned_pages as u64);
+                    merged.add(&report);
                     if let Some(ring) = report.trace.as_mut() {
                         // Dense resident-slot track id plus the connection's
                         // first scheduled cycle: bounded Perfetto tracks at
@@ -548,6 +488,7 @@ impl Fleet {
             }
         }
         sojourns.sort_unstable();
+        let registry = &mut merged.registry;
         for &s in &sojourns {
             registry.record("openloop.sojourn_cycles", s);
         }
@@ -579,10 +520,10 @@ impl Fleet {
             offered: n as u64,
             completed: sojourns.len() as u64,
             shed: des.shed,
-            requests,
-            served,
-            recovered,
-            dropped,
+            requests: merged.requests,
+            served: merged.served,
+            recovered: merged.recovered,
+            dropped: merged.dropped,
             wall_cycles: des.wall_cycles,
             busy_cycles: des.busy_cycles,
             peak_queue_depth: des.peak_queue_depth,
@@ -590,11 +531,11 @@ impl Fleet {
             queue_depth: des.queue_depth,
             sojourns,
             connections: rows,
-            stats,
-            registry,
-            violations,
-            owned_pages_total,
-            peak_owned_pages,
+            stats: merged.stats,
+            registry: merged.registry,
+            violations: merged.violations,
+            owned_pages_total: merged.owned_pages_total,
+            peak_owned_pages: merged.peak_owned_pages,
             scheduler_trace,
             host_ns: start.elapsed().as_nanos() as u64,
         }
@@ -604,43 +545,70 @@ impl Fleet {
     /// exact `u64` add, so the result is independent of how the work was
     /// scheduled.
     fn aggregate(width: usize, reports: Vec<ConnectionReport>, host_ns: u64) -> FleetReport {
-        let mut stats = Stats::new();
-        let mut registry = Registry::new();
-        let mut violations = Vec::new();
-        let (mut requests, mut served, mut recovered, mut dropped, mut recovery_cycles) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut merged = Merge::default();
+        let mut recovery_cycles = 0u64;
         let mut instance_busy = vec![0u64; width];
-        let (mut owned_pages_total, mut peak_owned_pages) = (0u64, 0u64);
         for r in &reports {
-            stats.merge(&r.stats);
-            registry.merge(&r.registry);
-            violations.extend(r.violations.iter().cloned());
-            requests += r.requests_delivered;
-            served += r.served;
-            recovered += r.recovered;
-            dropped += r.dropped;
+            merged.add(r);
             recovery_cycles += r.recovery_cycles;
             instance_busy[r.instance] += r.time;
-            owned_pages_total += r.owned_pages as u64;
-            peak_owned_pages = peak_owned_pages.max(r.owned_pages as u64);
         }
-        let wall_cycles = instance_busy.into_iter().max().unwrap_or(0);
         FleetReport {
             workers: width,
             connections: reports,
-            stats,
-            registry,
-            violations,
-            requests,
-            served,
-            recovered,
-            dropped,
+            stats: merged.stats,
+            registry: merged.registry,
+            violations: merged.violations,
+            requests: merged.requests,
+            served: merged.served,
+            recovered: merged.recovered,
+            dropped: merged.dropped,
             recovery_cycles,
-            wall_cycles,
-            owned_pages_total,
-            peak_owned_pages,
+            wall_cycles: instance_busy.into_iter().max().unwrap_or(0),
+            owned_pages_total: merged.owned_pages_total,
+            peak_owned_pages: merged.peak_owned_pages,
             host_ns,
         }
+    }
+}
+
+/// `count` events per modelled second at [`CLOCK_HZ`] over a `wall_cycles`
+/// makespan; 0 when nothing ran.
+fn per_second(count: u64, wall_cycles: u64) -> f64 {
+    if wall_cycles == 0 {
+        return 0.0;
+    }
+    count as f64 * CLOCK_HZ as f64 / wall_cycles as f64
+}
+
+/// The connection merge both serving loops share: exact `u64` sums and
+/// order-preserving concatenations, fed in connection order, so the result
+/// is independent of how the work was scheduled.
+#[derive(Default)]
+struct Merge {
+    stats: Stats,
+    registry: Registry,
+    violations: Vec<Violation>,
+    requests: u64,
+    served: u64,
+    recovered: u64,
+    dropped: u64,
+    owned_pages_total: u64,
+    peak_owned_pages: u64,
+}
+
+impl Merge {
+    /// Folds one connection's outcome into the aggregate.
+    fn add(&mut self, r: &ConnectionReport) {
+        self.stats.merge(&r.stats);
+        self.registry.merge(&r.registry);
+        self.violations.extend(r.violations.iter().cloned());
+        self.requests += r.requests_delivered;
+        self.served += r.served;
+        self.recovered += r.recovered;
+        self.dropped += r.dropped;
+        self.owned_pages_total += r.owned_pages as u64;
+        self.peak_owned_pages = self.peak_owned_pages.max(r.owned_pages as u64);
     }
 }
 
@@ -747,18 +715,12 @@ impl OpenLoopReport {
 
     /// Requests served per modelled second at [`CLOCK_HZ`].
     pub fn requests_per_sec(&self) -> f64 {
-        if self.wall_cycles == 0 {
-            return 0.0;
-        }
-        self.served as f64 * CLOCK_HZ as f64 / self.wall_cycles as f64
+        per_second(self.served, self.wall_cycles)
     }
 
     /// Connections completed per modelled second at [`CLOCK_HZ`].
     pub fn completions_per_sec(&self) -> f64 {
-        if self.wall_cycles == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * CLOCK_HZ as f64 / self.wall_cycles as f64
+        per_second(self.completed, self.wall_cycles)
     }
 
     /// Modelled worker utilization: busy cycles over `wall × workers`.
@@ -786,22 +748,18 @@ impl OpenLoopReport {
     /// (on its dense slot track) plus the scheduler's shared track, ordered
     /// by `(cycle, worker, seq)`.
     pub fn merged_trace_events(&self) -> Vec<TraceEvent> {
-        let mut rings: Vec<&TraceRing> =
-            self.connections.iter().filter_map(|c| c.trace.as_ref()).collect();
-        if let Some(s) = &self.scheduler_trace {
-            rings.push(s);
-        }
-        merge_events(&rings)
+        merge_events(&self.rings())
     }
 
     /// The merged open-loop time-series samples, ordered by
     /// `(cycle, worker)`.
     pub fn merged_samples(&self) -> Vec<Sample> {
-        let mut rings: Vec<&TraceRing> =
-            self.connections.iter().filter_map(|c| c.trace.as_ref()).collect();
-        if let Some(s) = &self.scheduler_trace {
-            rings.push(s);
-        }
-        merge_samples(&rings)
+        merge_samples(&self.rings())
+    }
+
+    /// Every completed connection's ring, then the scheduler's track.
+    fn rings(&self) -> Vec<&TraceRing> {
+        let connections = self.connections.iter().filter_map(|c| c.trace.as_ref());
+        connections.chain(&self.scheduler_trace).collect()
     }
 }

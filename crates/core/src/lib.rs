@@ -63,6 +63,7 @@ mod image;
 mod libc;
 pub mod metrics;
 pub mod policy;
+pub mod pool;
 pub mod replay;
 mod runtime;
 
@@ -379,19 +380,7 @@ impl Shift {
         world: World,
         injections: &[(u64, Injection)],
     ) -> ServeReport {
-        let mut machine = image.spawn_injected(injections);
-        if self.trace_taint {
-            machine.enable_taint_observer();
-        }
-        if self.profile {
-            machine.enable_profiler(image.func_spans());
-        }
-        if let Some(cfg) = self.flight {
-            machine.enable_flight_recorder(cfg.cap, cfg.sample_cycles);
-        }
-        let mut session = self.open_session(machine, world, false);
-        session.run_to_completion();
-        session.finish()
+        self.serve_session(image, world, injections, false).finish()
     }
 
     /// Opens a [`ServeSession`] on an instance spawned from `image` — the
@@ -416,11 +405,6 @@ impl Shift {
         if let Some(cfg) = self.flight {
             machine.enable_flight_recorder(cfg.cap, cfg.sample_cycles);
         }
-        self.open_session(machine, world, yield_on_io)
-    }
-
-    /// Wraps a prepared machine in a [`ServeSession`].
-    fn open_session(&self, mut machine: Machine, world: World, yield_on_io: bool) -> ServeSession {
         machine.arm_watchdog(self.fuel);
         let mut runtime = Runtime::new(self.config.clone(), world, self.granularity())
             .with_io(self.io)

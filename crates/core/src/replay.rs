@@ -286,28 +286,10 @@ impl ReplayLog {
         seed: u64,
         report: &FleetReport,
     ) -> ReplayLog {
-        let shift = fleet.shift();
         ReplayLog {
-            program: program.to_string(),
-            mode: shift.mode(),
-            config: shift.config().clone(),
-            io: shift.io(),
-            insn_limit: shift.insn_limit(),
-            fuel: shift.fuel(),
             workers: report.workers,
-            seed,
-            image_digest: fleet.image().pristine_digest(),
-            base: base.clone(),
-            connections: connections
-                .iter()
-                .enumerate()
-                .map(|(c, reqs)| ConnectionLog {
-                    requests: reqs.clone(),
-                    injections: faults.get(c).cloned().unwrap_or_default(),
-                })
-                .collect(),
             expected: report.connections.iter().map(Expected::of).collect(),
-            open_loop: None,
+            ..Self::header(program, fleet, base, connections, faults, seed)
         }
     }
 
@@ -338,6 +320,40 @@ impl ReplayLog {
         arrivals: &[u64],
         report: &crate::OpenLoopReport,
     ) -> ReplayLog {
+        let cfg = report.config;
+        ReplayLog {
+            workers: cfg.workers,
+            expected: report
+                .connections
+                .iter()
+                .map(|row| row.outcome.clone().unwrap_or_else(Expected::shed))
+                .collect(),
+            ..Self::header(program, fleet, base, connections, faults, seed)
+        }
+        .with_open_loop(OpenLoopLog {
+            spec: spec.to_string(),
+            arrivals: arrivals.to_vec(),
+            workers: cfg.workers,
+            accept_cap: cfg.accept_cap,
+            max_resident: cfg.max_resident,
+            quantum: cfg.quantum,
+            completed: report.completed,
+            shed: report.shed,
+            wall_cycles: report.wall_cycles,
+        })
+    }
+
+    /// The part of a log both captures share: the program, the session
+    /// options, the image digest, and every connection's inputs. The
+    /// caller supplies `workers` and `expected`, which come from its report.
+    fn header(
+        program: &str,
+        fleet: &Fleet,
+        base: &World,
+        connections: &[Vec<Vec<u8>>],
+        faults: &FaultPlan,
+        seed: u64,
+    ) -> ReplayLog {
         let shift = fleet.shift();
         ReplayLog {
             program: program.to_string(),
@@ -346,7 +362,7 @@ impl ReplayLog {
             io: shift.io(),
             insn_limit: shift.insn_limit(),
             fuel: shift.fuel(),
-            workers: report.config.workers,
+            workers: 0,
             seed,
             image_digest: fleet.image().pristine_digest(),
             base: base.clone(),
@@ -358,22 +374,8 @@ impl ReplayLog {
                     injections: faults.get(c).cloned().unwrap_or_default(),
                 })
                 .collect(),
-            expected: report
-                .connections
-                .iter()
-                .map(|row| row.outcome.clone().unwrap_or_else(Expected::shed))
-                .collect(),
-            open_loop: Some(OpenLoopLog {
-                spec: spec.to_string(),
-                arrivals: arrivals.to_vec(),
-                workers: report.config.workers,
-                accept_cap: report.config.accept_cap,
-                max_resident: report.config.max_resident,
-                quantum: report.config.quantum,
-                completed: report.completed,
-                shed: report.shed,
-                wall_cycles: report.wall_cycles,
-            }),
+            expected: Vec::new(),
+            open_loop: None,
         }
     }
 

@@ -234,3 +234,41 @@ fn open_loop_runs_record_and_replay() {
         assert!(o.matches(), "connection {} diverged: {:?}", o.connection, o.mismatches);
     }
 }
+
+/// The closed and the open loop merge connections the same way: on the
+/// hostile stream with a chaos plan, and with caps loose enough that
+/// nothing is shed, both give the same stats, request counts, violations,
+/// page totals, and Prometheus export once the `openloop.*` series (which
+/// only the open loop has) are set aside.
+#[test]
+fn closed_and_open_loop_merges_agree() {
+    let fleet = fleet();
+    let (world, conns) = hostile_setup(12, 3);
+    let mut rng = Rng::new(chaos::derive(0x3E26, "merge-agreement"));
+    let faults: Vec<Vec<_>> = (0..conns.len())
+        .map(|_| (0..rng.below(3)).map(|_| chaos::random_fleet_injection(&mut rng)).collect())
+        .collect();
+    let closed = fleet.serve_chaos(&world, &conns, &faults, 2);
+    let arrivals = ArrivalProcess::Poisson { rate_rps: 20_000.0 }.schedule(conns.len(), 0x3E26);
+    let cfg = OpenLoopConfig { workers: 2, accept_cap: 1 << 16, max_resident: 1 << 16, quantum: 0 };
+    let open = fleet.serve_open_loop(&world, &conns, &faults, &arrivals, &cfg, 2);
+    assert_eq!(open.shed, 0, "the caps must admit every connection");
+    // The plan must put recovery and violations on the merged path.
+    assert!(closed.recovered > 0 && !closed.violations.is_empty(), "{closed:?}");
+
+    assert_eq!(open.stats, closed.stats);
+    assert_eq!(
+        (open.requests, open.served, open.recovered, open.dropped),
+        (closed.requests, closed.served, closed.recovered, closed.dropped)
+    );
+    assert_eq!(open.violations, closed.violations);
+    assert_eq!(
+        (open.owned_pages_total, open.peak_owned_pages),
+        (closed.owned_pages_total, closed.peak_owned_pages)
+    );
+    let open_export = open.registry.to_prometheus();
+    let open_lines: Vec<&str> =
+        open_export.lines().filter(|l| !l.contains("shift_openloop_")).collect();
+    let closed_export = closed.registry.to_prometheus();
+    assert_eq!(open_lines, closed_export.lines().collect::<Vec<_>>());
+}
