@@ -74,9 +74,11 @@ fn bench_dispatch(c: &mut Criterion) {
         })
     });
 
-    // Control arm: the same machine stepped one instruction at a time.
-    // Criterion interleaves the two in one process, which is the only
-    // trustworthy comparison on a noisy host — see DESIGN.md §13.
+    // Control arm: the same machine stepped one instruction at a time
+    // through the one checked stepper (watchdog, injection and diagnostics
+    // tests live, all disarmed here). Criterion interleaves the two in one
+    // process, which is the only trustworthy comparison on a noisy host —
+    // see DESIGN.md §13.
     g.bench_function("per_insn_loop", |b| {
         b.iter(|| {
             let mut m = seed.spawn();
@@ -138,8 +140,8 @@ fn bench_instrumented_dispatch(c: &mut Criterion) {
     let seed = MachineSeed::new(&image);
     let mut g = c.benchmark_group("dispatch/instrumented_ld_st");
     g.throughput(Throughput::Elements(insns));
-    // Fused superblock micro-ops vs. the unfused per-instruction stepper,
-    // in one process (DESIGN.md §13).
+    // Fused superblock micro-ops vs. the unfused, fully checked
+    // per-instruction stepper, in one process (DESIGN.md §13).
     g.bench_function("superblock", |b| {
         b.iter(|| {
             let mut m = seed.spawn();

@@ -398,32 +398,19 @@ fn cmd_attack(name: &str, mode: Mode, opts: AttackOpts) -> ExitCode {
         shift = shift.with_profile();
     }
     let report = if let Some(depth) = opts.trace_depth {
-        // Drive the machine by hand so the last instructions before the
-        // detection are visible.
-        use shift_core::{FuncSpan, Runtime, TaintConfig};
-        let compiled = match shift.compile(&app) {
-            Ok(c) => c,
+        // Arm the last-instructions ring on top of the session's own
+        // diagnostics so the instructions before the detection are visible.
+        let image = match shift.image(&app) {
+            Ok(image) => image,
             Err(e) => return compile_failed(&e),
         };
-        let mut machine = shift_machine::Machine::new(&compiled.image);
+        let mut machine = shift.spawn(&image, &[]);
         machine.enable_trace(depth);
-        if opts.trace_taint {
-            machine.enable_taint_observer();
-        }
-        if opts.profile.is_some() {
-            let funcs = compiled
-                .func_ranges
-                .iter()
-                .map(|(n, &(start, end))| FuncSpan { name: n.clone(), start, end })
-                .collect();
-            machine.enable_profiler(funcs);
-        }
-        let mut rt = Runtime::new(TaintConfig::default_secure(), world, shift.granularity());
-        let exit = machine.run(&mut rt, 500_000_000);
+        let report = shift.run_machine(machine, world);
         println!("last instructions before the end of the run:");
-        print!("{}", machine.trace_listing());
+        print!("{}", report.machine.trace_listing());
         println!();
-        shift_core::RunReport { exit, stats: machine.stats.clone(), runtime: rt, machine }
+        report
     } else {
         match shift.run(&app, world) {
             Ok(r) => r,

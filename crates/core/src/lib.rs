@@ -205,8 +205,8 @@ impl Shift {
     /// syscall events plus optional time-series sampling, per
     /// [`FlightConfig`]. Diagnostic-only, like [`Shift::with_taint_trace`]
     /// — modelled results are bit-identical with or without it — and unlike
-    /// the taint observer it does not demote execution to the cold dispatch
-    /// tier (every recording site is a boundary path; DESIGN.md §14).
+    /// the taint observer it keeps execution on the superblock tier (every
+    /// recording site is a boundary path; DESIGN.md §14).
     pub fn with_flight_recorder(mut self, cfg: FlightConfig) -> Shift {
         self.flight = Some(cfg);
         self
@@ -299,29 +299,32 @@ impl Shift {
         Ok(self.run_compiled(&compiled, world))
     }
 
-    /// Builds the per-function spans the profiler attributes cycles to.
-    fn func_spans(compiled: &CompiledProgram) -> Vec<FuncSpan> {
-        compiled
-            .func_ranges
-            .iter()
-            .map(|(name, &(start, end))| FuncSpan { name: name.clone(), start, end })
-            .collect()
+    /// Runs an already-compiled program against `world`.
+    pub fn run_compiled(&self, compiled: &CompiledProgram, world: World) -> RunReport {
+        self.run_machine(self.spawn(&ProgramImage::new(compiled), &[]), world)
     }
 
-    /// Applies the session's observability options to a fresh machine.
-    fn arm_observability(&self, machine: &mut Machine, compiled: &CompiledProgram) {
+    /// Spawns an instance of `image` with `injections` scheduled (see
+    /// [`shift_machine::Machine::inject_after`]) and this session's
+    /// per-instruction diagnostics armed: the taint observer
+    /// ([`Shift::with_taint_trace`]) and the profiler
+    /// ([`Shift::with_profile`]). Every run and serve path spawns through
+    /// here.
+    pub fn spawn(&self, image: &ProgramImage, injections: &[(u64, Injection)]) -> Machine {
+        let mut machine = image.spawn_injected(injections);
         if self.trace_taint {
             machine.enable_taint_observer();
         }
         if self.profile {
-            machine.enable_profiler(Self::func_spans(compiled));
+            machine.enable_profiler(image.func_spans());
         }
+        machine
     }
 
-    /// Runs an already-compiled program against `world`.
-    pub fn run_compiled(&self, compiled: &CompiledProgram, world: World) -> RunReport {
-        let mut machine = Machine::new(&compiled.image);
-        self.arm_observability(&mut machine, compiled);
+    /// Runs `machine` (spawned by [`Shift::spawn`], possibly with more
+    /// diagnostics armed) against `world` under this session's taint
+    /// configuration, I/O model and instruction budget.
+    pub fn run_machine(&self, mut machine: Machine, world: World) -> RunReport {
         let mut runtime =
             Runtime::new(self.config.clone(), world, self.granularity()).with_io(self.io);
         let exit = machine.run(&mut runtime, self.insn_limit);
@@ -395,13 +398,7 @@ impl Shift {
         injections: &[(u64, Injection)],
         yield_on_io: bool,
     ) -> ServeSession {
-        let mut machine = image.spawn_injected(injections);
-        if self.trace_taint {
-            machine.enable_taint_observer();
-        }
-        if self.profile {
-            machine.enable_profiler(image.func_spans());
-        }
+        let mut machine = self.spawn(image, injections);
         if let Some(cfg) = self.flight {
             machine.enable_flight_recorder(cfg.cap, cfg.sample_cycles);
         }

@@ -42,9 +42,9 @@ const MAX_BLOCK_LEN: usize = u16::MAX as usize;
 /// one contiguous record: the pre-specialised [`Kind`] (whose register
 /// operands are already architectural indices — `Gpr`/`Pr`/`Br` are
 /// `repr(u8)`), the qualifying predicate, the provenance label for cycle
-/// attribution, and the summed base cycle cost that the cold path would
-/// re-derive from `CostModel::base`. The executor never touches `code` or
-/// `base_cost` while inside a block.
+/// attribution, and the summed base cycle cost that the per-instruction
+/// stepper would re-derive from `CostModel::base`. The executor never
+/// touches `code` or `base_cost` while inside a block.
 ///
 /// A micro-op covers `n` consecutive instructions starting `off`
 /// instructions into its block: one for a plain instruction, the whole

@@ -93,21 +93,33 @@ pub struct Machine {
     block_misses: u64,
     /// Times the superblock tables were invalidated and rebuilt.
     block_flushes: u64,
-    trace: Option<std::collections::VecDeque<usize>>,
-    trace_cap: usize,
     watchdog: Option<Watchdog>,
     injections: Vec<(u64, Injection)>,
-    // Observability state (diagnostic-only: costs no modelled cycles, is
-    // excluded from state_digest(), and never influences execution). Both
-    // are boxed so the disabled case is a single pointer test per hook.
-    obs: Option<Box<TaintObserver>>,
-    profiler: Option<Box<Profiler>>,
-    /// Flight recorder (DESIGN.md §14). Diagnostic-only like `obs` and
-    /// `profiler`, but deliberately NOT part of the hot-tier gate: its
-    /// events originate only at syscall boundaries, superblock flushes,
-    /// recovery points, and injection firings — never per instruction — so
-    /// the superblock tier stays armed while recording.
+    /// Per-instruction diagnostics (see [`Diagnostics`]). Arming any of
+    /// them is the one thing that keeps [`Machine::run`] off the superblock
+    /// tier.
+    diag: Option<Box<Diagnostics>>,
+    /// Flight recorder (DESIGN.md §14). Diagnostic-only like `diag`, but
+    /// deliberately NOT part of the tier gate: its events originate only at
+    /// syscall boundaries, superblock flushes, recovery points, and
+    /// injection firings — never per instruction — so the superblock tier
+    /// stays armed while recording.
     flight: Option<Box<TraceRing>>,
+}
+
+/// The diagnostics that watch every instruction: the address trace ring,
+/// the taint observer, and the cycle-attribution profiler. Diagnostic-only:
+/// they cost no modelled cycles, are excluded from
+/// [`Machine::state_digest`] and snapshots, and never influence execution.
+/// They share one box so the disarmed case is a single pointer test.
+#[derive(Clone, Debug, Default)]
+struct Diagnostics {
+    /// The last `trace_cap` executed instruction addresses, oldest first.
+    /// Grows as it records, so a huge depth allocates nothing up front.
+    trace: Option<std::collections::VecDeque<usize>>,
+    trace_cap: usize,
+    obs: Option<TaintObserver>,
+    profiler: Option<Profiler>,
 }
 
 /// Per-transaction fuel budget: counts instructions retired since the last
@@ -127,17 +139,18 @@ struct Watchdog {
 /// The `Recheck` variant is the linchpin of the tiered design: a `syscall`
 /// hands the *whole machine* (`&mut Machine`) to the [`Os`] handler, which
 /// may arm the watchdog, schedule injections, enable tracing or
-/// observability, or rewind memory — so every loop invariant the fast tiers
-/// rely on (and the software TLB's internal state) must be re-established
-/// from scratch before the next instruction. Anything that cannot happen
-/// mid-tier is deferred to this boundary.
+/// observability, or rewind memory — so every loop invariant the superblock
+/// tier relies on (and the software TLB's internal state) must be
+/// re-established from scratch before the next instruction. Anything that
+/// cannot happen mid-block is deferred to this boundary.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StepOut {
     /// Keep going.
     Continue,
-    /// Keep going, but a syscall ran — the fast tiers' invariants (watchdog,
-    /// injections, trace, observability all disabled or boundary-checked)
-    /// must be re-verified before the next dispatch.
+    /// Keep going, but a syscall ran — the superblock tier's invariants (no
+    /// per-instruction diagnostic armed; watchdog fuel, injection countdowns
+    /// and the run budget guarded at block entry) must be re-verified
+    /// before the next dispatch.
     Recheck,
     /// The run stops.
     Exit(Exit),
@@ -209,12 +222,9 @@ impl Machine {
             block_hits: 0,
             block_misses: 0,
             block_flushes: 0,
-            trace: None,
-            trace_cap: 0,
             watchdog: None,
             injections: Vec::new(),
-            obs: None,
-            profiler: None,
+            diag: None,
             flight: None,
         }
     }
@@ -224,32 +234,38 @@ impl Machine {
     /// full provenance chain. Purely diagnostic — modelled cycles, guest
     /// state, and [`Machine::state_digest`] are unaffected.
     pub fn enable_taint_observer(&mut self) {
-        self.obs = Some(Box::default());
+        self.diag_mut().obs = Some(TaintObserver::default());
     }
 
     /// The taint observer, when tracing is enabled.
     pub fn taint_observer(&self) -> Option<&TaintObserver> {
-        self.obs.as_deref()
+        self.diag.as_deref()?.obs.as_ref()
     }
 
     /// Mutable access to the taint observer (the runtime records taint
     /// births and sink events through this).
     pub fn taint_observer_mut(&mut self) -> Option<&mut TaintObserver> {
-        self.obs.as_deref_mut()
+        self.diag.as_deref_mut()?.obs.as_mut()
     }
 
     /// Enables the cycle-attribution profiler with the given guest function
     /// table. Diagnostic-only, like the taint observer.
     pub fn enable_profiler(&mut self, funcs: Vec<FuncSpan>) {
-        self.profiler = Some(Box::new(Profiler::new(funcs, self.cpu.ip)));
+        let profiler = Profiler::new(funcs, self.cpu.ip);
+        self.diag_mut().profiler = Some(profiler);
+    }
+
+    /// The per-instruction diagnostics slot, created on first arming.
+    fn diag_mut(&mut self) -> &mut Diagnostics {
+        self.diag.get_or_insert_with(Box::default)
     }
 
     /// Arms the flight recorder: a bounded [`TraceRing`] holding at most
     /// `cap` events, with time-series sampling every `sample_cycles`
     /// modelled cycles (`0` disarms sampling). Diagnostic-only, like the
-    /// taint observer — and unlike the per-instruction trace, arming it
-    /// does not demote execution to the cold dispatch tier, because every
-    /// recording site sits on a boundary path (DESIGN.md §14).
+    /// taint observer — and unlike it, arming the recorder keeps execution
+    /// on the superblock tier, because every recording site sits on a
+    /// boundary path (DESIGN.md §14).
     pub fn enable_flight_recorder(&mut self, cap: usize, sample_cycles: u64) {
         let mut ring = TraceRing::with_capacity(cap);
         if sample_cycles > 0 {
@@ -277,7 +293,7 @@ impl Machine {
 
     /// The profiler, when enabled.
     pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_deref()
+        self.diag.as_deref()?.profiler.as_ref()
     }
 
     /// Arms (or re-arms) the watchdog: once more than `insns` instructions
@@ -416,15 +432,19 @@ impl Machine {
     /// Keeps a ring buffer of the last `n` executed instruction addresses
     /// for post-mortem inspection (see [`Machine::trace_listing`]). Tracing
     /// costs a deque push per instruction; leave it off for experiments.
+    /// The ring grows as it records, so `n` bounds memory but never
+    /// allocates up front.
     pub fn enable_trace(&mut self, n: usize) {
-        self.trace = Some(std::collections::VecDeque::with_capacity(n + 1));
-        self.trace_cap = n;
+        let diag = self.diag_mut();
+        diag.trace = Some(std::collections::VecDeque::new());
+        diag.trace_cap = n;
     }
 
     /// The traced instruction addresses, oldest first (empty when tracing
     /// is off).
     pub fn trace(&self) -> Vec<usize> {
-        self.trace.as_ref().map(|t| t.iter().copied().collect()).unwrap_or_default()
+        let trace = self.diag.as_deref().and_then(|d| d.trace.as_ref());
+        trace.map(|t| t.iter().copied().collect()).unwrap_or_default()
     }
 
     /// Formats the trace as a disassembly listing, annotating each line
@@ -447,22 +467,21 @@ impl Machine {
 
     /// Runs until the guest stops or `max_insns` instructions retire.
     ///
-    /// Dispatch is tiered (fastest first; see DESIGN.md §13):
+    /// Dispatch has two tiers (see DESIGN.md §13):
     ///
-    /// 1. **Superblock tier** — when per-instruction diagnostics (trace,
-    ///    observer, profiler) are off and `ip` starts a pre-decoded block
-    ///    whose worst-case length fits every armed budget, whole blocks
-    ///    execute back-to-back through the trace-threaded dispatch loop.
-    ///    Watchdog fuel, injection countdowns, and the run budget are
-    ///    checked once per block — the entry guard proves none can expire
-    ///    mid-block, so checking them at boundaries only is exact, not
-    ///    approximate.
-    /// 2. **Per-instruction hot tier** — the const-generic `HOT` stepper
-    ///    with watchdog/injection/trace/observer/profiler tests compiled
-    ///    out; used for mid-block entries and budget tails when nothing is
-    ///    armed.
-    /// 3. **Cold tier** — the fully-checked stepper, used whenever any
-    ///    diagnostic or boundary-checked feature is armed.
+    /// 1. **Superblock tier** — when no per-instruction diagnostic (trace,
+    ///    observer, profiler) is armed and `ip` starts a pre-decoded block
+    ///    whose length fits every armed budget, whole blocks execute
+    ///    back-to-back through the trace-threaded dispatch loop. Watchdog
+    ///    fuel, injection countdowns, and the run budget are checked once
+    ///    per block — the entry guard proves none can expire mid-block, so
+    ///    checking them at boundaries only is exact, not approximate.
+    /// 2. **Per-instruction stepper** — the fully-checked [`Machine::step`]
+    ///    path. It runs every instruction while a diagnostic is armed, and
+    ///    otherwise one instruction at each side exit of the superblock
+    ///    tier (mid-block `ip`, a boundary budget too small for the next
+    ///    block, the run budget's tail), after which block dispatch retries
+    ///    at the new `ip`.
     ///
     /// A `syscall` exits the current tier with [`StepOut::Recheck`] and the
     /// next iteration re-selects the tier from scratch (the `Os` handler may
@@ -477,33 +496,17 @@ impl Machine {
             if self.stats.instructions >= budget {
                 return Exit::InsnLimit;
             }
-            if self.trace.is_none() && self.obs.is_none() && self.profiler.is_none() {
+            if self.diag.is_none() {
                 match self.run_blocks(os, &prog, budget) {
-                    // Side exit: mid-block `ip`, a boundary budget too small
-                    // for the next block, or the run budget's tail — step one
-                    // instruction and retry block dispatch at the new `ip`.
-                    StepOut::Continue => {
-                        self.block_misses += 1;
-                        let out = if self.watchdog.is_none() && self.injections.is_empty() {
-                            self.step_impl::<O, true>(os)
-                        } else {
-                            self.step_impl::<O, false>(os)
-                        };
-                        match out {
-                            StepOut::Continue | StepOut::Recheck => {}
-                            StepOut::Exit(exit) => return exit,
-                        }
-                    }
-                    // A syscall ran; the handler may have armed anything, so
-                    // re-select the tier from scratch.
-                    StepOut::Recheck => {}
+                    // Side exit: step one instruction, then retry blocks.
+                    StepOut::Continue => self.block_misses += 1,
+                    // A syscall ran and may have armed anything: re-select.
+                    StepOut::Recheck => continue,
                     StepOut::Exit(exit) => return exit,
                 }
-            } else {
-                match self.step_impl::<O, false>(os) {
-                    StepOut::Continue | StepOut::Recheck => {}
-                    StepOut::Exit(exit) => return exit,
-                }
+            }
+            if let StepOut::Exit(exit) = self.step_impl(os) {
+                return exit;
             }
         }
     }
@@ -512,7 +515,7 @@ impl Machine {
     /// trace-threaded dispatch loop.
     ///
     /// Architecturally identical to stepping the same instructions one at a
-    /// time through `step_impl::<_, true>`: same state updates in the same
+    /// time through `step_impl`: same state updates in the same
     /// order, same fault points with `ip` left on the faulting instruction,
     /// same modelled cycles. The wins are pure host mechanics:
     ///
@@ -963,9 +966,10 @@ impl Machine {
     /// Runs like [`Machine::run`] but with the superblock tier disabled:
     /// every instruction goes through the per-instruction stepper.
     ///
-    /// Exists solely as the control arm for dispatch benchmarks (the host is
-    /// too noisy for cross-process comparisons, so the microbench runs both
-    /// tiers in-process and interleaved). Architecturally identical to
+    /// Exists as the reference arm of the `block_props` differential tests
+    /// and the control arm of dispatch benchmarks (the host is too noisy for
+    /// cross-process comparisons, so the microbench runs both tiers
+    /// in-process and interleaved). Architecturally identical to
     /// `run` — same exits, same stats, same modelled cycles — just slower
     /// on the host. Not part of the supported API.
     #[doc(hidden)]
@@ -975,16 +979,8 @@ impl Machine {
             if self.stats.instructions >= budget {
                 return Exit::InsnLimit;
             }
-            let hot = self.trace.is_none()
-                && self.obs.is_none()
-                && self.profiler.is_none()
-                && self.watchdog.is_none()
-                && self.injections.is_empty();
-            let out =
-                if hot { self.step_impl::<O, true>(os) } else { self.step_impl::<O, false>(os) };
-            match out {
-                StepOut::Continue | StepOut::Recheck => {}
-                StepOut::Exit(exit) => return exit,
+            if let StepOut::Exit(exit) = self.step_impl(os) {
+                return exit;
             }
         }
     }
@@ -1037,77 +1033,52 @@ impl Machine {
     /// any exit (the runtime restores a snapshot first when the exit left
     /// `ip` at a faulting instruction).
     pub fn step<O: Os>(&mut self, os: &mut O) -> Option<Exit> {
-        match self.step_impl::<O, false>(os) {
+        match self.step_impl(os) {
             StepOut::Exit(exit) => Some(exit),
             StepOut::Continue | StepOut::Recheck => None,
         }
     }
 
-    /// The taint observer, only on the checked (non-hot) path.
-    ///
-    /// `HOT` is only ever true when [`Machine::run`] has verified the
-    /// observer is disabled, so the hot monomorphization folds every
-    /// observer hook to nothing at compile time.
+    /// The profiler's per-instruction hook target, when armed.
     #[inline(always)]
-    fn obs_if<const HOT: bool>(&mut self) -> Option<&mut TaintObserver> {
-        if HOT {
-            None
-        } else {
-            self.obs.as_deref_mut()
-        }
+    fn profiler_mut(&mut self) -> Option<&mut Profiler> {
+        self.diag.as_deref_mut()?.profiler.as_mut()
     }
 
-    /// The profiler, only on the checked (non-hot) path — same contract as
-    /// [`Machine::obs_if`].
+    /// Retires one instruction into the stats and, when armed, the profiler.
     #[inline(always)]
-    fn profiler_if<const HOT: bool>(&mut self) -> Option<&mut Profiler> {
-        if HOT {
-            None
-        } else {
-            self.profiler.as_deref_mut()
-        }
-    }
-
-    /// Retires one instruction without the profiler test on the hot path
-    /// (`run` guarantees the profiler is disabled there).
-    #[inline(always)]
-    fn retire_fast<const HOT: bool>(&mut self, ip: usize, prov: Provenance, cycles: u64) {
+    fn retire(&mut self, ip: usize, prov: Provenance, cycles: u64) {
         self.stats.retire(prov, cycles);
-        if !HOT {
-            if let Some(p) = &mut self.profiler {
-                p.record(ip, prov, cycles);
-            }
+        if let Some(p) = self.profiler_mut() {
+            p.record(ip, prov, cycles);
         }
     }
 
-    /// One instruction of the dispatcher, monomorphized twice: `HOT = true`
-    /// compiles out the watchdog, injection, trace, observer, and profiler
-    /// tests (the run loop guarantees they are disabled), `HOT = false` is
-    /// the general path behind [`Machine::step`]. Behaviour is identical —
-    /// `HOT` removes tests that would all be false, never changes one.
+    /// One instruction of the dispatcher, with every check live: watchdog
+    /// fuel, injection countdowns, and the per-instruction diagnostics. The
+    /// unfused reference the superblock tier must match, and the stepper
+    /// behind [`Machine::step`] and the superblock tier's side exits.
     #[inline(always)]
-    fn step_impl<O: Os, const HOT: bool>(&mut self, os: &mut O) -> StepOut {
-        if !HOT {
-            if let Some(w) = &mut self.watchdog {
-                if w.used >= w.budget {
-                    return StepOut::Exit(Exit::FuelExhausted);
-                }
-                w.used += 1;
+    fn step_impl<O: Os>(&mut self, os: &mut O) -> StepOut {
+        if let Some(w) = &mut self.watchdog {
+            if w.used >= w.budget {
+                return StepOut::Exit(Exit::FuelExhausted);
             }
-            if !self.injections.is_empty() {
-                if let Some(exit) = self.apply_due_injections() {
-                    return StepOut::Exit(exit);
-                }
+            w.used += 1;
+        }
+        if !self.injections.is_empty() {
+            if let Some(exit) = self.apply_due_injections() {
+                return StepOut::Exit(exit);
             }
         }
         let ip = self.cpu.ip;
         let Some(&insn) = self.code.get(ip) else {
             return StepOut::Exit(Exit::Fault(Fault::BadIp { ip }));
         };
-        if !HOT {
-            if let Some(trace) = &mut self.trace {
+        if let Some(d) = self.diag.as_deref_mut() {
+            if let Some(trace) = &mut d.trace {
                 trace.push_back(ip);
-                if trace.len() > self.trace_cap {
+                if trace.len() > d.trace_cap {
                     trace.pop_front();
                 }
             }
@@ -1116,7 +1087,7 @@ impl Machine {
         // Predicated-off instructions are squashed; on the 6-wide machine
         // their slot is effectively free (see CostModel::pred_off).
         if !self.cpu.pr(insn.qp) {
-            self.retire_fast::<HOT>(ip, insn.prov, self.cost.pred_off);
+            self.retire(ip, insn.prov, self.cost.pred_off);
             self.cpu.ip = ip + 1;
             return StepOut::Continue;
         }
@@ -1129,7 +1100,7 @@ impl Machine {
 
         macro_rules! fault {
             ($f:expr) => {{
-                self.retire_fast::<HOT>(ip, insn.prov, cycles);
+                self.retire(ip, insn.prov, cycles);
                 return StepOut::Exit(Exit::Fault($f));
             }};
         }
@@ -1138,7 +1109,7 @@ impl Machine {
         // provenance chain for the report before the fault fires.
         macro_rules! nat_fault {
             ($reg:expr, $kind:expr, $desc:expr) => {{
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_nat_fault($reg, $desc, ip);
                 }
                 fault!(Fault::NatConsumption { kind: $kind, ip });
@@ -1156,7 +1127,7 @@ impl Machine {
                 let self_cancel = src1 == src2 && matches!(op, AluOp::Xor | AluOp::Sub);
                 let nat = if self_cancel { false } else { a.nat || b.nat };
                 self.cpu.set_gpr(dst, RegVal { value: v, nat });
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_alu2(dst, nat, (src1, a.nat), (src2, b.nat));
                 }
             }
@@ -1164,20 +1135,20 @@ impl Machine {
                 let a = self.cpu.gpr(src1);
                 let v = alu(op, a.value, imm as u64);
                 self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_alu1(dst, a.nat, src1);
                 }
             }
             Op::MovI { dst, imm } => {
                 self.cpu.set_gpr_val(dst, imm as u64);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_movi(dst);
                 }
             }
             Op::Mov { dst, src } => {
                 let v = self.cpu.gpr(src);
                 self.cpu.set_gpr(dst, v);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_mov(dst, src);
                 }
             }
@@ -1185,7 +1156,7 @@ impl Machine {
                 let a = self.cpu.gpr(src);
                 let v = extend(kind, size, a.value);
                 self.cpu.set_gpr(dst, RegVal { value: v, nat: a.nat });
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_alu1(dst, a.nat, src);
                 }
             }
@@ -1193,14 +1164,14 @@ impl Machine {
                 let a = self.cpu.gpr(src1);
                 let b = self.cpu.gpr(src2);
                 self.do_cmp(rel, pt, pf, a, b, nat_aware);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_cmp();
                 }
             }
             Op::CmpI { rel, pt, pf, src1, imm, nat_aware } => {
                 let a = self.cpu.gpr(src1);
                 self.do_cmp(rel, pt, pf, a, RegVal::of(imm as u64), nat_aware);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_cmp();
                 }
             }
@@ -1212,7 +1183,7 @@ impl Machine {
                         // directly (no translation attempted).
                         self.stats.deferred_loads += 1;
                         self.cpu.set_gpr(dst, RegVal::NAT);
-                        if let Some(o) = self.obs_if::<HOT>() {
+                        if let Some(o) = self.taint_observer_mut() {
                             if insn.prov == Provenance::Original {
                                 o.on_load_deferred(dst);
                             }
@@ -1229,7 +1200,7 @@ impl Machine {
                             if insn.prov == Provenance::Original {
                                 self.stats.loads += 1;
                             }
-                            if let Some(o) = self.obs_if::<HOT>() {
+                            if let Some(o) = self.taint_observer_mut() {
                                 // Only data accesses feed the taint trace:
                                 // tag-bitmap reads and relax reloads are
                                 // instrumentation plumbing.
@@ -1248,7 +1219,7 @@ impl Machine {
                             cycles += self.cache.mem_latency;
                             self.stats.deferred_loads += 1;
                             self.cpu.set_gpr(dst, RegVal::NAT);
-                            if let Some(o) = self.obs_if::<HOT>() {
+                            if let Some(o) = self.taint_observer_mut() {
                                 if insn.prov == Provenance::Original {
                                     o.on_load_deferred(dst);
                                 }
@@ -1273,7 +1244,7 @@ impl Machine {
                         if insn.prov == Provenance::Original {
                             self.stats.stores += 1;
                         }
-                        if let Some(o) = self.obs_if::<HOT>() {
+                        if let Some(o) = self.taint_observer_mut() {
                             // Tag-bitmap stores must not consume the Tnat
                             // staged for the data store that follows them.
                             if insn.prov == Provenance::Original {
@@ -1300,7 +1271,7 @@ impl Machine {
                         if insn.prov == Provenance::Original {
                             self.stats.stores += 1;
                         }
-                        if let Some(o) = self.obs_if::<HOT>() {
+                        if let Some(o) = self.taint_observer_mut() {
                             if insn.prov == Provenance::Original {
                                 o.on_spill(src, a.value, v.nat, ip);
                             }
@@ -1322,7 +1293,7 @@ impl Machine {
                         if insn.prov == Provenance::Original {
                             self.stats.loads += 1;
                         }
-                        if let Some(o) = self.obs_if::<HOT>() {
+                        if let Some(o) = self.taint_observer_mut() {
                             if insn.prov == Provenance::Original {
                                 o.on_load(dst, a.value, 8, ip);
                             }
@@ -1336,7 +1307,7 @@ impl Machine {
                     cycles = self.cost.chk_set;
                     self.stats.chk_taken += 1;
                     next_ip = target;
-                    if let Some(o) = self.obs_if::<HOT>() {
+                    if let Some(o) = self.taint_observer_mut() {
                         o.on_chk_taken(src);
                     }
                 }
@@ -1349,14 +1320,14 @@ impl Machine {
                 cycles = self.cost.branch_taken;
                 self.cpu.set_br(link, (ip + 1) as u64);
                 next_ip = target;
-                if let Some(p) = self.profiler_if::<HOT>() {
+                if let Some(p) = self.profiler_mut() {
                     p.on_call(target, ip + 1);
                 }
             }
             Op::JmpBr { br } => {
                 cycles = self.cost.branch_taken;
                 next_ip = self.cpu.br(br) as usize;
-                if let Some(p) = self.profiler_if::<HOT>() {
+                if let Some(p) = self.profiler_mut() {
                     p.on_branch(next_ip);
                 }
             }
@@ -1375,7 +1346,7 @@ impl Machine {
                 let nat = self.cpu.gpr(src).nat;
                 self.cpu.set_pr(pt, nat);
                 self.cpu.set_pr(pf, !nat);
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_tnat(src, nat);
                 }
             }
@@ -1386,13 +1357,13 @@ impl Machine {
             Op::Tclr { dst } => {
                 let v = self.cpu.gpr(dst);
                 self.cpu.set_gpr(dst, RegVal::of(v.value));
-                if let Some(o) = self.obs_if::<HOT>() {
+                if let Some(o) = self.taint_observer_mut() {
                     o.on_tclr(dst, insn.prov == Provenance::Relax);
                 }
             }
             Op::Syscall { num } => {
                 self.stats.syscalls += 1;
-                self.retire_fast::<HOT>(ip, insn.prov, cycles);
+                self.retire(ip, insn.prov, cycles);
                 self.cpu.ip = next_ip;
                 return match os.syscall(self, num) {
                     SysResult::Continue => StepOut::Recheck,
@@ -1401,12 +1372,12 @@ impl Machine {
             }
             Op::Nop => {}
             Op::Halt => {
-                self.retire_fast::<HOT>(ip, insn.prov, cycles);
+                self.retire(ip, insn.prov, cycles);
                 return StepOut::Exit(Exit::Halted(self.cpu.gpr(shift_isa::Gpr::RET).value as i64));
             }
         }
 
-        self.retire_fast::<HOT>(ip, insn.prov, cycles);
+        self.retire(ip, insn.prov, cycles);
         self.cpu.ip = next_ip;
         StepOut::Continue
     }
@@ -1856,6 +1827,15 @@ mod tests {
         assert!(listing.contains("movl r3"));
         assert!(listing.contains("halt"));
         assert!(!listing.contains("movl r1"), "old entries evicted");
+
+        // A depth beyond any run's length allocates nothing up front and
+        // keeps every address (`usize::MAX + 1` slots would not even exist).
+        for depth in [1_000_000_000_000, usize::MAX] {
+            let mut m = Machine::new(&image);
+            m.enable_trace(depth);
+            assert_eq!(m.run(&mut NullOs, 100), Exit::Halted(0));
+            assert_eq!(m.trace(), vec![0, 1, 2, 3]);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use shift_isa::{AluOp, CmpRel, ExtKind, Gpr, Insn, MemSize, Op, Pr, Provenance};
-use shift_machine::{layout, Exit, Fault, Image, Injection, MachineSeed, NullOs};
+use shift_machine::{layout, Exit, Fault, FuncSpan, Image, Injection, MachineSeed, NullOs};
 
 /// Retired-instruction budget for every differential run: generated
 /// programs may loop forever, and `Exit::InsnLimit` must also match.
@@ -363,7 +363,10 @@ fn merge_strategy() -> BoxedStrategy<Step> {
 }
 
 /// Runs `image` through both dispatch tiers and asserts bit-identity of
-/// everything observable.
+/// everything observable. Two more `run` arms pin the tier gate: with every
+/// per-instruction diagnostic armed, execution must never enter a
+/// superblock; with only the flight recorder armed, it must dispatch
+/// exactly as the unarmed run does.
 fn assert_tiers_agree(image: &Image, injections: &[(u64, Injection)]) -> Result<(), TestCaseError> {
     let seed = MachineSeed::new(image);
     let mut sb = seed.spawn_injected(injections);
@@ -376,6 +379,39 @@ fn assert_tiers_agree(image: &Image, injections: &[(u64, Injection)]) -> Result<
     prop_assert_eq!(sb.cpu.ip, pi.cpu.ip, "dispatch tiers diverged in final ip");
     prop_assert_eq!(sb.state_digest(), pi.state_digest(), "dispatch tiers diverged in guest state");
     prop_assert_eq!(&sb.stats, &pi.stats, "dispatch tiers diverged in modelled accounting");
+
+    let mut diag = seed.spawn_injected(injections);
+    diag.enable_trace(16);
+    diag.enable_taint_observer();
+    diag.enable_profiler(vec![FuncSpan { name: "main".into(), start: 0, end: image.code.len() }]);
+    let exit_diag = diag.run(&mut NullOs, BUDGET);
+    prop_assert_eq!(&exit_sb, &exit_diag, "armed diagnostics changed the exit");
+    prop_assert_eq!(sb.cpu.ip, diag.cpu.ip, "armed diagnostics changed the final ip");
+    prop_assert_eq!(
+        sb.state_digest(),
+        diag.state_digest(),
+        "armed diagnostics changed guest state"
+    );
+    prop_assert_eq!(&sb.stats, &diag.stats, "armed diagnostics changed modelled accounting");
+    prop_assert_eq!(diag.superblock_stats().hits, 0, "armed diagnostics entered a superblock");
+
+    let mut flight = seed.spawn_injected(injections);
+    flight.enable_flight_recorder(64, 0);
+    let exit_flight = flight.run(&mut NullOs, BUDGET);
+    prop_assert_eq!(&exit_sb, &exit_flight, "the flight recorder changed the exit");
+    prop_assert_eq!(sb.cpu.ip, flight.cpu.ip, "the flight recorder changed the final ip");
+    prop_assert_eq!(
+        sb.state_digest(),
+        flight.state_digest(),
+        "the flight recorder changed guest state"
+    );
+    prop_assert_eq!(&sb.stats, &flight.stats, "the flight recorder changed modelled accounting");
+    let (armed, unarmed) = (flight.superblock_stats(), sb.superblock_stats());
+    prop_assert_eq!(
+        (armed.hits, armed.misses),
+        (unarmed.hits, unarmed.misses),
+        "the flight recorder changed dispatch"
+    );
     Ok(())
 }
 
