@@ -104,6 +104,7 @@
 
 use std::process::ExitCode as ProcessExit;
 
+use shift_core::replay::mode_from_key;
 use shift_core::{CompileError, Exit, Granularity, Mode, Shift, ShiftOptions};
 use shift_workloads::{run_spec, Scale};
 
@@ -215,19 +216,6 @@ fn compile_failed(e: &CompileError) -> ExitCode {
     ExitCode::Compile
 }
 
-fn parse_mode(name: &str) -> Option<Mode> {
-    Some(match name {
-        "plain" | "uninstrumented" => Mode::Uninstrumented,
-        "byte" => Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
-        "word" => Mode::Shift(ShiftOptions::baseline(Granularity::Word)),
-        "byte-enhanced" => Mode::Shift(ShiftOptions::enhanced(Granularity::Byte)),
-        "word-enhanced" => Mode::Shift(ShiftOptions::enhanced(Granularity::Word)),
-        "shadow-byte" => Mode::Shadow(Granularity::Byte),
-        "shadow-word" => Mode::Shadow(Granularity::Word),
-        _ => return None,
-    })
-}
-
 /// Pulls `--mode <m>` out of the argument list (default: byte-level SHIFT).
 fn take_mode(args: &mut Vec<String>) -> Result<Mode, String> {
     if let Some(i) = args.iter().position(|a| a == "--mode") {
@@ -236,7 +224,7 @@ fn take_mode(args: &mut Vec<String>) -> Result<Mode, String> {
         }
         let name = args.remove(i + 1);
         args.remove(i);
-        parse_mode(&name).ok_or_else(|| format!("unknown mode `{name}` (try `shift modes`)"))
+        mode_from_key(&name).ok_or_else(|| format!("unknown mode `{name}` (try `shift modes`)"))
     } else {
         Ok(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)))
     }
@@ -671,7 +659,7 @@ struct ServeRun {
 /// assembled *after* the run from its inputs and report, so the serving
 /// path is identical with and without them.
 fn serve_run(mode: Mode, opts: &ServeOpts) -> ServeRun {
-    use shift_core::{Injection, ReplayLog};
+    use shift_core::ReplayLog;
     use shift_obs::Json;
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     use shift_workloads::chaos;
@@ -690,11 +678,11 @@ fn serve_run(mode: Mode, opts: &ServeOpts) -> ServeRun {
     }
     let conns = fleet_connections(stream, opts.connections, opts.requests);
     let seed = opts.seed.unwrap_or_else(chaos::master_seed);
-    let faults: Vec<Vec<(u64, Injection)>> = if opts.inject {
-        let mut rng = chaos::Rng::new(chaos::derive(seed, "serve-inject"));
-        (0..conns.len())
-            .map(|_| (0..rng.below(3)).map(|_| chaos::random_fleet_injection(&mut rng)).collect())
-            .collect()
+    let faults = if opts.inject {
+        chaos::random_fault_plan(
+            &mut chaos::Rng::new(chaos::derive(seed, "serve-inject")),
+            conns.len(),
+        )
     } else {
         Vec::new()
     };
@@ -1104,11 +1092,11 @@ fn cmd_replay(
             return ExitCode::Usage;
         }
     };
-    let Some(program) = shift_workloads::chaos::chaos_program(&log.program) else {
+    let Some(guest) = shift_workloads::chaos::guest(&log.program) else {
         eprintln!("replay log names unknown program `{}`", log.program);
         return ExitCode::Usage;
     };
-    let fleet = match log.build_fleet(&program) {
+    let fleet = match log.build_fleet(&(guest.program)()) {
         Ok(f) => f,
         Err(e) => {
             // A digest mismatch means the rebuilt image differs from the
@@ -1526,9 +1514,9 @@ mod tests {
             "shadow-byte",
             "shadow-word",
         ] {
-            assert!(parse_mode(name).is_some(), "{name}");
+            assert!(mode_from_key(name).is_some(), "{name}");
         }
-        assert!(parse_mode("turbo").is_none());
+        assert!(mode_from_key("turbo").is_none());
     }
 
     #[test]

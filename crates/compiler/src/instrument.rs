@@ -32,19 +32,19 @@ use shift_tagmap::{Granularity, REGION_STRIDE_BITS};
 use crate::vcode::{CInsn, COp};
 
 /// Scratch register 0: tag byte address.
-const T0: Gpr = Gpr::R28;
+pub(crate) const T0: Gpr = Gpr::R28;
 /// Scratch register 1: offset / bit index / tag byte (reused).
-const T1: Gpr = Gpr::R29;
+pub(crate) const T1: Gpr = Gpr::R29;
 /// Scratch register 2: masks and tag values.
-const T2: Gpr = Gpr::R30;
+pub(crate) const T2: Gpr = Gpr::R30;
 /// The kept NaT-source register (baseline mode only, §4.1: generating a NaT
 /// bit once and keeping it beats per-use generation by 3×).
 pub const NAT_SRC: Gpr = Gpr::R31;
 
 /// Instrumentation predicate: "tainted" (first operand).
-const PT: Pr = Pr::P6;
+pub(crate) const PT: Pr = Pr::P6;
 /// Instrumentation predicate: complement / second operand.
-const PF: Pr = Pr::P7;
+pub(crate) const PF: Pr = Pr::P7;
 
 /// How the baseline (no `tset`) configuration obtains its NaT-source
 /// register. The paper found that generating it per function costs 3× more
@@ -280,13 +280,16 @@ pub fn instrument(code: &[CInsn<Gpr>], opts: &ShiftOptions) -> (Vec<CInsn<Gpr>>,
     (out, stats)
 }
 
-fn isa(op: Op<Gpr>, prov: Provenance) -> CInsn<Gpr> {
+pub(crate) fn isa(op: Op<Gpr>, prov: Provenance) -> CInsn<Gpr> {
     CInsn::isa(op).with_prov(prov)
 }
 
 /// Emits the Figure-4 tag-address computation: `T0` ← tag byte address, and
 /// (when `need_bit`) `T1` ← bit index within the tag byte (byte level only).
-fn tag_addr(
+/// The software-only pass ([`crate::shadow`]) emits the same sequence, so
+/// the NaT-vs-shadow ablation compares passes that compute tag addresses
+/// identically.
+pub(crate) fn tag_addr(
     out: &mut Vec<CInsn<Gpr>>,
     gran: Granularity,
     addr: Gpr,
@@ -514,15 +517,15 @@ fn maybe_regen(out: &mut Vec<CInsn<Gpr>>, opts: &ShiftOptions) {
     }
 }
 
-fn ld1(dst: Gpr, addr: Gpr) -> Op<Gpr> {
+pub(crate) fn ld1(dst: Gpr, addr: Gpr) -> Op<Gpr> {
     Op::Ld { size: MemSize::B1, ext: ExtKind::Zero, dst, addr, spec: false }
 }
 
-fn st1(src: Gpr, addr: Gpr) -> Op<Gpr> {
+pub(crate) fn st1(src: Gpr, addr: Gpr) -> Op<Gpr> {
     Op::St { size: MemSize::B1, src, addr }
 }
 
-fn cmpi_ne(src: Gpr, imm: i64) -> Op<Gpr> {
+pub(crate) fn cmpi_ne(src: Gpr, imm: i64) -> Op<Gpr> {
     Op::CmpI { rel: CmpRel::Ne, pt: PT, pf: PF, src1: src, imm, nat_aware: false }
 }
 

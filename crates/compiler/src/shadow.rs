@@ -23,24 +23,14 @@
 //! systems ("from 4.6X to 37X", §1) and dwarfs SHIFT's, which is the
 //! paper's argument in one number.
 
-use shift_isa::{sys, AluOp, CmpRel, ExtKind, Gpr, MemSize, Op, Pr, Provenance};
+use shift_isa::{sys, AluOp, Gpr, MemSize, Op, Provenance};
 use shift_tagmap::Granularity;
 
+use crate::instrument::{cmpi_ne, isa, ld1, st1, tag_addr, PF, PT, T0, T1, T2};
 use crate::vcode::{CInsn, COp, Label};
 
-/// Scratch registers (same reservation as the SHIFT pass).
-const T0: Gpr = Gpr::R28;
-const T1: Gpr = Gpr::R29;
-const T2: Gpr = Gpr::R30;
 /// The register-taint bitmask: bit *i* = register *i* is tainted.
 pub const TAINT_MASK: Gpr = Gpr::R31;
-
-const PT: Pr = Pr::P6;
-const PF: Pr = Pr::P7;
-
-fn isa(op: Op<Gpr>, prov: Provenance) -> CInsn<Gpr> {
-    CInsn::isa(op).with_prov(prov)
-}
 
 /// Emits `T0 = taint bit of r` (0 or 1).
 fn extract_bit(out: &mut Vec<CInsn<Gpr>>, r: Gpr, dst: Gpr, prov: Provenance) {
@@ -66,43 +56,11 @@ fn clear_bit(out: &mut Vec<CInsn<Gpr>>, dst_reg: Gpr, prov: Provenance) {
     out.push(isa(Op::Alu { op: AluOp::And, dst: TAINT_MASK, src1: TAINT_MASK, src2: T1 }, prov));
 }
 
-/// Tag-address computation shared with the SHIFT pass (Figure 4): `T0` ←
-/// tag byte address, optionally `T1` ← bit index.
-fn tag_addr(
-    out: &mut Vec<CInsn<Gpr>>,
-    gran: Granularity,
-    addr: Gpr,
-    need_bit: bool,
-    prov: Provenance,
-) {
-    out.push(isa(Op::AluI { op: AluOp::Shr, dst: T0, src1: addr, imm: 61 }, prov));
-    out.push(isa(Op::AluI { op: AluOp::Add, dst: T0, src1: T0, imm: -1 }, prov));
-    out.push(isa(
-        Op::AluI {
-            op: AluOp::Shl,
-            dst: T0,
-            src1: T0,
-            imm: shift_tagmap::REGION_STRIDE_BITS as i64,
-        },
-        prov,
-    ));
-    out.push(isa(Op::MovI { dst: T1, imm: shift_isa::IMPL_MASK as i64 }, prov));
-    out.push(isa(Op::Alu { op: AluOp::And, dst: T1, src1: addr, src2: T1 }, prov));
-    out.push(isa(Op::AluI { op: AluOp::Shr, dst: T2, src1: T1, imm: 3 }, prov));
-    out.push(isa(Op::Alu { op: AluOp::Or, dst: T0, src1: T0, src2: T2 }, prov));
-    if need_bit && gran.needs_bit_extraction() {
-        out.push(isa(Op::AluI { op: AluOp::And, dst: T1, src1: T1, imm: 7 }, prov));
-    }
-}
-
 /// Emits the L1/L2-equivalent software check: if `addr`'s taint bit is set,
 /// jump to the alert stub. (The hardware gives SHIFT this for free.)
 fn check_addr(out: &mut Vec<CInsn<Gpr>>, addr: Gpr, alert: Label) {
     extract_bit(out, addr, T0, Provenance::Check);
-    out.push(isa(
-        Op::CmpI { rel: CmpRel::Ne, pt: PT, pf: PF, src1: T0, imm: 0, nat_aware: false },
-        Provenance::Check,
-    ));
+    out.push(isa(cmpi_ne(T0, 0), Provenance::Check));
     out.push(CInsn::new(COp::Jmp(alert)).under(PT).with_prov(Provenance::Check));
 }
 
@@ -196,17 +154,7 @@ pub fn instrument_shadow(code: &[CInsn<Gpr>], gran: Granularity) -> Vec<CInsn<Gp
             // chk.s guards become software bit tests.
             COp::ChkS(r, target) => {
                 extract_bit(&mut out, *r, T0, Provenance::Check);
-                out.push(isa(
-                    Op::CmpI {
-                        rel: CmpRel::Ne,
-                        pt: PT,
-                        pf: PF,
-                        src1: T0,
-                        imm: 0,
-                        nat_aware: false,
-                    },
-                    Provenance::Check,
-                ));
+                out.push(isa(cmpi_ne(T0, 0), Provenance::Check));
                 out.push(CInsn::new(COp::Jmp(*target)).under(PT).with_prov(Provenance::Check));
             }
             _ => out.push(insn.clone()),
@@ -242,10 +190,7 @@ fn emit_load_tag(out: &mut Vec<CInsn<Gpr>>, gran: Granularity, size: MemSize, ad
         out.push(isa(ld1(T2, T0), Provenance::LdTagMemory));
     }
     // Normalize to 0/1.
-    out.push(isa(
-        Op::CmpI { rel: CmpRel::Ne, pt: PT, pf: PF, src1: T2, imm: 0, nat_aware: false },
-        Provenance::LdTagCompute,
-    ));
+    out.push(isa(cmpi_ne(T2, 0), Provenance::LdTagCompute));
     out.push(isa(Op::MovI { dst: T2, imm: 1 }, Provenance::LdTagCompute).under(PT));
     out.push(isa(Op::MovI { dst: T2, imm: 0 }, Provenance::LdTagCompute).under(PF));
 }
@@ -263,10 +208,7 @@ fn emit_store_tag(
     tag_addr(out, gran, addr, sub_word, Provenance::StTagCompute);
     // PT = src tainted?
     extract_bit(out, src, T2, Provenance::StTagCompute);
-    out.push(isa(
-        Op::CmpI { rel: CmpRel::Ne, pt: PT, pf: PF, src1: T2, imm: 0, nat_aware: false },
-        Provenance::StTagCompute,
-    ));
+    out.push(isa(cmpi_ne(T2, 0), Provenance::StTagCompute));
     if sub_word {
         out.push(isa(
             Op::MovI { dst: T2, imm: (1i64 << size.bytes()) - 1 },
@@ -297,17 +239,10 @@ fn emit_store_tag(
     }
 }
 
-fn ld1(dst: Gpr, addr: Gpr) -> Op<Gpr> {
-    Op::Ld { size: MemSize::B1, ext: ExtKind::Zero, dst, addr, spec: false }
-}
-
-fn st1(src: Gpr, addr: Gpr) -> Op<Gpr> {
-    Op::St { size: MemSize::B1, src, addr }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shift_isa::ExtKind;
 
     #[test]
     fn alu_propagation_costs_several_instructions() {

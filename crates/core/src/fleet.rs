@@ -17,8 +17,8 @@
 //! what order, or how many host threads exist. The fleet aggregate merges
 //! per-connection results in connection order with exact integer sums
 //! ([`shift_machine::Stats::merge`], [`Registry::merge`]), so the merged
-//! numbers are bit-identical for any worker count, and equal to a
-//! sequential loop over [`Shift::serve_image`].
+//! numbers are bit-identical for any worker count, and equal to one
+//! [`Shift::serve_image`] call per connection, in order.
 //!
 //! What *does* depend on the worker count `W` is the modelled fleet
 //! makespan: the fleet models `W` instances running concurrently, with
@@ -312,7 +312,7 @@ impl Fleet {
         width: usize,
     ) -> ConnectionReport {
         let world = requests.iter().fold(base.clone(), |w, msg| w.net(msg.clone()));
-        let report = self.shift.serve_image_injected(&self.image, world, injections);
+        let report = self.shift.serve_image(&self.image, world, injections);
         self.connection_report(report, c, width)
     }
 

@@ -339,8 +339,7 @@ impl Shift {
     ///
     /// [`CompileError`] on invalid IR or unresolved symbols.
     pub fn serve(&self, app: &Program, world: World) -> Result<ServeReport, CompileError> {
-        let compiled = self.compile(app)?;
-        Ok(self.serve_compiled(&compiled, world))
+        Ok(self.serve_image(&self.image(app)?, world, &[]))
     }
 
     /// Compiles (with libc) and prepares a [`ProgramImage`]: the
@@ -355,29 +354,16 @@ impl Shift {
         Ok(ProgramImage::new(&self.compile(app)?))
     }
 
-    /// Serves an already-compiled program resiliently (see [`Shift::serve`])
-    /// by preparing a [`ProgramImage`] for this call. Callers serving the
-    /// same program repeatedly should prepare the image once with
-    /// [`Shift::image`] and use [`Shift::serve_image`].
-    pub fn serve_compiled(&self, compiled: &CompiledProgram, world: World) -> ServeReport {
-        self.serve_image(&ProgramImage::new(compiled), world)
-    }
-
-    /// Serves `world`'s request stream on a fresh instance spawned from a
-    /// prebuilt [`ProgramImage`], leaving the image pristine for the next
-    /// spawn.
-    pub fn serve_image(&self, image: &ProgramImage, world: World) -> ServeReport {
-        self.serve_image_injected(image, world, &[])
-    }
-
-    /// [`Shift::serve_image`] with a fault-injection schedule pre-armed on
-    /// the spawned instance: each `(countdown, injection)` pair fires after
-    /// that many retired instructions ([`shift_machine::Machine::inject_after`]).
-    /// The schedule is part of the run's deterministic identity — the chaos
-    /// harness perturbs fleet instances through this path, and the replay
-    /// log re-arms the recorded schedule to reproduce the perturbed run
-    /// bit-identically.
-    pub fn serve_image_injected(
+    /// Serves `world`'s request stream resiliently (see [`Shift::serve`]) on
+    /// a fresh instance spawned from a prebuilt [`ProgramImage`], leaving
+    /// the image pristine for the next spawn. `injections` is a
+    /// fault-injection schedule pre-armed on the instance: each
+    /// `(countdown, injection)` pair fires after that many retired
+    /// instructions ([`shift_machine::Machine::inject_after`]). The schedule
+    /// is part of the run's deterministic identity — the chaos harness
+    /// perturbs fleet instances through it, and the replay log re-arms the
+    /// recorded schedule to reproduce the perturbed run bit-identically.
+    pub fn serve_image(
         &self,
         image: &ProgramImage,
         world: World,
@@ -387,7 +373,7 @@ impl Shift {
     }
 
     /// Opens a [`ServeSession`] on an instance spawned from `image` — the
-    /// resumable form of [`Shift::serve_image_injected`]. With
+    /// resumable form of [`Shift::serve_image`]. With
     /// `yield_on_io = true` the session parks at every I/O point (see
     /// [`ServeSession::advance`]); with `false` it behaves exactly like the
     /// one-shot serve path.

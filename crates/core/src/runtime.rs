@@ -153,8 +153,6 @@ pub struct Runtime {
     pub shell_log: Vec<Vec<u8>>,
     /// Successfully opened paths (diagnostics for attack assertions).
     pub opened_paths: Vec<String>,
-    /// The first policy violation, if any.
-    pub violation: Option<Violation>,
     /// Every violation observed, in order — the shared log the user-level
     /// handler appends to regardless of the configured [`ViolationAction`].
     pub violations: Vec<Violation>,
@@ -225,7 +223,6 @@ impl Runtime {
             sql_log: Vec::new(),
             shell_log: Vec::new(),
             opened_paths: Vec::new(),
-            violation: None,
             violations: Vec::new(),
             transactional: false,
             checkpoint: None,
@@ -502,22 +499,15 @@ impl Runtime {
             ip: m.cpu.ip,
             provenance: chain,
         };
-        self.record(v.clone());
+        self.violations.push(v.clone());
         self.dispose(m, self.cfg.action_for(policy), v)
-    }
-
-    fn record(&mut self, v: Violation) {
-        if self.violation.is_none() {
-            self.violation = Some(v.clone());
-        }
-        self.violations.push(v);
     }
 
     /// Appends to the shared violation log. The session loop uses this for
     /// detections the runtime never sees as syscalls — NaT-consumption
     /// faults raised by the machine itself.
     pub fn record_violation(&mut self, v: Violation) {
-        self.record(v);
+        self.violations.push(v);
     }
 
     /// Applies the configured user-level response to a recorded violation.
@@ -916,7 +906,7 @@ impl Runtime {
                     ip: m.cpu.ip,
                     provenance,
                 };
-                self.record(v.clone());
+                self.violations.push(v.clone());
                 // The guard alarm has no `Policy` value: the default action
                 // governs it.
                 Ok(self.dispose(m, self.cfg.default_action(), v))

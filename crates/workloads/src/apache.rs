@@ -12,10 +12,7 @@
 use shift_ir::{Program, ProgramBuilder, Rhs};
 use shift_isa::{sys, CmpRel};
 
-use shift_core::{
-    Exit, Fleet, FleetReport, IoCostModel, Mode, Shift, Stats, TaintConfig, Violation,
-    ViolationAction, World,
-};
+use shift_core::{Fleet, IoCostModel, Mode, Shift, Stats, TaintConfig, ViolationAction, World};
 
 /// A served file's name in the guest filesystem.
 pub const DOC_PATH: &str = "www/page";
@@ -30,13 +27,13 @@ pub const SECRET_BYTES: &[u8] = b"TOP-SECRET-KEY-MATERIAL";
 
 /// A benign request for the standard document.
 pub fn benign_request() -> Vec<u8> {
-    b"GET /page HTTP/1.0\r\n\r\n".to_vec()
+    get_request(b"page")
 }
 
 /// The qwikiwiki-style traversal exploit aimed at the Apache guest: tainted
 /// `..` path components reaching `file_open` trip policy H2.
 pub fn exploit_request() -> Vec<u8> {
-    b"GET /../../secret HTTP/1.0\r\n\r\n".to_vec()
+    get_request(b"../../secret")
 }
 
 /// Builds the server guest program.
@@ -172,112 +169,15 @@ impl ApacheRun {
 /// Runs the server under `mode`, serving `requests` requests for a file of
 /// `file_size` bytes (the paper's 4/8/16/512 KiB sweep).
 pub fn run_apache(mode: Mode, file_size: usize, requests: usize) -> ApacheRun {
-    let program = apache_program();
-    let shift = Shift::new(mode)
-        .with_config(TaintConfig::default_secure())
-        .with_io(IoCostModel::SERVER)
-        .with_insn_limit(4_000_000_000);
-
-    let mut world = World::new().file(DOC_PATH, super::spec::prng_bytes(77, file_size));
-    for _ in 0..requests {
-        world = world.net(b"GET /page HTTP/1.0\r\n\r\n".to_vec());
-    }
-    let report = shift.run(&program, world).expect("apache guest compiles");
+    let shift = Shift::new(mode).with_io(IoCostModel::SERVER).with_insn_limit(4_000_000_000);
+    let world = (0..requests)
+        .fold(fleet_world(ApacheStream::Uniform(file_size)), |w, _| w.net(benign_request()));
+    let report = shift.run(&apache_program(), world).expect("apache guest compiles");
     let served = match report.exit {
         shift_core::Exit::Halted(v) => v,
         other => panic!("apache run ended badly: {other}"),
     };
     ApacheRun { served, stats: report.stats, bytes_out: report.runtime.net_output.len() }
-}
-
-/// Runs the server under `mode` against a mixed request stream: hits on
-/// several files of different sizes interleaved with 404s — a closer match
-/// to production traffic than the single-file Figure-6 sweep.
-pub fn run_apache_mixed(mode: Mode, requests: usize) -> ApacheRun {
-    let program = apache_program();
-    let shift = Shift::new(mode)
-        .with_config(TaintConfig::default_secure())
-        .with_io(IoCostModel::SERVER)
-        .with_insn_limit(4_000_000_000);
-
-    let mut world = World::new()
-        .file("www/index", super::spec::prng_bytes(11, 2048))
-        .file("www/logo", super::spec::prng_bytes(12, 8192))
-        .file("www/data", super::spec::prng_bytes(13, 32768));
-    let paths: [&[u8]; 4] = [b"index", b"logo", b"data", b"missing"];
-    for i in 0..requests {
-        let mut req = b"GET /".to_vec();
-        req.extend_from_slice(paths[i % paths.len()]);
-        req.extend_from_slice(b" HTTP/1.0\r\n\r\n");
-        world = world.net(req);
-    }
-    let report = shift.run(&program, world).expect("apache guest compiles");
-    let served = match report.exit {
-        shift_core::Exit::Halted(v) => v,
-        other => panic!("apache run ended badly: {other}"),
-    };
-    ApacheRun { served, stats: report.stats, bytes_out: report.runtime.net_output.len() }
-}
-
-/// Result of a resilient (per-request isolated) Apache run: the
-/// graceful-degradation counters the recovery layer exports.
-#[derive(Clone, Debug)]
-pub struct ResilientApacheRun {
-    /// How the session finally ended.
-    pub exit: Exit,
-    /// Requests completed without a rollback.
-    pub served: u64,
-    /// Requests detected or faulted, rolled back, with service continuing.
-    pub recovered: u64,
-    /// Requests lost outright.
-    pub dropped: u64,
-    /// Cycles thrown away rewinding aborted requests.
-    pub recovery_cycles: u64,
-    /// Every violation recorded across the session.
-    pub violations: Vec<Violation>,
-    /// Full accounting.
-    pub stats: Stats,
-    /// Everything that went out on the simulated socket.
-    pub net_output: Vec<u8>,
-}
-
-/// Runs the server under per-request isolation: every request is a
-/// transaction (machine snapshot + runtime checkpoint at `net_read`),
-/// detections and faults roll the offending request back
-/// (`AbortTransaction` for every policy), and a watchdog bounds each
-/// request's instruction budget. The world contains [`DOC_PATH`]
-/// (`file_size` bytes) and the out-of-docroot [`SECRET_PATH`].
-pub fn run_apache_resilient(
-    mode: Mode,
-    file_size: usize,
-    requests: &[Vec<u8>],
-) -> ResilientApacheRun {
-    let program = apache_program();
-    let mut cfg = TaintConfig::default_secure();
-    cfg.set_default_action(ViolationAction::AbortTransaction);
-    let shift = Shift::new(mode)
-        .with_config(cfg)
-        .with_io(IoCostModel::SERVER)
-        .with_insn_limit(4_000_000_000)
-        .with_fuel(20_000_000);
-
-    let mut world = World::new()
-        .file(DOC_PATH, super::spec::prng_bytes(77, file_size))
-        .file(SECRET_PATH, SECRET_BYTES.to_vec());
-    for r in requests {
-        world = world.net(r.clone());
-    }
-    let report = shift.serve(&program, world).expect("apache guest compiles");
-    ResilientApacheRun {
-        exit: report.exit,
-        served: report.served,
-        recovered: report.recovered,
-        dropped: report.dropped,
-        recovery_cycles: report.recovery_cycles,
-        violations: report.violations,
-        stats: report.stats,
-        net_output: report.runtime.net_output.clone(),
-    }
 }
 
 // ---- fleet serving ---------------------------------------------------------
@@ -288,10 +188,11 @@ pub enum ApacheStream {
     /// Every request fetches [`DOC_PATH`] at this size in bytes — the
     /// Figure-6 single-file shape, partitioned across connections.
     Uniform(usize),
-    /// Hits on three files of different sizes interleaved with 404s, the
-    /// production-traffic mix of [`run_apache_mixed`]. Connections start at
-    /// staggered offsets in the rotation, so a fleet's instances carry
-    /// near-identical load when each connection's length is a multiple of 4.
+    /// Hits on three files of different sizes interleaved with 404s — a
+    /// closer match to production traffic than the single-file Figure-6
+    /// sweep. Connections start at staggered offsets in the rotation, so a
+    /// fleet's instances carry near-identical load when each connection's
+    /// length is a multiple of 4.
     Mixed,
 }
 
@@ -309,6 +210,7 @@ pub fn fleet_world(stream: ApacheStream) -> World {
     }
 }
 
+/// `GET /<name> HTTP/1.0` with its terminating blank line.
 fn get_request(name: &[u8]) -> Vec<u8> {
     let mut req = b"GET /".to_vec();
     req.extend_from_slice(name);
@@ -337,9 +239,13 @@ pub fn fleet_connections(
 }
 
 /// Prepares an Apache fleet under `mode`: one compile + link + load, with
-/// the resilient per-request isolation of [`run_apache_resilient`]
-/// (`AbortTransaction` everywhere, server I/O costs, watchdog fuel) active
-/// on every spawned instance.
+/// per-request isolation active on every spawned instance. Every request
+/// is a transaction (machine snapshot + runtime checkpoint at `net_read`),
+/// detections and faults roll the offending request back
+/// (`AbortTransaction` for every policy), transfers pay server I/O costs,
+/// and watchdog fuel bounds each request's instruction budget. This is the
+/// one definition of the Apache serving session: the chaos registry, the
+/// CLI's `serve` and the benchmarks all serve through it.
 pub fn apache_fleet(mode: Mode) -> Fleet {
     let mut cfg = TaintConfig::default_secure();
     cfg.set_default_action(ViolationAction::AbortTransaction);
@@ -351,26 +257,10 @@ pub fn apache_fleet(mode: Mode) -> Fleet {
     shift.fleet(&apache_program()).expect("apache guest compiles")
 }
 
-/// Compiles once and serves `stream` partitioned into `connections`
-/// connections of `requests_per_conn` requests across a `workers`-wide
-/// fleet. Convenience wrapper over [`apache_fleet`] + [`Fleet::serve`];
-/// sweeps that vary `workers` should build the fleet once themselves.
-pub fn run_apache_fleet(
-    mode: Mode,
-    stream: ApacheStream,
-    connections: usize,
-    requests_per_conn: usize,
-    workers: usize,
-) -> FleetReport {
-    let fleet = apache_fleet(mode);
-    let conns = fleet_connections(stream, connections, requests_per_conn);
-    fleet.serve(&fleet_world(stream), &conns, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shift_core::{Granularity, ShiftOptions};
+    use shift_core::{Exit, Granularity, ServeReport, ShiftOptions};
 
     #[test]
     fn serves_requests_and_streams_bytes() {
@@ -387,7 +277,7 @@ mod tests {
         let shift = Shift::new(Mode::Uninstrumented).with_io(IoCostModel::SERVER);
         let world = World::new().net(b"GET /nope HTTP/1.0\r\n\r\n".to_vec());
         let report = shift.run(&program, world).unwrap();
-        assert_eq!(report.exit, shift_core::Exit::Halted(0));
+        assert_eq!(report.exit, Exit::Halted(0));
         assert!(report.runtime.net_output.starts_with(b"HTTP/1.0 404"));
     }
 
@@ -432,15 +322,33 @@ mod tests {
         assert!(cpu_ratio > 1.5, "CPU work must still differ, got {cpu_ratio:.2}");
     }
 
+    /// Serves `requests` in order on one [`apache_fleet`] instance over
+    /// `world`.
+    fn serve(mode: Mode, world: World, requests: &[Vec<u8>]) -> ServeReport {
+        let fleet = apache_fleet(mode);
+        let world = requests.iter().fold(world, |w, r| w.net(r.clone()));
+        fleet.shift().serve_image(fleet.image(), world, &[])
+    }
+
+    /// The Figure-6 document at `file_size` bytes plus the out-of-docroot
+    /// secret the traversal exploit goes after.
+    fn secret_world(file_size: usize) -> World {
+        fleet_world(ApacheStream::Uniform(file_size)).file(SECRET_PATH, SECRET_BYTES)
+    }
+
     #[test]
     fn mixed_traffic_serves_hits_and_404s() {
         // 8 requests: 6 hits (2 per file) + 2 misses.
-        let run = run_apache_mixed(Mode::Uninstrumented, 8);
-        assert_eq!(run.served, 6);
-        let instrumented =
-            run_apache_mixed(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)), 8);
-        assert_eq!(instrumented.served, 6, "no false positives under mixed traffic");
-        let overhead = instrumented.total_time() as f64 / run.total_time() as f64;
+        let reqs = fleet_connections(ApacheStream::Mixed, 1, 8).remove(0);
+        let run = serve(Mode::Uninstrumented, fleet_world(ApacheStream::Mixed), &reqs);
+        assert_eq!(run.exit, Exit::Halted(6));
+        let instrumented = serve(
+            Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
+            fleet_world(ApacheStream::Mixed),
+            &reqs,
+        );
+        assert_eq!(instrumented.exit, Exit::Halted(6), "no false positives under mixed traffic");
+        let overhead = instrumented.stats.total_time() as f64 / run.stats.total_time() as f64;
         assert!(overhead < 1.15, "mixed traffic still I/O-masked: {overhead:.3}");
     }
 
@@ -455,9 +363,9 @@ mod tests {
         // requests — zero dropped.
         let reqs: Vec<Vec<u8>> =
             (0..9).map(|i| if i % 3 == 2 { exploit_request() } else { benign_request() }).collect();
-        let run = run_apache_resilient(
+        let run = serve(
             Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
-            2048,
+            secret_world(2048),
             &reqs,
         );
         assert_eq!(run.exit, Exit::Halted(6), "{:?}", run.exit);
@@ -467,20 +375,21 @@ mod tests {
         assert_eq!(run.violations.len(), 3);
         assert!(run.violations.iter().all(|v| v.policy == "H2"), "{:?}", run.violations);
         assert!(run.recovery_cycles > 0);
-        assert!(!contains(&run.net_output, SECRET_BYTES), "the secret must never reach the socket");
+        let out = &run.runtime.net_output;
+        assert!(!contains(out, SECRET_BYTES), "the secret must never reach the socket");
         // 6 × (200 header + 2048 body), and nothing from aborted requests.
-        assert!(run.net_output.len() > 6 * 2048);
+        assert!(out.len() > 6 * 2048);
     }
 
     #[test]
     fn unprotected_server_leaks_the_secret() {
         // The same exploit against the uninstrumented server demonstrates
         // the attack is real: the traversal walks out of the docroot.
-        let run = run_apache_resilient(Mode::Uninstrumented, 1024, &[exploit_request()]);
+        let run = serve(Mode::Uninstrumented, secret_world(1024), &[exploit_request()]);
         assert_eq!(run.exit, Exit::Halted(1));
         assert!(run.violations.is_empty(), "nothing to detect without tags");
         assert!(
-            contains(&run.net_output, SECRET_BYTES),
+            contains(&run.runtime.net_output, SECRET_BYTES),
             "unprotected traversal must leak the secret"
         );
     }
@@ -488,9 +397,9 @@ mod tests {
     #[test]
     fn resilient_clean_stream_has_zero_recovery_overhead() {
         let reqs = vec![benign_request(); 4];
-        let run = run_apache_resilient(
+        let run = serve(
             Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
-            4096,
+            secret_world(4096),
             &reqs,
         );
         assert_eq!(run.exit, Exit::Halted(4));

@@ -28,7 +28,7 @@
 //! randomized harness in the repo is reproducible from a single integer.
 
 use shift_core::{
-    Fleet, Injection, IoCostModel, Mode, ReplayLog, Shift, TaintConfig, ViolationAction, World,
+    Fleet, Injection, Mode, Policy, ReplayLog, Runtime, Shift, TaintConfig, ViolationAction, World,
 };
 use shift_ir::{Program, ProgramBuilder, Rhs};
 use shift_isa::{sys, CmpRel, Gpr};
@@ -97,7 +97,7 @@ pub fn derive(master: u64, label: &str) -> u64 {
 /// A multi-request SQL server guest for cheap high-volume chaos trials:
 /// reads requests in a loop and executes each at the SQL sink, counting the
 /// accepted ones. An injected quote in a tainted request must trip H3.
-pub fn chaos_sql_program() -> Program {
+fn chaos_sql_program() -> Program {
     let mut pb = ProgramBuilder::new();
     pb.func("main", 0, |f| {
         let req = f.local(256);
@@ -117,92 +117,73 @@ pub fn chaos_sql_program() -> Program {
     pb.build().expect("chaos guest is well-formed")
 }
 
-/// Resolves a replay log's program name to its guest program — the registry
-/// `shift-cli replay` and the chaos harness share.
-pub fn chaos_program(name: &str) -> Option<Program> {
-    match name {
-        "apache" => Some(apache::apache_program()),
-        "chaos-sql" => Some(chaos_sql_program()),
-        _ => None,
-    }
+/// A registered serving guest: everything the chaos harness, the escape
+/// audit and `shift replay` need to serve it, torture it and judge the
+/// outcome. Look one up by name with [`guest`].
+#[derive(Clone, Copy)]
+pub struct Guest {
+    /// Registry name — what a [`ReplayLog`] records as its `program`.
+    pub name: &'static str,
+    /// Builds the guest program.
+    pub program: fn() -> Program,
+    /// Builds the resilient serving fleet under a mode: default-secure
+    /// policies disposed by `abort-transaction`, so detections roll back
+    /// and service continues — the configuration the accounting invariant
+    /// is stated against.
+    pub fleet: fn(Mode) -> Fleet,
+    /// The base world (files, no network) the fleet serves from.
+    pub world: fn() -> World,
+    /// A benign request: must be served clean under full instrumentation.
+    pub benign: fn() -> Vec<u8>,
+    /// A real exploit — one whose sink effect is observable, so the escape
+    /// audit has ground truth.
+    pub exploit: fn() -> Vec<u8>,
+    /// The policy the exploit trips under byte-level tracking.
+    pub expected: Policy,
+    /// Did the exploit demonstrably reach its sink in this runtime?
+    pub escaped: fn(&Runtime) -> bool,
 }
 
-/// The base world (files, no network) a named guest's fleet serves from.
-///
-/// # Panics
-///
-/// Panics on an unknown program name.
-pub fn chaos_base_world(name: &str) -> World {
-    match name {
-        "apache" => apache::fleet_world(apache::ApacheStream::Mixed)
-            .file(apache::SECRET_PATH, apache::SECRET_BYTES),
-        "chaos-sql" => World::new(),
-        other => panic!("unknown chaos guest `{other}`"),
-    }
-}
+/// Every registered guest: the Apache server (its exploit is the
+/// directory traversal, which leaks the secret onto the socket) and the
+/// SQL server (its exploit is a quote injection into the executed-SQL log).
+pub const GUESTS: [Guest; 2] = [
+    Guest {
+        name: "apache",
+        program: apache::apache_program,
+        fleet: apache::apache_fleet,
+        world: || {
+            apache::fleet_world(apache::ApacheStream::Mixed)
+                .file(apache::SECRET_PATH, apache::SECRET_BYTES)
+        },
+        benign: apache::benign_request,
+        exploit: apache::exploit_request,
+        expected: Policy::H2,
+        escaped: |rt| {
+            rt.net_output.windows(apache::SECRET_BYTES.len()).any(|w| w == apache::SECRET_BYTES)
+        },
+    },
+    Guest {
+        name: "chaos-sql",
+        program: chaos_sql_program,
+        fleet: |mode| {
+            let mut cfg = TaintConfig::default_secure();
+            cfg.set_default_action(ViolationAction::AbortTransaction);
+            let shift = Shift::new(mode).with_config(cfg).with_fuel(2_000_000);
+            shift.fleet(&chaos_sql_program()).expect("chaos guest compiles")
+        },
+        world: World::new,
+        benign: || b"SELECT a FROM t".to_vec(),
+        exploit: || b"x' OR '1'='1".to_vec(),
+        expected: Policy::H3,
+        escaped: |rt| rt.sql_log.iter().any(|q| q.contains(&b'\'')),
+    },
+];
 
-/// A benign request for the named guest.
-///
-/// # Panics
-///
-/// Panics on an unknown program name.
-pub fn chaos_benign_request(name: &str) -> Vec<u8> {
-    match name {
-        "apache" => apache::benign_request(),
-        "chaos-sql" => b"SELECT a FROM t".to_vec(),
-        other => panic!("unknown chaos guest `{other}`"),
-    }
-}
-
-/// A real exploit for the named guest — one whose sink effect is
-/// observable, so the escape audit has ground truth.
-///
-/// # Panics
-///
-/// Panics on an unknown program name.
-pub fn chaos_exploit_request(name: &str) -> Vec<u8> {
-    match name {
-        "apache" => apache::exploit_request(),
-        "chaos-sql" => b"x' OR '1'='1".to_vec(),
-        other => panic!("unknown chaos guest `{other}`"),
-    }
-}
-
-/// Builds the resilient serving fleet for a named guest: default-secure
-/// policies disposed by `abort-transaction`, so detections roll back and
-/// service continues — the configuration the accounting invariant is
-/// stated against.
-///
-/// # Panics
-///
-/// Panics on an unknown program name or a guest that fails to compile.
-pub fn chaos_fleet(name: &str, mode: Mode) -> Fleet {
-    let mut cfg = TaintConfig::default_secure();
-    cfg.set_default_action(ViolationAction::AbortTransaction);
-    let shift = match name {
-        "apache" => Shift::new(mode)
-            .with_config(cfg)
-            .with_io(IoCostModel::SERVER)
-            .with_insn_limit(4_000_000_000)
-            .with_fuel(20_000_000),
-        "chaos-sql" => Shift::new(mode).with_config(cfg).with_fuel(2_000_000),
-        other => panic!("unknown chaos guest `{other}`"),
-    };
-    let program = chaos_program(name).expect("registered guest");
-    shift.fleet(&program).expect("chaos guest compiles")
-}
-
-/// Did the named guest's exploit demonstrably reach its sink? (`chaos-sql`:
-/// a quoted payload in the executed-SQL log; `apache`: the secret on the
-/// socket.)
-fn escape_evidence(name: &str, runtime: &shift_core::Runtime) -> bool {
-    match name {
-        "apache" => runtime
-            .net_output
-            .windows(apache::SECRET_BYTES.len())
-            .any(|w| w == apache::SECRET_BYTES),
-        _ => runtime.sql_log.iter().any(|q| q.contains(&b'\'')),
-    }
+/// Resolves a guest by its registry name — the one lookup `shift replay`,
+/// the chaos harness and the tests share.
+pub fn guest(name: &str) -> Option<Guest> {
+    GUESTS.into_iter().find(|g| g.name == name)
 }
 
 /// Verdict of the forensic escape audit on a clean-exit exploit connection.
@@ -228,7 +209,7 @@ pub enum EscapeVerdict {
 /// disagreement with the host's ground-truth shadow account for the missed
 /// detection? See [`EscapeVerdict`].
 pub fn escape_audit(
-    program: &str,
+    guest: &Guest,
     fleet: &Fleet,
     base: &World,
     requests: &[Vec<u8>],
@@ -236,7 +217,7 @@ pub fn escape_audit(
     expected_digest: u64,
 ) -> EscapeVerdict {
     let world = requests.iter().fold(base.clone(), |w, msg| w.net(msg.clone()));
-    let mut live = fleet.shift().serve_image_injected(fleet.image(), world, injections);
+    let mut live = fleet.shift().serve_image(fleet.image(), world, injections);
     if live.machine.state_digest() != expected_digest {
         return EscapeVerdict::DigestDiverged;
     }
@@ -244,7 +225,7 @@ pub fn escape_audit(
     let machine = &mut live.machine;
     let tag_corrupt = live.runtime.shadow_mismatch(machine, lo, 0x1000).is_some()
         || live.runtime.shadow_mismatch(machine, GLOBALS_BASE, 0x1000).is_some();
-    match (escape_evidence(program, &live.runtime), tag_corrupt) {
+    match ((guest.escaped)(&live.runtime), tag_corrupt) {
         (true, false) => EscapeVerdict::UndetectedEscape,
         (true, true) => EscapeVerdict::TagDamageContained,
         (false, _) => EscapeVerdict::Benign,
@@ -269,6 +250,15 @@ pub fn random_fleet_injection(rng: &mut Rng) -> (u64, Injection) {
         _ => Injection::Fault(Fault::Unaligned { addr: GLOBALS_BASE + 1, size: 8, ip: 0 }),
     };
     (countdown, inj)
+}
+
+/// A random fault plan over `connections` connections: up to two
+/// [`random_fleet_injection`]s per connection, drawn connection by
+/// connection.
+pub fn random_fault_plan(rng: &mut Rng, connections: usize) -> Vec<Vec<(u64, Injection)>> {
+    (0..connections)
+        .map(|_| (0..rng.below(3)).map(|_| random_fleet_injection(rng)).collect())
+        .collect()
 }
 
 // ---- the harness -----------------------------------------------------------
@@ -347,10 +337,12 @@ impl ChaosReport {
 /// Panics on an unknown program name or empty `widths`.
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     assert!(!spec.widths.is_empty(), "need at least one worker width");
-    let fleet = chaos_fleet(&spec.program, spec.mode);
-    let base = chaos_base_world(&spec.program);
-    let benign = chaos_benign_request(&spec.program);
-    let exploit = chaos_exploit_request(&spec.program);
+    let guest =
+        guest(&spec.program).unwrap_or_else(|| panic!("unknown chaos guest `{}`", spec.program));
+    let fleet = (guest.fleet)(spec.mode);
+    let base = (guest.world)();
+    let benign = (guest.benign)();
+    let exploit = (guest.exploit)();
     let mut rng = Rng::new(spec.seed);
     let mut out = ChaosReport { trials: spec.trials, ..ChaosReport::default() };
 
@@ -365,9 +357,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
             })
             .collect();
         // Randomized perturbation: up to two injections per connection.
-        let faults: Vec<Vec<(u64, Injection)>> = (0..spec.connections)
-            .map(|_| (0..rng.below(3)).map(|_| random_fleet_injection(&mut rng)).collect())
-            .collect();
+        let faults = random_fault_plan(&mut rng, spec.connections);
         out.injections += faults.iter().map(Vec::len).sum::<usize>();
 
         let report = fleet.serve_chaos(&base, &connections, &faults, width);
@@ -414,7 +404,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
             {
                 out.audits += 1;
                 let verdict = escape_audit(
-                    &spec.program,
+                    &guest,
                     &fleet,
                     &base,
                     &connections[c],
@@ -479,19 +469,20 @@ mod tests {
     }
 
     #[test]
-    fn sql_guest_detects_and_recovers_injection() {
-        let fleet = chaos_fleet("chaos-sql", byte_mode());
-        let conns = vec![vec![
-            chaos_benign_request("chaos-sql"),
-            chaos_exploit_request("chaos-sql"),
-            chaos_benign_request("chaos-sql"),
-        ]];
-        let report = fleet.serve(&chaos_base_world("chaos-sql"), &conns, 1);
-        assert_eq!(report.served, 2, "{:?}", report.exits());
-        assert_eq!(report.recovered, 1);
-        assert!(report.nothing_dropped());
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].policy, "H3");
+    fn every_guest_detects_and_recovers_its_exploit() {
+        for g in GUESTS {
+            let name = g.name;
+            assert_eq!(guest(name).map(|found| found.name), Some(name), "{name} must resolve");
+            let fleet = (g.fleet)(byte_mode());
+            let conns = vec![vec![(g.benign)(), (g.exploit)(), (g.benign)()]];
+            let report = fleet.serve(&(g.world)(), &conns, 1);
+            assert_eq!(report.served, 2, "{name}: {:?}", report.exits());
+            assert_eq!(report.recovered, 1, "{name}");
+            assert!(report.nothing_dropped(), "{name}");
+            assert_eq!(report.violations.len(), 1, "{name}");
+            assert_eq!(report.violations[0].policy, g.expected.name(), "{name}");
+        }
+        assert!(guest("nope").is_none());
     }
 
     #[test]
@@ -512,7 +503,7 @@ mod tests {
         let repro = report.example_repro.expect("detected+perturbed connection must exist");
         assert_eq!(repro.connections.len(), 1);
         // The shrunk reproducer replays bit-identically.
-        let fleet = chaos_fleet("chaos-sql", byte_mode());
+        let fleet = (guest("chaos-sql").unwrap().fleet)(byte_mode());
         let outcome = repro.replay_connection(&fleet, 0);
         assert!(outcome.matches(), "{:?}", outcome.mismatches);
     }

@@ -17,7 +17,10 @@
 //!
 //! The [`run_spec`] / [`apache::run_apache`] helpers compile and execute a
 //! workload under any [`Mode`] and return cycle accounting, which the bench
-//! harness turns into the paper's tables and figures.
+//! harness turns into the paper's tables and figures. Serving goes through
+//! [`apache::apache_fleet`], the one definition of the Apache serving
+//! session, and the [`chaos`] guest registry ([`chaos::guest`]) resolves a
+//! guest's name to its program, fleet, world, requests and escape check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -334,8 +334,8 @@ fn chaos_campaign_reproducer_replays_bit_identically() {
     // Round-trip through the on-disk form first: the artifact a user would
     // feed back to `shift replay` must behave identically.
     let log = shift_core::ReplayLog::parse(&repro.render()).unwrap();
-    let program = chaos::chaos_program(&log.program).unwrap();
-    let fleet = log.build_fleet(&program).unwrap();
+    let guest = chaos::guest(&log.program).unwrap();
+    let fleet = log.build_fleet(&(guest.program)()).unwrap();
     for outcome in log.verify(&fleet) {
         assert!(outcome.matches(), "reproducer diverged: {:?}", outcome.mismatches);
     }
@@ -352,13 +352,14 @@ fn chaos_campaign_reproducer_replays_bit_identically() {
 fn chaos_slice_is_bit_identical_with_recorder_armed() {
     use shift_core::{FlightConfig, TraceKind};
     let mode = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
-    let disarmed = chaos::chaos_fleet("chaos-sql", mode);
-    let armed = chaos::chaos_fleet("chaos-sql", mode)
-        .with_flight_recorder(FlightConfig { cap: 4096, sample_cycles: 50_000 });
+    let guest = chaos::guest("chaos-sql").unwrap();
+    let disarmed = (guest.fleet)(mode);
+    let armed =
+        (guest.fleet)(mode).with_flight_recorder(FlightConfig { cap: 4096, sample_cycles: 50_000 });
 
-    let world = chaos::chaos_base_world("chaos-sql");
-    let benign = chaos::chaos_benign_request("chaos-sql");
-    let exploit = chaos::chaos_exploit_request("chaos-sql");
+    let world = (guest.world)();
+    let benign = (guest.benign)();
+    let exploit = (guest.exploit)();
     let conns: Vec<Vec<Vec<u8>>> = (0..4)
         .map(|c| {
             (0..3)
@@ -367,9 +368,7 @@ fn chaos_slice_is_bit_identical_with_recorder_armed() {
         })
         .collect();
     let mut rng = trial_rng("recorder-slice", 0);
-    let mut faults: Vec<Vec<(u64, Injection)>> = (0..conns.len())
-        .map(|_| (0..rng.below(3)).map(|_| chaos::random_fleet_injection(&mut rng)).collect())
-        .collect();
+    let mut faults = chaos::random_fault_plan(&mut rng, conns.len());
     // At least one injection is always armed, whatever the seed drew.
     faults[0].push(chaos::random_fleet_injection(&mut rng));
 
@@ -413,9 +412,10 @@ fn chaos_slice_is_bit_identical_with_recorder_armed() {
 fn escape_audit_catches_taint_scrubbing_injections() {
     use shift_workloads::chaos::EscapeVerdict;
     let mode = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
-    let fleet = chaos::chaos_fleet("chaos-sql", mode);
-    let base = chaos::chaos_base_world("chaos-sql");
-    let exploit = chaos::chaos_exploit_request("chaos-sql");
+    let guest = chaos::guest("chaos-sql").unwrap();
+    let fleet = (guest.fleet)(mode);
+    let base = (guest.world)();
+    let exploit = (guest.exploit)();
 
     // Forensics first: where does the exploit's taint sit, and how many
     // instructions retire before the sink check trips?
@@ -451,14 +451,8 @@ fn escape_audit_catches_taint_scrubbing_injections() {
     assert!(conn.violations.is_empty(), "scrubbing must blind the policy engine");
 
     // ... and the audit refuses to certify it.
-    let verdict = shift_workloads::escape_audit(
-        "chaos-sql",
-        &fleet,
-        &base,
-        &[exploit],
-        &scrub,
-        conn.state_digest,
-    );
+    let verdict =
+        shift_workloads::escape_audit(&guest, &fleet, &base, &[exploit], &scrub, conn.state_digest);
     assert_eq!(
         verdict,
         EscapeVerdict::TagDamageContained,
@@ -487,8 +481,9 @@ fn committed_replay_fixture_still_replays_bit_identically() {
         log.connections.iter().any(|c| !c.injections.is_empty()),
         "fixture must have injections armed"
     );
-    let program = chaos::chaos_program(&log.program).unwrap();
-    let fleet = log.build_fleet(&program).expect("compiled image matches recorded digest");
+    let guest = chaos::guest(&log.program).unwrap();
+    let fleet =
+        log.build_fleet(&(guest.program)()).expect("compiled image matches recorded digest");
     for outcome in log.verify(&fleet) {
         assert!(
             outcome.matches(),

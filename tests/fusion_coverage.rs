@@ -6,9 +6,13 @@
 //! program to hold exactly one fused tag-address site per instrumented
 //! access, so a change to the pass's templates cannot silently switch
 //! fusion off (the differential proptests would still pass, only slower).
+//! The software-only shadow pass emits the same sequence through the same
+//! emitter, so in every mode the fused sites must equal the Figure-4
+//! sequences counted in the emitted code.
 
 use shift_compiler::CompiledProgram;
 use shift_core::{Granularity, Mode, Shift, ShiftOptions};
+use shift_isa::{AluOp, Insn, Op};
 use shift_machine::Machine;
 use shift_workloads::apache::apache_program;
 use shift_workloads::spec::all_benches;
@@ -20,30 +24,63 @@ fn baseline_modes() -> [(&'static str, Mode); 2] {
     ]
 }
 
-fn assert_every_access_fuses(what: &str, compiled: &CompiledProgram) {
+/// The shadow pass emits the same sequence but keeps no `InstrumentStats`.
+fn shadow_modes() -> [(&'static str, Mode); 2] {
+    [
+        ("shadow-byte", Mode::Shadow(Granularity::Byte)),
+        ("shadow-word", Mode::Shadow(Granularity::Word)),
+    ]
+}
+
+/// Figure-4 tag-address sequences in `code`: the region-number `shr …, 61`
+/// directly followed by its `add …, -1`.
+fn figure4_sequences(code: &[Insn]) -> u64 {
+    code.windows(2)
+        .filter(|w| {
+            matches!(
+                (&w[0].op, &w[1].op),
+                (
+                    Op::AluI { op: AluOp::Shr, imm: 61, .. },
+                    Op::AluI { op: AluOp::Add, imm: -1, .. }
+                )
+            )
+        })
+        .count() as u64
+}
+
+/// Every Figure-4 sequence in the code fuses; under SHIFT there is exactly
+/// one per instrumented load and store.
+fn assert_every_access_fuses(what: &str, mode: Mode, compiled: &CompiledProgram) {
     let sb = Machine::new(&compiled.image).superblock_stats();
-    let accesses = (compiled.stats.loads + compiled.stats.stores) as u64;
-    assert!(accesses > 0, "{what}: the pass instrumented nothing");
+    let sequences = figure4_sequences(&compiled.image.code);
+    assert!(sequences > 0, "{what}: the pass emitted no tag-address sequence");
     assert_eq!(
-        sb.fused_tag_addrs, accesses,
-        "{what}: fused tag-address sites must equal instrumented loads + stores"
+        sb.fused_tag_addrs, sequences,
+        "{what}: fused tag-address sites must equal the Figure-4 sequences in the code"
     );
+    if let Mode::Shift(_) = mode {
+        let accesses = (compiled.stats.loads + compiled.stats.stores) as u64;
+        assert_eq!(
+            sb.fused_tag_addrs, accesses,
+            "{what}: fused tag-address sites must equal instrumented loads + stores"
+        );
+    }
 }
 
 #[test]
 fn apache_tag_address_templates_all_fuse() {
-    for (name, mode) in baseline_modes() {
+    for (name, mode) in baseline_modes().into_iter().chain(shadow_modes()) {
         let compiled = Shift::new(mode).compile(&apache_program()).expect("apache compiles");
-        assert_every_access_fuses(&format!("apache/{name}"), &compiled);
+        assert_every_access_fuses(&format!("apache/{name}"), mode, &compiled);
     }
 }
 
 #[test]
 fn spec_tag_address_templates_all_fuse() {
     for bench in all_benches() {
-        for (name, mode) in baseline_modes() {
+        for (name, mode) in baseline_modes().into_iter().chain(shadow_modes()) {
             let compiled = shift_workloads::compile_spec(&bench, mode);
-            assert_every_access_fuses(&format!("{}/{name}", bench.name), &compiled);
+            assert_every_access_fuses(&format!("{}/{name}", bench.name), mode, &compiled);
         }
     }
 }

@@ -245,9 +245,7 @@ fn closed_and_open_loop_merges_agree() {
     let fleet = fleet();
     let (world, conns) = hostile_setup(12, 3);
     let mut rng = Rng::new(chaos::derive(0x3E26, "merge-agreement"));
-    let faults: Vec<Vec<_>> = (0..conns.len())
-        .map(|_| (0..rng.below(3)).map(|_| chaos::random_fleet_injection(&mut rng)).collect())
-        .collect();
+    let faults = chaos::random_fault_plan(&mut rng, conns.len());
     let closed = fleet.serve_chaos(&world, &conns, &faults, 2);
     let arrivals = ArrivalProcess::Poisson { rate_rps: 20_000.0 }.schedule(conns.len(), 0x3E26);
     let cfg = OpenLoopConfig { workers: 2, accept_cap: 1 << 16, max_resident: 1 << 16, quantum: 0 };
