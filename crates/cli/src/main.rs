@@ -43,8 +43,9 @@
 //! (completion − arrival) at p50/p99/p999, saturation throughput, queue
 //! depth, and peak resident pages. `--host-workers` sizes the host
 //! simulation pool only — every modelled number is bit-identical at any
-//! setting. The four scheduler flags need `--arrivals`; like an argument
-//! `serve` does not know, one given without it is a usage error.
+//! setting. The four scheduler flags need `--arrivals`; one given without
+//! it is a usage error, as is, for every subcommand, an argument it does
+//! not know.
 //!
 //! Record/replay: `serve --record <path>` writes a replay log of the run —
 //! every connection's request stream, the session options, the injection
@@ -598,9 +599,7 @@ fn parse_serve(args: &mut Vec<String>) -> Result<ServeOpts, String> {
     let max_resident = take_num(args, "--max-resident")?;
     let quantum = take_num(args, "--quantum")?;
     let host_workers = take_num(args, "--host-workers")?;
-    if let Some(extra) = args.first() {
-        return Err(format!("unrecognised serve argument `{extra}`"));
-    }
+    no_leftovers("serve", args)?;
     let open_only = [
         ("--accept-cap", accept_cap.is_some()),
         ("--max-resident", max_resident.is_some()),
@@ -1351,11 +1350,6 @@ const USAGE: &str = "usage:\n  \
      shift modes\n  \
      shift help";
 
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::Usage
-}
-
 /// `shift help`: the usage text plus the exit-code table, on stdout.
 fn cmd_help() -> ExitCode {
     println!("{USAGE}");
@@ -1364,134 +1358,137 @@ fn cmd_help() -> ExitCode {
     ExitCode::Success
 }
 
+/// A parsed subcommand with everything it takes.
+enum Command {
+    Modes,
+    Attacks { trace_taint: bool, metrics: Option<String> },
+    Attack { name: String, opts: AttackOpts },
+    Spec { name: String, scale: Scale, tainted: bool },
+    Apache { size_kb: usize, requests: usize },
+    Serve(ServeOpts),
+    Bench { json: bool, scale: Scale, workers: usize, seed: u64 },
+    Replay { path: String, connection: Option<usize>, debug: bool, shrink: Option<String> },
+    Trace { path: String },
+    Disasm,
+    Help,
+}
+
+/// `Err` naming the first argument nobody took, if any.
+fn no_leftovers(cmd: &str, args: &[String]) -> Result<(), String> {
+    match args.first() {
+        Some(extra) => Err(format!("unrecognised {cmd} argument `{extra}`")),
+        None => Ok(()),
+    }
+}
+
+/// Takes the next positional argument; without one, the usage text.
+fn positional(args: &mut Vec<String>) -> Result<String, String> {
+    if args.is_empty() {
+        Err(USAGE.into())
+    } else {
+        Ok(args.remove(0))
+    }
+}
+
+/// Parses a command line (program name stripped): the subcommand, its
+/// `--mode`, and its options. Each subcommand takes its flags, then its
+/// positionals; an argument left over after that is an error naming it.
+/// `Err` is the message to print — the usage text for a missing or
+/// malformed positional or an unknown subcommand.
+fn parse(mut args: Vec<String>) -> Result<(Command, Mode), String> {
+    if args.is_empty() {
+        return Err(USAGE.into());
+    }
+    let cmd = args.remove(0);
+    let mode = take_mode(&mut args)?;
+    let args = &mut args;
+    let reference = |args: &mut Vec<String>| {
+        if take_flag(args, "--reference") {
+            Scale::Reference
+        } else {
+            Scale::Test
+        }
+    };
+    let command = match cmd.as_str() {
+        "modes" => Command::Modes,
+        "attacks" => Command::Attacks {
+            trace_taint: take_flag(args, "--trace-taint"),
+            metrics: take_opt(args, "--metrics")?,
+        },
+        "attack" => {
+            let benign = take_flag(args, "--benign");
+            let trace = take_flag(args, "--trace");
+            // `--trace` alone keeps the historical 16-deep ring.
+            let trace_depth = take_num(args, "--trace-depth")?.or(trace.then_some(16));
+            let opts = AttackOpts {
+                benign,
+                trace_depth,
+                trace_taint: take_flag(args, "--trace-taint"),
+                metrics: take_opt(args, "--metrics")?,
+                profile: take_opt(args, "--profile")?,
+            };
+            Command::Attack { name: positional(args)?, opts }
+        }
+        "spec" => {
+            let scale = reference(args);
+            let tainted = !take_flag(args, "--safe");
+            Command::Spec { name: positional(args)?, scale, tainted }
+        }
+        "apache" => {
+            let mut num = || positional(args)?.parse().map_err(|_| USAGE.to_string());
+            Command::Apache { size_kb: num()?, requests: num()? }
+        }
+        "serve" => Command::Serve(parse_serve(args)?),
+        "bench" => Command::Bench {
+            json: take_flag(args, "--json"),
+            scale: reference(args),
+            workers: take_num(args, "--workers")?.unwrap_or(0),
+            seed: take_num(args, "--seed")?.unwrap_or_else(shift_workloads::master_seed),
+        },
+        "replay" => {
+            let debug = take_flag(args, "--debug");
+            let shrink = take_opt(args, "--shrink")?;
+            let connection = take_num(args, "--connection")?;
+            Command::Replay { path: positional(args)?, connection, debug, shrink }
+        }
+        "trace" => Command::Trace { path: positional(args)? },
+        "disasm" => Command::Disasm,
+        "help" | "--help" | "-h" => Command::Help,
+        _ => return Err(USAGE.into()),
+    };
+    no_leftovers(&cmd, args)?;
+    Ok((command, mode))
+}
+
 fn main() -> ProcessExit {
     run().into()
 }
 
 fn run() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
-    let cmd = args.remove(0);
-    let mode = match take_mode(&mut args) {
-        Ok(m) => m,
+    let (command, mode) = match parse(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::Usage;
         }
     };
-    match cmd.as_str() {
-        "modes" => {
+    match command {
+        Command::Modes => {
             cmd_modes();
             ExitCode::Success
         }
-        "attacks" => {
-            let trace_taint = take_flag(&mut args, "--trace-taint");
-            let metrics = match take_opt(&mut args, "--metrics") {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::Usage;
-                }
-            };
-            cmd_attacks(mode, trace_taint, metrics)
+        Command::Attacks { trace_taint, metrics } => cmd_attacks(mode, trace_taint, metrics),
+        Command::Attack { name, opts } => cmd_attack(&name, mode, opts),
+        Command::Spec { name, scale, tainted } => cmd_spec(&name, mode, scale, tainted),
+        Command::Apache { size_kb, requests } => cmd_apache(size_kb, requests, mode),
+        Command::Serve(opts) => cmd_serve(mode, opts),
+        Command::Bench { json, scale, workers, seed } => cmd_bench(json, scale, workers, seed),
+        Command::Replay { path, connection, debug, shrink } => {
+            cmd_replay(&path, connection, debug, shrink)
         }
-        "attack" => {
-            let benign = take_flag(&mut args, "--benign");
-            let trace = take_flag(&mut args, "--trace");
-            let parsed = (|| -> Result<AttackOpts, String> {
-                // `--trace` alone keeps the historical 16-deep ring.
-                let trace_depth = take_num(&mut args, "--trace-depth")?.or(trace.then_some(16));
-                Ok(AttackOpts {
-                    benign,
-                    trace_depth,
-                    trace_taint: take_flag(&mut args, "--trace-taint"),
-                    metrics: take_opt(&mut args, "--metrics")?,
-                    profile: take_opt(&mut args, "--profile")?,
-                })
-            })();
-            let opts = match parsed {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::Usage;
-                }
-            };
-            match args.first() {
-                Some(name) => cmd_attack(name, mode, opts),
-                None => usage(),
-            }
-        }
-        "spec" => {
-            let scale =
-                if take_flag(&mut args, "--reference") { Scale::Reference } else { Scale::Test };
-            let tainted = !take_flag(&mut args, "--safe");
-            match args.first() {
-                Some(name) => cmd_spec(name, mode, scale, tainted),
-                None => usage(),
-            }
-        }
-        "apache" => {
-            let (Some(kb), Some(reqs)) = (args.first(), args.get(1)) else {
-                return usage();
-            };
-            match (kb.parse(), reqs.parse()) {
-                (Ok(kb), Ok(reqs)) => cmd_apache(kb, reqs, mode),
-                _ => usage(),
-            }
-        }
-        "serve" => match parse_serve(&mut args) {
-            Ok(opts) => cmd_serve(mode, opts),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::Usage
-            }
-        },
-        "bench" => {
-            let json = take_flag(&mut args, "--json");
-            let scale =
-                if take_flag(&mut args, "--reference") { Scale::Reference } else { Scale::Test };
-            let parsed = (|| -> Result<(usize, u64), String> {
-                let workers = take_num(&mut args, "--workers")?.unwrap_or(0);
-                Ok((
-                    workers,
-                    take_num(&mut args, "--seed")?.unwrap_or_else(shift_workloads::master_seed),
-                ))
-            })();
-            match parsed {
-                Ok((workers, seed)) => cmd_bench(json, scale, workers, seed),
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::Usage
-                }
-            }
-        }
-        "replay" => {
-            let parsed = (|| -> Result<(bool, Option<String>, Option<usize>), String> {
-                let debug = take_flag(&mut args, "--debug");
-                let shrink = take_opt(&mut args, "--shrink")?;
-                let connection = take_num(&mut args, "--connection")?;
-                Ok((debug, shrink, connection))
-            })();
-            match parsed {
-                Ok((debug, shrink, connection)) => match args.first() {
-                    Some(path) => cmd_replay(path, connection, debug, shrink),
-                    None => usage(),
-                },
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::Usage
-                }
-            }
-        }
-        "trace" => match args.first() {
-            Some(path) => cmd_trace(path),
-            None => usage(),
-        },
-        "disasm" => cmd_disasm(mode),
-        "help" | "--help" | "-h" => cmd_help(),
-        _ => usage(),
+        Command::Trace { path } => cmd_trace(&path),
+        Command::Disasm => cmd_disasm(mode),
+        Command::Help => cmd_help(),
     }
 }
 
@@ -1606,6 +1603,30 @@ mod tests {
         assert_eq!(err.as_deref(), Some("unrecognised serve argument `stray`"));
         let opts = parse_serve(&mut args(&["--connections", "2", "--requests", "1"])).unwrap();
         assert_eq!((opts.connections, opts.requests), (2, 1));
+    }
+
+    #[test]
+    fn every_subcommand_rejects_leftover_arguments() {
+        let lines: [&[&str]; 11] = [
+            &["modes"],
+            &["attacks"],
+            &["attack", "qwikiwiki"],
+            &["spec", "gzip", "--reference"],
+            &["apache", "16", "5"],
+            &["serve", "--requests", "1"],
+            &["bench", "--seed", "7"],
+            &["replay", "log.json", "--debug"],
+            &["trace", "trace.json"],
+            &["disasm", "--mode", "word"],
+            &["help"],
+        ];
+        for line in lines {
+            assert!(parse(args(line)).is_ok(), "{line:?}");
+            let mut extra = args(line);
+            extra.push("--referense".into());
+            let want = format!("unrecognised {} argument `--referense`", line[0]);
+            assert_eq!(parse(extra).err(), Some(want), "{line:?}");
+        }
     }
 
     #[test]

@@ -738,12 +738,6 @@ impl OpenLoopReport {
         self.shed > 0
     }
 
-    /// Per-connection `(connection, state_digest)` pairs of completed
-    /// connections — the width-invariance differential hook.
-    pub fn state_digests(&self) -> Vec<(usize, u64)> {
-        self.connections.iter().filter_map(|r| r.state_digest.map(|d| (r.connection, d))).collect()
-    }
-
     /// The merged open-loop timeline: every completed connection's ring
     /// (on its dense slot track) plus the scheduler's shared track, ordered
     /// by `(cycle, worker, seq)`.

@@ -551,24 +551,8 @@ impl ServeSession {
 
     /// Drains every remaining park: advances until the session reaches its
     /// terminal exit. The one-shot serve path is exactly this.
-    pub fn run_to_completion(&mut self) {
+    fn run_to_completion(&mut self) {
         while self.advance() != SessionStep::Done {}
-    }
-
-    /// The terminal exit, once the session is done.
-    pub fn exit(&self) -> Option<&Exit> {
-        self.done.as_ref()
-    }
-
-    /// The machine mid-session (diagnostics; the scheduler uses it to
-    /// restamp flight-recorder tracks).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    /// Modelled total time (CPU + I/O) accumulated so far.
-    pub fn total_time(&self) -> u64 {
-        self.machine.stats.total_time()
     }
 
     /// Closes the session and builds its [`ServeReport`], first draining

@@ -268,11 +268,6 @@ impl Runtime {
         self
     }
 
-    /// Is yield-on-I/O parking armed?
-    pub fn yields_on_io(&self) -> bool {
-        self.yield_on_io
-    }
-
     /// The result of a syscall that just charged `charged` cycles of I/O
     /// wait: a park when yield-on-I/O is armed and the operation actually
     /// cost something, otherwise plain continuation.
@@ -287,11 +282,6 @@ impl Runtime {
     /// Network requests still queued for delivery.
     pub fn pending_requests(&self) -> usize {
         self.world.net_input.len()
-    }
-
-    /// Is a transaction checkpoint currently armed?
-    pub fn has_checkpoint(&self) -> bool {
-        self.checkpoint.is_some()
     }
 
     /// Is a delivered request currently being processed (delivered but
@@ -342,8 +332,8 @@ impl Runtime {
         if let Some(r) = tags.filter(|r| r.len > 0) {
             // One page-span read, a masked read-modify-write, one page-span
             // write. Every tag byte is rewritten, changed or not, so the tag
-            // pages take the same COW faults and journal pre-images as a
-            // per-byte read-modify-write would.
+            // pages take the same COW faults as a per-byte read-modify-write
+            // would.
             let mut span = vec![0u8; r.len as usize];
             m.mem.read_bytes(r.byte_addr, &mut span)?;
             r.apply(&mut span, tainted);

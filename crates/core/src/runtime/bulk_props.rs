@@ -106,7 +106,8 @@ fn dirty_machine(gran: Granularity, seed: u64, freeze: bool) -> Machine {
 }
 
 /// Everything the two sides must agree on after each step: guest bytes,
-/// bitmap bytes, memory digest, COW counters and journaled pages.
+/// bitmap bytes, memory digest, COW counters and pages dirtied since the
+/// checkpoint.
 type Observed = (Vec<u8>, Vec<u8>, u64, (usize, usize, u64), usize);
 
 fn observe(m: &mut Machine, gran: Granularity) -> Observed {

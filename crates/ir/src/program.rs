@@ -87,13 +87,6 @@ pub struct Function {
     pub vregs: u32,
 }
 
-impl Function {
-    /// Total IR instruction count including terminators (diagnostics).
-    pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len() + 1).sum()
-    }
-}
-
 /// A global variable.
 #[derive(Clone, Debug)]
 pub struct Global {

@@ -321,8 +321,9 @@ impl Machine {
 
     /// Captures a restorable [`Snapshot`]: the full architected CPU state
     /// (GPRs with NaT bits, predicates, branch registers, `UNAT`, `ip`) plus
-    /// a copy-on-write memory checkpoint. Supersedes any earlier snapshot of
-    /// this machine.
+    /// a memory checkpoint — a copy of the page table whose shared pages
+    /// copy by reference and owned pages by value. Supersedes any earlier
+    /// snapshot of this machine.
     ///
     /// ```
     /// use shift_isa::{Gpr, Insn, Op};
@@ -417,8 +418,8 @@ impl Machine {
                 }
                 Injection::CorruptByte { addr, xor } => {
                     // Unmapped targets are a benign no-op; everything else
-                    // goes through the normal write path so an armed
-                    // checkpoint journals the damage.
+                    // goes through the normal write path, so a rollback to
+                    // an armed checkpoint undoes the damage.
                     if let Ok(old) = self.mem.read_int(addr, 1) {
                         let _ = self.mem.write_int(addr, 1, old ^ u64::from(xor));
                     }

@@ -12,10 +12,10 @@
 //!
 //! * A page frame's backing is a [`PageData`]: `Zero` (no backing at all —
 //!   the canonical deduplicated all-zero page, which is also every all-clean
-//!   region-0 tag page), `Shared` (an `Arc`'d immutable page, the pristine
-//!   image or a checkpoint origin), or `Owned` (this instance's private,
-//!   writable copy). Reads serve from any variant; the first write to a
-//!   non-`Owned` page takes a *COW fault* that materializes a private copy.
+//!   region-0 tag page), `Shared` (an `Arc`'d immutable page of the pristine
+//!   image), or `Owned` (this instance's private, writable copy). Reads
+//!   serve from any variant; the first write to a non-`Owned` page takes a
+//!   *COW fault* that materializes a private copy.
 //! * The whole page table (frames, index, mappings) lives behind one `Arc`,
 //!   so cloning a `Memory` — the [`crate::MachineSeed::spawn`] path — is a
 //!   reference-count bump, O(1) in the image size. The first mutation after
@@ -27,22 +27,22 @@
 //!   An entry is only installed after a *successful* access, so a hit
 //!   implies the page is implemented and mapped — the fast path needs only
 //!   the alignment check to produce identical errors. Each entry carries a
-//!   `writable` bit that is set only when the frame is `Owned` *and* its
-//!   pre-image is already journaled under the active checkpoint: the TLB
-//!   hands out write-through slots only for such pages, and every other
-//!   write goes through the slow path to take its COW fault / journal
-//!   touch first. The TLB is flushed whenever translations or writability
-//!   can change wholesale (`map_range`, `begin_checkpoint`,
-//!   `rollback_checkpoint`, `freeze`); hit/miss counters are exported via
-//!   [`Memory::tlb_stats`] and COW traffic via [`Memory::cow_stats`].
+//!   `writable` bit that is set exactly when the frame is `Owned`: the TLB
+//!   hands out write-through slots only for private pages, and every other
+//!   write goes through the slow path to take its COW fault first. The TLB
+//!   is flushed whenever translations or writability can change wholesale
+//!   (`map_range`, `rollback_checkpoint`, `freeze`); hit/miss counters are
+//!   exported via [`Memory::tlb_stats`] and COW traffic via
+//!   [`Memory::cow_stats`].
 //! * Bulk accessors (`read_bytes`/`write_bytes`/`read_cstr`) work per
-//!   page-span: one permission check, one frame lookup, and one journal
-//!   touch per page instead of per byte. Implementedness and mapping are
-//!   page-granular, so per-span checks fault at exactly the byte the
-//!   per-byte loop would have.
-//! * Checkpoint pre-images use the same sharing scheme: journaling a
-//!   `Shared` page is an `Arc` bump, and rollback restores pages as
-//!   `Shared` — so repeated rollbacks to one checkpoint never re-copy.
+//!   page-span: one permission check and one frame lookup per page instead
+//!   of per byte. Implementedness and mapping are page-granular, so
+//!   per-span checks fault at exactly the byte the per-byte loop would
+//!   have.
+//! * A checkpoint is a copy of the page table, made with the same sharing
+//!   scheme: `Shared` and `Zero` frames copy by reference, and only the
+//!   instance's `Owned` pages copy by value. Rollback installs a copy of
+//!   the saved table, so the checkpoint stays armed for the next rollback.
 //!
 //! None of this is visible to the model: modelled cycles come from the cost
 //! model and cache simulator, never from host data-structure choices, and
@@ -122,8 +122,8 @@ impl std::error::Error for MemError {}
 ///
 /// `Zero` and `Shared` are immutable — a write COW-faults them into `Owned`
 /// first. Cloning is an `Arc` bump for `Shared`, free for `Zero`, and a deep
-/// copy only for `Owned` (which by construction only happens when a dirtied
-/// instance is itself cloned).
+/// copy only for `Owned` (a dirtied instance cloned, or its table copied by
+/// a checkpoint or a rollback).
 #[derive(Clone, Debug)]
 enum PageData {
     /// No backing: reads see the canonical all-zero page. Every all-zero
@@ -131,7 +131,7 @@ enum PageData {
     /// this one representation.
     Zero,
     /// An immutable page shared by reference: the pristine image a spawn
-    /// inherits, or a checkpoint pre-image a rollback restored.
+    /// inherits.
     Shared(Arc<[u8; PAGE_USIZE]>),
     /// This instance's private copy, produced by a COW fault; the only
     /// variant the write path may hand out.
@@ -150,22 +150,19 @@ impl PageData {
     }
 }
 
-/// One resident page frame. `stamp` is the journal generation whose
-/// pre-image capture already covered this frame (see
-/// [`Memory::journal_touch`]).
+/// One resident page frame.
 #[derive(Clone, Debug)]
 struct Frame {
     page: u64,
     data: PageData,
-    stamp: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct TlbEntry {
     page: u64,
     slot: u32,
-    /// `true` only when the frame is `Owned` *and* journaled under the
-    /// current generation: the one case a write may go straight through.
+    /// `true` exactly when the frame is `Owned`: the one case a write may go
+    /// straight through.
     writable: bool,
 }
 
@@ -184,14 +181,9 @@ struct Table {
 }
 
 impl Table {
-    /// Removes `page`'s frame from the arena (`swap_remove` + index fixup
-    /// for the frame that moved into the vacated slot).
-    fn remove_page(&mut self, page: u64) {
-        let Some(slot) = self.page_idx.remove(&page) else { return };
-        self.frames.swap_remove(slot as usize);
-        if let Some(moved) = self.frames.get(slot as usize) {
-            self.page_idx.insert(moved.page, slot);
-        }
+    /// The bytes of `page`'s frame, if the page is resident.
+    fn page(&self, page: u64) -> Option<&[u8; PAGE_USIZE]> {
+        self.page_idx.get(&page).map(|&slot| self.frames[slot as usize].data.bytes())
     }
 }
 
@@ -215,11 +207,10 @@ pub struct Memory {
     /// bank holds a handful of slots, so a binary search beats hashing and
     /// the digest walks it in order without sorting.
     spill_nat: Vec<u64>,
-    journal: Option<Journal>,
+    /// The armed checkpoint: the page table and the spill-NaT bank as they
+    /// were when it was taken.
+    checkpoint: Option<(Table, Vec<u64>)>,
     epoch: u64,
-    /// Bumped on `begin_checkpoint` and `rollback_checkpoint`; a frame whose
-    /// `stamp` equals this value already has its pre-image journaled.
-    journal_gen: u64,
     tlb: [TlbEntry; TLB_SIZE],
     tlb_hits: u64,
     tlb_misses: u64,
@@ -233,43 +224,14 @@ impl Default for Memory {
         Memory {
             table: Arc::new(Table::default()),
             spill_nat: Vec::new(),
-            journal: None,
+            checkpoint: None,
             epoch: 0,
-            journal_gen: 0,
             tlb: EMPTY_TLB,
             tlb_hits: 0,
             tlb_misses: 0,
             cow_faults: 0,
         }
     }
-}
-
-/// Copy-on-write undo log for one active checkpoint.
-///
-/// Page *contents* are captured lazily: the first write to a page after the
-/// checkpoint records its pre-image. Pre-images use the page-sharing scheme
-/// — journaling a `Shared` page is an `Arc` bump, and only an already-private
-/// `Owned` page pays a byte copy. The small bookkeeping sets (`mapped`,
-/// `spill_nat`) are captured eagerly — they hold one entry per page / spill
-/// slot and cloning them is far cheaper than intercepting every mutation.
-#[derive(Clone, Debug, Default)]
-struct Journal {
-    pre_pages: HashMap<u64, PreImage>,
-    pre_mapped: HashSet<u64>,
-    pre_spill_nat: Vec<u64>,
-}
-
-/// A journaled page pre-image. Never holds an `Owned` page: capture either
-/// shares the existing immutable backing or copies a dirtied page into a
-/// fresh `Arc`, so rollback always restores by reference.
-#[derive(Clone, Debug)]
-enum PreImage {
-    /// The page did not exist at capture; rollback drops it again.
-    Absent,
-    /// The page existed with no backing (all-zero).
-    Zero,
-    /// The page's bytes at capture, shared with any later rollback.
-    Bytes(Arc<[u8; PAGE_USIZE]>),
 }
 
 /// Natural-alignment check. Executor access sizes (`MemSize::bytes()`) are
@@ -359,17 +321,6 @@ impl Memory {
         }
     }
 
-    /// Whether a freshly-installed TLB entry for `slot` may carry the
-    /// `writable` bit without going through the write path: the frame is
-    /// already private *and* its pre-image is journaled (or no checkpoint
-    /// is armed).
-    #[inline]
-    fn fast_writable(&self, slot: u32) -> bool {
-        let f = &self.table.frames[slot as usize];
-        matches!(f.data, PageData::Owned(_))
-            && (self.journal.is_none() || f.stamp == self.journal_gen)
-    }
-
     /// Takes the COW fault for `slot` if its page is not yet private:
     /// `Zero`/`Shared` become a freshly copied `Owned` page.
     #[inline]
@@ -388,9 +339,9 @@ impl Memory {
         self.cow_faults += 1;
     }
 
-    /// Full translation: permission checks, frame allocation, journaling
-    /// and COW faulting (for writes), and TLB fill. Error order matches the
-    /// historical `check()`: `Unimplemented` before `Unmapped`.
+    /// Full translation: permission checks, frame allocation, COW faulting
+    /// (for writes), and TLB fill. Error order matches the historical
+    /// `check()`: `Unimplemented` before `Unmapped`.
     fn resolve_slow(&mut self, addr: u64, for_write: bool) -> Result<u32, MemError> {
         self.tlb_misses += 1;
         if !is_implemented(addr) {
@@ -403,44 +354,37 @@ impl Memory {
         let slot = match self.table.page_idx.get(&page) {
             Some(&slot) => {
                 if for_write {
-                    self.journal_touch(page, slot);
                     self.own_frame(slot);
                 }
                 slot
             }
             None => {
                 // The page did not exist. Reads install a backing-free
-                // `Zero` frame — observably identical to an absent page and
-                // to the all-zero page the old implementation allocated,
-                // but deduplicated to the canonical zero page. Writes
-                // journal the page as `Absent` (rollback drops it again)
-                // and take the COW fault to a private zeroed copy.
-                let mut stamp = 0;
-                let mut data = PageData::Zero;
-                if for_write {
-                    if let Some(j) = &mut self.journal {
-                        j.pre_pages.entry(page).or_insert(PreImage::Absent);
-                        stamp = self.journal_gen;
-                    }
-                    data = PageData::Owned(Box::new([0u8; PAGE_USIZE]));
+                // `Zero` frame — observably identical to an absent page,
+                // but deduplicated to the canonical zero page. Writes take
+                // the COW fault to a private zeroed copy.
+                let data = if for_write {
                     self.cow_faults += 1;
-                }
+                    PageData::Owned(Box::new([0u8; PAGE_USIZE]))
+                } else {
+                    PageData::Zero
+                };
                 let table = Arc::make_mut(&mut self.table);
                 let slot = u32::try_from(table.frames.len()).expect("frame arena overflow");
-                table.frames.push(Frame { page, data, stamp });
+                table.frames.push(Frame { page, data });
                 table.page_idx.insert(page, slot);
                 slot
             }
         };
-        let writable = if for_write { true } else { self.fast_writable(slot) };
+        let writable = matches!(self.table.frames[slot as usize].data, PageData::Owned(_));
         self.tlb[Self::tlb_index(page)] = TlbEntry { page, slot, writable };
         Ok(slot)
     }
 
     /// Translation for byte-granularity accessors (no alignment concerns).
     /// A read may use any TLB hit; a write-through hit additionally needs
-    /// the `writable` bit — anything else resolves slowly (COW fault,
-    /// journal touch, entry upgrade).
+    /// the `writable` bit — anything else resolves slowly (COW fault, entry
+    /// upgrade).
     #[inline]
     fn slot_for(&mut self, addr: u64, for_write: bool) -> Result<u32, MemError> {
         let page = addr / PAGE_SIZE;
@@ -450,25 +394,6 @@ impl Memory {
             Ok(e.slot)
         } else {
             self.resolve_slow(addr, for_write)
-        }
-    }
-
-    /// Records the pre-image of frame `slot` (backing `page`) before its
-    /// first modification under the active checkpoint. The generation stamp
-    /// makes repeat touches a single integer compare; a `Shared` page's
-    /// pre-image is an `Arc` bump, so only already-private pages pay a copy.
-    #[inline]
-    fn journal_touch(&mut self, page: u64, slot: u32) {
-        let Some(j) = &mut self.journal else { return };
-        let table = Arc::make_mut(&mut self.table);
-        let f = &mut table.frames[slot as usize];
-        if f.stamp != self.journal_gen {
-            f.stamp = self.journal_gen;
-            j.pre_pages.entry(page).or_insert_with(|| match &f.data {
-                PageData::Zero => PreImage::Zero,
-                PageData::Shared(a) => PreImage::Bytes(a.clone()),
-                PageData::Owned(b) => PreImage::Bytes(Arc::new(**b)),
-            });
         }
     }
 
@@ -535,20 +460,14 @@ impl Memory {
         is_implemented(addr) && (self.table.mapped.contains(&page) || region_of(addr) == 0)
     }
 
-    /// Arms a copy-on-write checkpoint: subsequent writes record page
-    /// pre-images so [`Memory::rollback_checkpoint`] can undo them. Replaces
-    /// any previous checkpoint. Returns the checkpoint's epoch.
+    /// Arms a checkpoint: a copy of the page table (shared and zero pages by
+    /// reference, owned pages by value) and of the spill-NaT bank, so
+    /// [`Memory::rollback_checkpoint`] can return to this point. Replaces any
+    /// previous checkpoint. The live table is untouched, so cached
+    /// translations stay valid. Returns the checkpoint's epoch.
     pub fn begin_checkpoint(&mut self) -> u64 {
         self.epoch += 1;
-        self.journal_gen += 1;
-        self.journal = Some(Journal {
-            pre_pages: HashMap::new(),
-            pre_mapped: self.table.mapped.clone(),
-            pre_spill_nat: self.spill_nat.clone(),
-        });
-        // Writable TLB bits encode "journaled under the current generation";
-        // a new generation invalidates them all.
-        self.tlb_flush();
+        self.checkpoint = Some(((*self.table).clone(), self.spill_nat.clone()));
         self.epoch
     }
 
@@ -557,44 +476,14 @@ impl Memory {
         self.epoch
     }
 
-    /// Returns `true` if a checkpoint is armed.
-    pub fn has_checkpoint(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Undoes every modification since [`Memory::begin_checkpoint`]: dirtied
-    /// pages revert to their pre-images (restored *by reference* — a page
-    /// rolled back twice is never copied twice), pages that did not exist
-    /// are dropped, and mappings / banked spill-NaT bits revert wholesale.
+    /// Returns pages, mappings and banked spill-NaT bits to their state at
+    /// [`Memory::begin_checkpoint`] by installing a copy of the saved table.
     /// The checkpoint stays armed, so the same point can be rolled back to
     /// again. Returns `false` (doing nothing) when no checkpoint is armed.
     pub fn rollback_checkpoint(&mut self) -> bool {
-        if self.journal.is_none() {
-            return false;
-        }
-        let (pre_pages, pre_mapped, pre_spill_nat) = {
-            let j = self.journal.as_mut().expect("checkpoint armed");
-            (j.pre_pages.drain().collect::<Vec<_>>(), j.pre_mapped.clone(), j.pre_spill_nat.clone())
-        };
-        // Frames keep stamps from the closed generation; bumping makes the
-        // next write after this rollback journal a fresh pre-image.
-        self.journal_gen += 1;
-        let table = Arc::make_mut(&mut self.table);
-        for (page, pre) in pre_pages {
-            match pre {
-                PreImage::Bytes(data) => {
-                    let slot = table.page_idx[&page];
-                    table.frames[slot as usize].data = PageData::Shared(data);
-                }
-                PreImage::Zero => {
-                    let slot = table.page_idx[&page];
-                    table.frames[slot as usize].data = PageData::Zero;
-                }
-                PreImage::Absent => table.remove_page(page),
-            }
-        }
-        table.mapped = pre_mapped;
-        self.spill_nat = pre_spill_nat;
+        let Some((table, spill_nat)) = &self.checkpoint else { return false };
+        self.table = Arc::new(table.clone());
+        self.spill_nat = spill_nat.clone();
         // Rollback can drop pages, revoke mappings, and un-own frames:
         // every cached translation is suspect.
         self.tlb_flush();
@@ -603,13 +492,19 @@ impl Memory {
 
     /// Drops the active checkpoint (if any) without undoing anything.
     pub fn discard_checkpoint(&mut self) {
-        self.journal = None;
+        self.checkpoint = None;
     }
 
-    /// Number of pages dirtied since the active checkpoint was armed (0
-    /// when none is armed) — the copy-on-write footprint of a rollback.
+    /// Number of pages whose bytes differ from the active checkpoint (0 when
+    /// none is armed) — the pages a rollback would change. A page the
+    /// checkpoint lacked counts as all-zero.
     pub fn dirty_pages(&self) -> usize {
-        self.journal.as_ref().map_or(0, |j| j.pre_pages.len())
+        let Some((saved, _)) = &self.checkpoint else { return 0 };
+        self.table
+            .frames
+            .iter()
+            .filter(|f| saved.page(f.page).unwrap_or(&ZERO_PAGE) != f.data.bytes())
+            .count()
     }
 
     /// Reads a naturally-aligned little-endian integer of `size` ∈ {1,2,4,8}
@@ -669,8 +564,8 @@ impl Memory {
         let page = addr / PAGE_SIZE;
         let e = self.tlb[Self::tlb_index(page)];
         let slot = if e.page == page && e.writable {
-            // A writable hit proves the frame is private and journaled:
-            // write straight through.
+            // A writable hit proves the frame is private: write straight
+            // through.
             self.tlb_hits += 1;
             if !aligned(addr, size) {
                 return Err(MemError::Unaligned { addr, size });
@@ -751,8 +646,8 @@ impl Memory {
 
     /// Writes `data` starting at `addr` (no alignment requirement).
     ///
-    /// Runs page-span at a time (one check + one journal touch + at most
-    /// one COW fault per page); on error, spans before the faulting page
+    /// Runs page-span at a time (one check + at most one COW fault per
+    /// page); on error, spans before the faulting page
     /// have already been written, matching the per-byte loop's
     /// partial-write semantics. Banked spill NaTs inside a span are one
     /// sorted range of the bank, dropped together, so invalidation costs
@@ -1137,15 +1032,60 @@ mod tests {
         let mut inst = m.clone();
         inst.begin_checkpoint();
         inst.write_int(base, 8, 0xbad).unwrap();
-        // Journaling the shared page was an Arc bump, not a byte copy; the
-        // write itself took the one COW fault.
+        // The checkpoint copied the shared page by reference, not by bytes;
+        // the write itself took the one COW fault.
         assert_eq!(inst.cow_faults(), 1);
         assert!(inst.rollback_checkpoint());
         assert_eq!(&inst.read_cstr(base, 16).unwrap(), b"origin");
-        // Rolled-back page is shared again: the next write faults anew.
+        // The saved table holds the page as shared, so the rolled-back page
+        // is shared again: the next write faults anew.
         inst.write_int(base, 8, 0xfeed).unwrap();
         assert_eq!(inst.cow_faults(), 2);
         assert_eq!(&m.read_cstr(base, 16).unwrap(), b"origin", "origin untouched");
+    }
+
+    #[test]
+    fn rollback_keeps_owned_pages_owned() {
+        let (mut m, base) = mapped();
+        m.write_int(base, 8, 111).unwrap();
+        m.begin_checkpoint();
+        m.write_int(base, 8, 222).unwrap();
+        assert!(m.rollback_checkpoint());
+        assert_eq!(m.read_int(base, 8).unwrap(), 111);
+        // The checkpoint saved the private page by value, and the rollback
+        // restored a private copy: a write after it takes no COW fault.
+        assert_eq!((m.owned_pages(), m.shared_pages()), (1, 0));
+        let faults = m.cow_faults();
+        m.write_int(base, 8, 333).unwrap();
+        assert_eq!(m.cow_faults(), faults);
+    }
+
+    #[test]
+    fn begin_checkpoint_keeps_hot_translations() {
+        let (mut m, base) = mapped();
+        m.write_int(base, 8, 1).unwrap();
+        let (_, misses) = m.tlb_stats();
+        m.begin_checkpoint();
+        m.write_int(base + 8, 8, 2).unwrap();
+        assert_eq!(m.tlb_stats().1, misses, "a hot page must not miss after a checkpoint");
+    }
+
+    #[test]
+    fn dirty_pages_counts_pages_a_rollback_changes() {
+        let (mut m, base) = mapped();
+        m.write_int(base, 8, 1).unwrap();
+        assert_eq!(m.dirty_pages(), 0, "no checkpoint armed");
+        m.begin_checkpoint();
+        // A read-allocated page and a rewrite with the same bytes change
+        // nothing a rollback would undo.
+        m.read_int(make_vaddr(0, 0x9000), 8).unwrap();
+        m.write_int(base, 8, 1).unwrap();
+        assert_eq!(m.dirty_pages(), 0);
+        m.write_int(base, 8, 2).unwrap();
+        m.write_int(base + PAGE_SIZE, 8, 3).unwrap();
+        assert_eq!(m.dirty_pages(), 2);
+        assert!(m.rollback_checkpoint());
+        assert_eq!(m.dirty_pages(), 0);
     }
 
     #[test]

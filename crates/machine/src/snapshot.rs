@@ -4,10 +4,11 @@
 //! boundaries and rolls back on a violation or fault, so one malicious or
 //! wedged request cannot take down a long-running server. A [`Snapshot`]
 //! pairs a full copy of the architected CPU state (GPRs with NaT bits,
-//! predicates, branch registers, `UNAT`, `ip`) with a copy-on-write memory
-//! checkpoint armed in [`crate::Memory`]: only pages dirtied after the
-//! snapshot are captured, so per-request checkpoints cost proportional to
-//! the request's write footprint, not the address space.
+//! predicates, branch registers, `UNAT`, `ip`) with a memory checkpoint
+//! armed in [`crate::Memory`]: a copy of the page table that shares the
+//! pristine image's pages by reference and copies only the instance's
+//! privately owned pages, so a per-request checkpoint costs in proportion to
+//! the instance's owned pages, not the address space.
 //!
 //! [`Injection`] describes the transient events the fault-injection harness
 //! drives through [`crate::Machine::inject_after`]: NaT-bit flips, tag-bitmap

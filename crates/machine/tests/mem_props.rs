@@ -1,8 +1,8 @@
 //! Differential property tests for the optimized [`Memory`].
 //!
 //! The production `Memory` carries a software TLB, a page-frame arena,
-//! journal-generation stamps, and page-span bulk paths — none of which may
-//! be observable. This harness replays random operation sequences (map,
+//! copy-on-write page sharing, page-table checkpoints, and page-span bulk
+//! paths — none of which may be observable. This harness replays random operation sequences (map,
 //! aligned and bulk reads/writes, C-string reads, spill-NaT traffic,
 //! checkpoint/rollback/discard) against a deliberately naive byte-map
 //! reference model and demands identical results: same values, same errors

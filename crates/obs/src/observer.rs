@@ -78,11 +78,6 @@ impl TaintObserver {
         TaintObserver::default()
     }
 
-    /// A fresh observer whose journal keeps at most `cap` events.
-    pub fn with_journal_capacity(cap: usize) -> TaintObserver {
-        TaintObserver { journal: TaintJournal::with_capacity(cap), ..TaintObserver::default() }
-    }
-
     /// The event journal.
     pub fn journal(&self) -> &TaintJournal {
         &self.journal
