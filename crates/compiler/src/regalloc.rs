@@ -1,6 +1,10 @@
 //! Liveness analysis and linear-scan register allocation.
 //!
-//! The pool is `r1–r11, r13–r15` (14 registers). `r16–r23`/`r8` are ABI
+//! Liveness is a backward fixed point over dense bitsets of
+//! `LoweredFn::nvregs` bits per block, and linear scan runs over live
+//! intervals, assignments and spill slots indexed by vreg: no hashing.
+//!
+//! The pool is `r1–r7, r9–r11, r13–r15` (13 registers). `r16–r23`/`r8` are ABI
 //! registers used only in marshalling moves emitted by lowering, `r24–r27`
 //! are reserved for spill glue and `b0` save/restore, and `r28–r31` belong to
 //! the SHIFT instrumentation pass (the paper reserves scratch inside GCC's
@@ -12,8 +16,6 @@
 //! bit through the banked spill bits — the property that makes SHIFT's
 //! register-taint tracking survive register pressure (§4.1's discussion of
 //! `UNAT`).
-
-use std::collections::{HashMap, HashSet};
 
 use shift_ir::VReg;
 use shift_isa::{AluOp, Br, Gpr, MemSize, Op, Pr};
@@ -82,16 +84,21 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
     }
 
     // ---- per-block gen/kill -------------------------------------------
+    // Sets are dense over the vregs: block `b` owns words `row(b)`.
     let nblocks = f.blocks.len();
-    let mut gen: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    let mut kill: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
+    let words = (f.nvregs as usize).div_ceil(64);
+    let row = |b: usize| b * words..(b + 1) * words;
+    let mut gen = vec![0u64; nblocks * words];
+    // A block's kill set doubles as its "defined so far" set.
+    let mut kill = vec![0u64; nblocks * words];
     for (b, block) in f.blocks.iter().enumerate() {
-        let mut defined: HashSet<VReg> = HashSet::new();
+        let (gen, kill) = (&mut gen[row(b)], &mut kill[row(b)]);
         for insn in block {
             for u in insn.uses() {
                 if let VR::V(v) = u {
-                    if !defined.contains(&v) {
-                        gen[b].insert(v);
+                    let (w, m) = bit(v);
+                    if kill[w] & m == 0 {
+                        gen[w] |= m;
                     }
                 }
             }
@@ -99,81 +106,80 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
                 // Predicated definitions may leave the old value visible, so
                 // they do not kill liveness.
                 if insn.qp == Pr::P0 {
-                    defined.insert(v);
-                    kill[b].insert(v);
+                    let (w, m) = bit(v);
+                    kill[w] |= m;
                 }
             }
         }
     }
 
     // ---- iterative liveness -------------------------------------------
-    let mut live_in: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
+    let mut live_in = vec![0u64; nblocks * words];
+    let mut live_out = vec![0u64; nblocks * words];
     let mut changed = true;
     while changed {
         changed = false;
         for b in (0..nblocks).rev() {
-            let mut out = HashSet::new();
-            for &s in &f.succs[b] {
-                out.extend(live_in[s].iter().copied());
-            }
-            let mut inn: HashSet<VReg> = out.difference(&kill[b]).copied().collect();
-            inn.extend(gen[b].iter().copied());
-            if inn != live_in[b] || out != live_out[b] {
-                changed = true;
-                live_in[b] = inn;
-                live_out[b] = out;
+            for w in 0..words {
+                let out = f.succs[b].iter().fold(0, |o, &s| o | live_in[s * words + w]);
+                let i = b * words + w;
+                let inn = (out & !kill[i]) | gen[i];
+                if inn != live_in[i] || out != live_out[i] {
+                    changed = true;
+                    live_in[i] = inn;
+                    live_out[i] = out;
+                }
             }
         }
     }
 
     // ---- intervals ------------------------------------------------------
-    let mut ivs: HashMap<VReg, (usize, usize)> = HashMap::new();
-    let extend = |ivs: &mut HashMap<VReg, (usize, usize)>, v: VReg, p: usize| {
-        let e = ivs.entry(v).or_insert((p, p));
-        e.0 = e.0.min(p);
-        e.1 = e.1.max(p);
+    // `(start, end)` per vreg; `ABSENT` widens to `(p, p)` on first extend.
+    const ABSENT: (usize, usize) = (usize::MAX, 0);
+    let mut ivs = vec![ABSENT; f.nvregs as usize];
+    let extend = |ivs: &mut [(usize, usize)], v: usize, p: usize| {
+        ivs[v] = (ivs[v].0.min(p), ivs[v].1.max(p));
     };
     let mut pos = 0usize;
     for (b, block) in f.blocks.iter().enumerate() {
         let (bs, be) = block_range[b];
-        for &v in &live_in[b] {
+        for v in bits(&live_in[row(b)]) {
             extend(&mut ivs, v, bs);
         }
-        for &v in &live_out[b] {
+        for v in bits(&live_out[row(b)]) {
             extend(&mut ivs, v, be);
         }
         for insn in block {
             for u in insn.uses() {
                 if let VR::V(v) = u {
-                    extend(&mut ivs, v, pos);
+                    extend(&mut ivs, v.index(), pos);
                 }
             }
             if let Some(VR::V(v)) = insn.def() {
-                extend(&mut ivs, v, pos);
+                extend(&mut ivs, v.index(), pos);
             }
             pos += 1;
         }
     }
 
     // ---- linear scan ----------------------------------------------------
-    let mut intervals: Vec<(VReg, usize, usize)> =
-        ivs.iter().map(|(&v, &(s, e))| (v, s, e)).collect();
-    intervals.sort_by_key(|&(v, s, _)| (s, v));
+    let mut intervals: Vec<usize> = (0..ivs.len()).filter(|&v| ivs[v] != ABSENT).collect();
+    intervals.sort_by_key(|&v| (ivs[v].0, v));
 
-    let mut assignment: HashMap<VReg, Gpr> = HashMap::new();
-    let mut slots: HashMap<VReg, usize> = HashMap::new();
+    let mut assignment: Vec<Option<Gpr>> = vec![None; ivs.len()];
+    let mut slots: Vec<Option<usize>> = vec![None; ivs.len()];
     let mut next_slot = 0usize;
-    let alloc_slot = |slots: &mut HashMap<VReg, usize>, v: VReg, next: &mut usize| {
-        slots.insert(v, *next);
+    let alloc_slot = |slots: &mut [Option<usize>], v: usize, next: &mut usize| {
+        slots[v] = Some(*next);
         *next += 1;
     };
 
     let mut free = pool();
     // (end, vreg, reg), kept sorted by end ascending.
-    let mut active: Vec<(usize, VReg, Gpr)> = Vec::new();
+    let mut active: Vec<(usize, usize, Gpr)> = Vec::new();
 
-    for &(v, s, e) in &intervals {
+    for &v in &intervals {
+        let (s, e) = ivs[v];
         // Expire finished intervals.
         let mut i = 0;
         while i < active.len() {
@@ -190,16 +196,16 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
             continue;
         }
         if let Some(r) = free.pop() {
-            assignment.insert(v, r);
+            assignment[v] = Some(r);
             active.push((e, v, r));
             active.sort_unstable_by_key(|a| a.0);
         } else if let Some(last) = active.last().copied() {
             if last.0 > e {
                 // Steal from the interval that ends furthest away.
-                assignment.remove(&last.1);
+                assignment[last.1] = None;
                 alloc_slot(&mut slots, last.1, &mut next_slot);
                 active.pop();
-                assignment.insert(v, last.2);
+                assignment[v] = Some(last.2);
                 active.push((e, v, last.2));
                 active.sort_unstable_by_key(|a| a.0);
             } else {
@@ -246,19 +252,21 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
         code.push(CInsn::isa(Op::St { size: MemSize::B8, src: USE_TMP0, addr: ADDR_TMP }).glued());
     }
 
-    let map_reg = |vr: VR, use_tmps: &mut Vec<Gpr>, spilled_uses: &mut Vec<(Gpr, usize)>| -> Gpr {
+    let map_reg = |vr: VR, spilled_uses: &mut Vec<(Gpr, usize)>| -> Gpr {
         match vr {
             VR::P(g) => g,
             VR::V(v) => {
-                if let Some(&r) = assignment.get(&v) {
+                if let Some(r) = assignment[v.index()] {
                     r
                 } else {
-                    let slot = slots[&v];
+                    let slot = slots[v.index()].expect("spill slot");
                     // Reuse a tmp if this vreg already got one this insn.
                     if let Some(&(t, _)) = spilled_uses.iter().find(|&&(_, s)| s == slot) {
                         t
                     } else {
-                        let t = use_tmps.pop().expect("at most two spilled uses per insn");
+                        // The first spilled use reloads into `USE_TMP0`.
+                        let tmps = [USE_TMP0, USE_TMP1];
+                        let t = *tmps.get(spilled_uses.len()).expect("at most two spilled uses");
                         spilled_uses.push((t, slot));
                         t
                     }
@@ -271,7 +279,6 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
     for (b, block) in f.blocks.iter().enumerate() {
         code.push(CInsn::new(COp::Bind(crate::vcode::Label(b as u32))));
         for insn in block {
-            let mut use_tmps = vec![USE_TMP1, USE_TMP0];
             let mut spilled_uses: Vec<(Gpr, usize)> = Vec::new();
             let mut def_spill: Option<usize> = None;
 
@@ -280,24 +287,22 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
                 COp::Bind(l) => COp::Bind(*l),
                 COp::Jmp(l) => COp::Jmp(*l),
                 COp::Call(n) => COp::Call(n.clone()),
-                COp::ChkS(r, l) => {
-                    COp::ChkS(map_reg(*r, &mut use_tmps, &mut spilled_uses), l.to_owned())
-                }
+                COp::ChkS(r, l) => COp::ChkS(map_reg(*r, &mut spilled_uses), l.to_owned()),
                 COp::Isa(op) => COp::Isa(map_op(op, |vr, is_def| {
                     if is_def {
                         match vr {
                             VR::P(g) => g,
                             VR::V(v) => {
-                                if let Some(&r) = assignment.get(&v) {
+                                if let Some(r) = assignment[v.index()] {
                                     r
                                 } else {
-                                    def_spill = Some(slots[&v]);
+                                    def_spill = Some(slots[v.index()].expect("spill slot"));
                                     DEF_TMP
                                 }
                             }
                         }
                     } else {
-                        map_reg(vr, &mut use_tmps, &mut spilled_uses)
+                        map_reg(vr, &mut spilled_uses)
                     }
                 })),
             };
@@ -395,6 +400,20 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
     AllocatedFn { name: f.name.clone(), code, frame_size, spill_count: next_slot }
 }
 
+/// Word index and mask of vreg `v` in a dense set.
+fn bit(v: VReg) -> (usize, u64) {
+    (v.index() / 64, 1 << (v.index() % 64))
+}
+
+/// The vreg indices in a dense set, ascending.
+fn bits(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+            .take_while(|&rest| rest != 0)
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
+}
+
 /// Maps every register operand of an ISA op; `is_def` distinguishes the
 /// written register.
 fn map_op<A: Copy, B>(op: &Op<A>, mut m: impl FnMut(A, bool) -> B) -> Op<B> {
@@ -453,14 +472,13 @@ mod tests {
     use crate::lower::lower_fn;
     use shift_ir::{ProgramBuilder, Rhs};
     use shift_isa::CmpRel;
-    use std::collections::HashMap as Map;
 
     fn alloc(build: impl FnOnce(&mut shift_ir::FnBuilder)) -> AllocatedFn {
         let mut pb = ProgramBuilder::new();
         pb.func("f", 0, build);
         pb.func("callee", 1, |f| f.ret(None));
         let p = pb.build().unwrap();
-        allocate(&lower_fn(p.func("f").unwrap(), &Map::new()).unwrap())
+        allocate(&lower_fn(p.func("f").unwrap(), &Default::default()).unwrap())
     }
 
     fn physical_regs(f: &AllocatedFn) -> Vec<Gpr> {

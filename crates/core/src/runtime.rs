@@ -728,10 +728,14 @@ impl Runtime {
                 self.do_stream_read(m, msg, a0, a1, Source::Keyboard, 0, 0)
             }
             sys::NET_WRITE => {
-                let mut bytes = vec![0u8; a1 as usize];
-                m.mem.read_bytes(a0, &mut bytes)?;
+                // Append in place; a faulting read leaves the output as it was.
+                let start = self.net_output.len();
+                self.net_output.resize(start + a1 as usize, 0);
+                if let Err(e) = m.mem.read_bytes(a0, &mut self.net_output[start..]) {
+                    self.net_output.truncate(start);
+                    return Err(e);
+                }
                 m.stats.charge_io(self.io.net_base + self.io.net_per_byte * a1);
-                self.net_output.extend_from_slice(&bytes);
                 Self::trace_io(m, "net_write", a1);
                 Self::ret(m, a1 as i64);
                 Ok(self.io_done(self.io.net_base + self.io.net_per_byte * a1))
@@ -1009,6 +1013,27 @@ mod tests {
         assert_eq!(m.cpu.gpr(Gpr::RET).value, 6);
         assert!(r.shadow.all_tainted(buf, 6));
         assert!(m.stats.io_cycles > 0);
+    }
+
+    #[test]
+    fn faulting_net_write_leaves_output_unchanged() {
+        let mut m = machine();
+        let mut r = rt(World::new());
+        let end = layout::DATA_BASE + 0x10000;
+        m.mem.write_bytes(end - 8, b"ok").unwrap();
+        m.cpu.set_gpr_val(Gpr::arg(0), end - 8);
+        m.cpu.set_gpr_val(Gpr::arg(1), 2);
+        assert_eq!(r.syscall(&mut m, sys::NET_WRITE), SysResult::Continue);
+        let io = m.stats.io_cycles;
+        // The source runs off the mapped region into an unmapped page.
+        m.cpu.set_gpr_val(Gpr::arg(1), 16);
+        let ip = m.cpu.ip;
+        assert_eq!(
+            r.syscall(&mut m, sys::NET_WRITE),
+            SysResult::Stop(Exit::Fault(Fault::Unmapped { addr: end, ip }))
+        );
+        assert_eq!(r.net_output, b"ok");
+        assert_eq!(m.stats.io_cycles, io, "a faulting write charges no I/O");
     }
 
     #[test]
