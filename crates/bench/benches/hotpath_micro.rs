@@ -10,9 +10,11 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use shift_core::{Granularity, Mode, ShiftOptions};
-use shift_ir::ProgramBuilder;
-use shift_isa::{make_vaddr, AluOp, CmpRel, ExtKind, Gpr, Insn, MemSize, Op, Pr};
-use shift_machine::{layout, Image, MachineSeed, Memory, NullOs, PAGE_SIZE};
+use shift_ir::{ProgramBuilder, Rhs};
+use shift_isa::{make_vaddr, sys, AluOp, CmpRel, ExtKind, Gpr, Insn, MemSize, Op, Pr};
+use shift_machine::{
+    layout, Exit, Image, Machine, MachineSeed, Memory, NullOs, Os, SysResult, PAGE_SIZE,
+};
 use shift_tagmap::HostShadow;
 use shift_workloads::apache::run_apache;
 
@@ -157,6 +159,80 @@ fn bench_instrumented_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
+/// Bytes the `strlen` loop scans per run.
+const STRLEN_BYTES: usize = 2_000;
+
+/// Stops the run at the guest's `exit`, with its status; every other
+/// runtime call is a fault, as under [`NullOs`].
+struct ExitOs;
+
+impl Os for ExitOs {
+    fn syscall(&mut self, machine: &mut Machine, num: u32) -> SysResult {
+        if num == sys::EXIT {
+            SysResult::Stop(Exit::Halted(machine.cpu.gpr(Gpr::ARG0).value as i64))
+        } else {
+            NullOs.syscall(machine, num)
+        }
+    }
+}
+
+/// The Apache guest's `strlen` loop (the IR of `shift_core::libc`'s
+/// `strlen`, inlined into `main`) over a clean `STRLEN_BYTES`-byte string,
+/// compiled in byte mode. Per byte it runs the load's tag check, the
+/// relax launder of the compare operand, and the lone `br` back to the
+/// loop head — a trace, a fused tag-address template and a fused launder.
+fn strlen_image() -> Image {
+    let mut pb = ProgramBuilder::new();
+    let mut text = vec![b'a'; STRLEN_BYTES];
+    text.push(0);
+    let g = pb.global("text", text.len() as u64, text);
+    pb.func("main", 0, move |f| {
+        let s = f.global_addr(g);
+        let n = f.iconst(0);
+        f.loop_(|f| {
+            let p = f.add(s, n);
+            let c = f.load1(p, 0);
+            f.if_cmp(CmpRel::Eq, c, Rhs::Imm(0), |f| f.break_());
+            let n1 = f.addi(n, 1);
+            f.assign(n, n1);
+        });
+        f.ret(Some(n));
+    });
+    let mode = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
+    let compiled =
+        shift_compiler::Compiler::new(mode).compile(&pb.build().unwrap()).expect("compiles");
+    compiled.image
+}
+
+fn bench_strlen(c: &mut Criterion) {
+    let seed = MachineSeed::new(&strlen_image());
+    let (mut sb, mut pi) = (seed.spawn(), seed.spawn());
+    let exit = sb.run(&mut ExitOs, u64::MAX);
+    assert_eq!(exit, Exit::Halted(STRLEN_BYTES as i64));
+    assert_eq!(pi.run_per_insn(&mut ExitOs, u64::MAX), exit);
+    assert_eq!(sb.stats, pi.stats, "the tiers must agree");
+    let fused = sb.superblock_stats();
+    assert!(fused.fused_launders > 0 && fused.fused_tag_addrs > 0, "{fused:?}");
+
+    let mut g = c.benchmark_group("dispatch/strlen_byte");
+    g.throughput(Throughput::Elements(sb.stats.instructions));
+    // Traces with the fused templates vs. the unfused, fully checked
+    // per-instruction stepper, in one process (DESIGN.md §13).
+    g.bench_function("superblock", |b| {
+        b.iter(|| {
+            let mut m = seed.spawn();
+            m.run(&mut ExitOs, u64::MAX)
+        })
+    });
+    g.bench_function("per_insn", |b| {
+        b.iter(|| {
+            let mut m = seed.spawn();
+            m.run_per_insn(&mut ExitOs, u64::MAX)
+        })
+    });
+    g.finish();
+}
+
 fn bench_memory(c: &mut Criterion) {
     let base = make_vaddr(1, 0x10_0000);
     let mut g = c.benchmark_group("memory");
@@ -259,6 +335,7 @@ criterion_group!(
     benches,
     bench_dispatch,
     bench_instrumented_dispatch,
+    bench_strlen,
     bench_memory,
     bench_shadow,
     bench_apache_request

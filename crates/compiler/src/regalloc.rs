@@ -175,30 +175,30 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
     };
 
     let mut free = pool();
-    // (end, vreg, reg), kept sorted by end ascending.
-    let mut active: Vec<(usize, usize, Gpr)> = Vec::new();
+    // (end, vreg, reg), kept sorted by end ascending; among equal ends, in
+    // insertion order.
+    let mut active: Vec<(usize, usize, Gpr)> = Vec::with_capacity(free.len());
+    let insert = |active: &mut Vec<(usize, usize, Gpr)>, entry: (usize, usize, Gpr)| {
+        let at = active.partition_point(|a| a.0 <= entry.0);
+        active.insert(at, entry);
+    };
 
     for &v in &intervals {
         let (s, e) = ivs[v];
-        // Expire finished intervals.
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].0 < s {
-                free.push(active[i].2);
-                active.remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        // Expire finished intervals: a prefix of `active`, freed in order.
+        let expired = active.partition_point(|a| a.0 < s);
+        free.extend(active.drain(..expired).map(|a| a.2));
         // Call-crossing values live in the frame (all regs are caller-saved).
-        if call_positions.iter().any(|&c| s < c && c < e) {
+        // `call_positions` is ascending: count the calls at or before `s`,
+        // and the next one, if any, is the first candidate inside `(s, e)`.
+        let next_call = call_positions.partition_point(|&c| c <= s);
+        if call_positions.get(next_call).is_some_and(|&c| c < e) {
             alloc_slot(&mut slots, v, &mut next_slot);
             continue;
         }
         if let Some(r) = free.pop() {
             assignment[v] = Some(r);
-            active.push((e, v, r));
-            active.sort_unstable_by_key(|a| a.0);
+            insert(&mut active, (e, v, r));
         } else if let Some(last) = active.last().copied() {
             if last.0 > e {
                 // Steal from the interval that ends furthest away.
@@ -206,8 +206,7 @@ pub fn allocate(f: &LoweredFn) -> AllocatedFn {
                 alloc_slot(&mut slots, last.1, &mut next_slot);
                 active.pop();
                 assignment[v] = Some(last.2);
-                active.push((e, v, last.2));
-                active.sort_unstable_by_key(|a| a.0);
+                insert(&mut active, (e, v, last.2));
             } else {
                 alloc_slot(&mut slots, v, &mut next_slot);
             }

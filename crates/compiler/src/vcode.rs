@@ -115,13 +115,15 @@ impl<R: Copy> CInsn<R> {
         }
     }
 
-    /// Registers used by this instruction.
-    pub fn uses(&self) -> Vec<R> {
-        match &self.op {
-            COp::Isa(op) => op.use_regs().into_iter().flatten().collect(),
-            COp::ChkS(r, _) => vec![*r],
-            _ => Vec::new(),
-        }
+    /// Registers used by this instruction (at most two, so the iterator
+    /// is a fixed-size array: nothing allocates).
+    pub fn uses(&self) -> impl Iterator<Item = R> {
+        let regs = match &self.op {
+            COp::Isa(op) => op.use_regs(),
+            COp::ChkS(r, _) => [Some(*r), None],
+            _ => [None, None],
+        };
+        regs.into_iter().flatten()
     }
 }
 
@@ -195,10 +197,10 @@ mod tests {
     fn def_use_through_cop() {
         let call: CInsn<VR> = CInsn::new(COp::Call("f".into()));
         assert_eq!(call.def(), None);
-        assert!(call.uses().is_empty());
+        assert_eq!(call.uses().count(), 0);
 
         let chk: CInsn<VR> = CInsn::new(COp::ChkS(VR::V(VReg(2)), Label(0)));
-        assert_eq!(chk.uses(), vec![VR::V(VReg(2))]);
+        assert_eq!(chk.uses().collect::<Vec<_>>(), [VR::V(VReg(2))]);
     }
 
     #[test]

@@ -110,11 +110,7 @@ proptest! {
         let (out, _) = instrument(&code, &opts);
         let app_regs_touched: Vec<Gpr> = code
             .iter()
-            .flat_map(|i| {
-                let mut v = i.uses();
-                v.extend(i.def());
-                v
-            })
+            .flat_map(|i| i.uses().chain(i.def()))
             .collect();
         for insn in &out {
             if insn.prov == Provenance::Original {

@@ -23,7 +23,7 @@ use shift_isa::{sys, Gpr};
 use shift_machine::{
     layout, Exit, Fault, Machine, MemError, Os, Sample, Snapshot, SysResult, TraceKind, Violation,
 };
-use shift_tagmap::{tag_location, tag_range, Granularity, HostShadow, TagAddrError};
+use shift_tagmap::{tag_location, tag_range, Granularity, HostShadow, TagAddrError, TagRange};
 
 use crate::config::{Source, TaintConfig, ViolationAction};
 use crate::policy::{self, Policy, TaintedBytes};
@@ -330,14 +330,19 @@ impl Runtime {
         m.mem.write_bytes(addr, bytes)?;
         self.shadow.set_range(addr, len, tainted);
         if let Some(r) = tags.filter(|r| r.len > 0) {
-            // One page-span read, a masked read-modify-write, one page-span
-            // write. Every tag byte is rewritten, changed or not, so the tag
-            // pages take the same COW faults as a per-byte read-modify-write
-            // would.
-            let mut span = vec![0u8; r.len as usize];
-            m.mem.read_bytes(r.byte_addr, &mut span)?;
-            r.apply(&mut span, tainted);
-            m.mem.write_bytes(r.byte_addr, &span)?;
+            // Read the two edge bytes, fill the whole span in place, then
+            // blend the edges back. Every tag byte is rewritten, changed or
+            // not, so the tag pages take the same COW faults as a per-byte
+            // read-modify-write would.
+            let last = r.byte_addr + r.len - 1;
+            let lo = m.mem.read_int(r.byte_addr, 1)? as u8;
+            let hi = m.mem.read_int(last, 1)? as u8;
+            m.mem.fill_bytes(r.byte_addr, r.len as usize, TagRange::fill(tainted))?;
+            let (lo, hi) = r.blend_edges(lo, hi, tainted);
+            m.mem.write_int(r.byte_addr, 1, u64::from(lo))?;
+            if r.len > 1 {
+                m.mem.write_int(last, 1, u64::from(hi))?;
+            }
         }
         if let Some(o) = m.taint_observer_mut() {
             o.record_runtime_write(label, addr, len, tainted);
@@ -729,12 +734,7 @@ impl Runtime {
             }
             sys::NET_WRITE => {
                 // Append in place; a faulting read leaves the output as it was.
-                let start = self.net_output.len();
-                self.net_output.resize(start + a1 as usize, 0);
-                if let Err(e) = m.mem.read_bytes(a0, &mut self.net_output[start..]) {
-                    self.net_output.truncate(start);
-                    return Err(e);
-                }
+                m.mem.append_bytes(a0, a1 as usize, &mut self.net_output)?;
                 m.stats.charge_io(self.io.net_base + self.io.net_per_byte * a1);
                 Self::trace_io(m, "net_write", a1);
                 Self::ret(m, a1 as i64);

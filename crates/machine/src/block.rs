@@ -1,20 +1,25 @@
-//! Pre-decoded superblock program: straight-line instruction runs flattened
-//! into a micro-op arena for the trace-threaded dispatch tier.
+//! Pre-decoded superblock program: basic blocks lowered once into micro-ops,
+//! then chained into traces in a flat arena for the trace-threaded dispatch
+//! tier.
 //!
 //! The per-instruction dispatcher in [`crate::Machine`] pays fixed costs on
 //! every instruction: a bounds-checked fetch from `code`, a budget compare,
 //! an `ip` store, a second indexed load for the base cost, and four
 //! read-modify-writes into [`crate::Stats`]. A [`BlockProgram`] removes all
 //! of them from straight-line code: every basic block is decoded **once**
-//! (at [`crate::MachineSeed`] build time) into a flat arena of uniform
-//! [`MicroOp`]s whose qualifying predicate, provenance label, and base cycle
-//! cost ride alongside the operation, and the executor walks a block with a
-//! plain slice iterator, folding retire accounting into stack-local
-//! accumulators that are flushed exactly once per block. Decoding also
-//! specialises each operation and fuses the SHIFT pass's fixed
-//! instrumentation templates (the Figure-4 tag-address sequence, its
-//! bit-index form, and the store tag merge) into one micro-op each, so the
-//! executor dispatches once per template instead of once per instruction.
+//! (at [`crate::MachineSeed`] build time) into uniform [`MicroOp`]s whose
+//! qualifying predicate, provenance label, and base cycle cost ride
+//! alongside the operation. Each block then starts a *trace* that
+//! continues through unpredicated direct `jmp`s and fall-throughs into the
+//! next leader, so one dispatch runs a whole chain of blocks. The executor
+//! walks a trace's blocks with plain slice iterators, folding retire
+//! accounting into stack-local accumulators that are flushed exactly once
+//! per trace.
+//! Decoding also specialises each operation and fuses the SHIFT pass's
+//! fixed instrumentation templates (the Figure-4 tag-address sequence, its
+//! bit-index form, the store tag merge, and the relax launder) into one
+//! micro-op each, so the executor dispatches once per template instead of
+//! once per instruction.
 //!
 //! Everything here is a **host-speed detail**: a superblock executes the
 //! same architectural steps, charges the same modelled cycles, and raises
@@ -31,10 +36,12 @@ use shift_isa::{AluOp, Br, CmpRel, CostModel, ExtKind, Gpr, Insn, MemSize, Op, P
 /// Number of provenance labels (accumulator array width).
 pub(crate) const NPROV: usize = Provenance::ALL.len();
 
-/// Longest block, in instructions: micro-op offsets are `u16`. Longer
-/// straight-line runs split into consecutive blocks, which only changes
-/// how often the dispatcher re-enters the block table.
-const MAX_BLOCK_LEN: usize = u16::MAX as usize;
+/// Longest trace, in instructions. A trace stops growing before it would
+/// pass the cap, and a longer straight-line run splits into consecutive
+/// basic blocks. The cap bounds the entry guard's horizon: a trace longer
+/// than the fuel or budget left is refused whole, and the stepper runs
+/// until the next leader.
+const MAX_TRACE_LEN: usize = 256;
 
 /// A decoded instruction in the superblock arena.
 ///
@@ -44,13 +51,13 @@ const MAX_BLOCK_LEN: usize = u16::MAX as usize;
 /// `repr(u8)`), the qualifying predicate, the provenance label for cycle
 /// attribution, and the summed base cycle cost that the per-instruction
 /// stepper would re-derive from `CostModel::base`. The executor never
-/// touches `code` or `base_cost` while inside a block.
+/// touches `code` or `base_cost` while inside a trace.
 ///
-/// A micro-op covers `n` consecutive instructions starting `off`
-/// instructions into its block: one for a plain instruction, the whole
-/// template for a fused one. Fault `ip`s, `call` link values, and partial
-/// settlement all derive from `off` and `n`, so fusion never shifts an
-/// architectural instruction index.
+/// A micro-op covers `n` consecutive instructions starting at instruction
+/// index `off`: one for a plain instruction, the whole template for a
+/// fused one. Fault `ip`s, `call` link values, and partial settlement all
+/// derive from `off` and `n`, so neither fusion nor trace formation ever
+/// shifts an architectural instruction index.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MicroOp {
     /// The pre-specialised operation.
@@ -63,14 +70,15 @@ pub(crate) struct MicroOp {
     pub prov: Provenance,
     /// Number of instructions covered.
     pub n: u8,
-    /// Offset of the first covered instruction from the block's start.
-    pub off: u16,
     /// Sum of the covered instructions' *effective* base cycles:
     /// `CostModel::base`, except that unconditional control transfers
-    /// (`jmp`, `call`, `jmp.br`) carry `branch_taken` — inside a block they
+    /// (`jmp`, `call`, `jmp.br`) carry `branch_taken` — inside a trace they
     /// always take, so the executor need not special-case them at retire
-    /// time.
-    pub base: u16,
+    /// time. The largest sum the cost model produces (a `syscall`, or the
+    /// ten-instruction bit-index template) fits a byte.
+    pub base: u8,
+    /// Instruction index of the first covered instruction.
+    pub off: u32,
 }
 
 // Fusion must not grow the arena: operands of fused templates live in the
@@ -85,11 +93,12 @@ const _: () = assert!(std::mem::size_of::<MicroOp>() == 24);
 /// (they are architecturally discarded), the self-cancelling `xor/sub r,r`
 /// idiom decodes to a NaT-clearing `MovI 0`, and `sub` by an immediate
 /// decodes to `add` of its negation — so every destination in a
-/// register-writing kind is a real register. The last three kinds are the
+/// register-writing kind is a real register. The last four kinds are the
 /// fused instrumentation templates (see [`BlockProgram::build`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Kind {
-    /// No architectural effect (`nop`, or a register write to `r0`).
+    /// No architectural effect (`nop`, a register write to `r0`, or a
+    /// `jmp` the trace continues through).
     Nop,
     /// `dst = a + b` (NaT-or).
     Add { dst: Gpr, a: Gpr, b: Gpr },
@@ -175,6 +184,9 @@ pub(crate) enum Kind {
     /// The 4-instruction store tag merge; operands at
     /// [`BlockProgram::merges`]`[i]`.
     TagMerge(u32),
+    /// The 3- or 4-instruction relax launder; operands at
+    /// [`BlockProgram::launders`]`[i]`.
+    Launder(u32),
 }
 
 /// Operands of a fused tag-address template:
@@ -236,15 +248,48 @@ pub(crate) struct TagMerge {
     pub dev_clean: u64,
 }
 
-/// One entry of a block's precomputed *full-pass* retire accounting:
+/// Operands of a fused relax launder, the baseline NaT clearing of §4.1:
+///
+/// ```text
+///     tnat     p, pf = r      ← 4-instruction form only
+///     movl     t = slot
+/// (p) st8.spill [t] = r
+/// (p) ld8      r = [t]
+/// ```
+///
+/// The spill banks `r`'s NaT bit and the plain reload drops it. The
+/// 3-instruction form is what the store path emits after its tag merge:
+/// it has no `tnat` and reuses the predicate the merge set. `t` is not
+/// `r0`; in the 4-instruction form `p` is not `p0` and differs from `pf`,
+/// so `p` ends up holding `r`'s NaT bit. This is the only fused template
+/// with memory ops: a spill or reload that faults leaves `ip` on its own
+/// member, and only the members up to it retire.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Launder {
+    pub r: Gpr,
+    pub t: Gpr,
+    /// The predicate qualifying the spill and the reload.
+    pub p: Pr,
+    /// The `tnat`'s second target (unused by the 3-instruction form).
+    pub pf: Pr,
+    /// Members before the `movl`: 1 with a leading `tnat`, else 0.
+    pub lead: u8,
+    pub slot: u64,
+    /// Deviation when `p` is off (spill and reload squashed).
+    pub dev_clean: u64,
+    /// Base cost of the reload, which never issues when the spill faults.
+    pub reload_base: u8,
+}
+
+/// One entry of a trace's precomputed *full-pass* retire accounting:
 /// `insns` instructions costing `cycles` cycles, attributed to provenance
 /// index `prov`, assuming an undeviated pass (every predicate on, no memory
 /// stalls, `chk.s` falling through). The executor merges these entries when
-/// a block completes and records only *deviations* from the assumption as
+/// a trace completes and records only *deviations* from the assumption as
 /// they happen, so conforming micro-ops retire with zero accounting work.
-/// Blocks touch one or two provenance labels in practice, so the sparse
-/// form merges in a couple of adds where a dense `[u64; NPROV]` merge would
-/// pay for every label on every block.
+/// Traces touch a few provenance labels in practice, so the sparse form
+/// merges in a couple of adds where a dense `[u64; NPROV]` merge would pay
+/// for every label on every trace.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ProvAcct {
     /// `Provenance::index()` of the attributed label.
@@ -255,37 +300,43 @@ pub(crate) struct ProvAcct {
     pub insns: u32,
 }
 
-/// One basic block: a maximal straight-line run of instructions that control
-/// can only enter at the top.
+/// One trace: the basic block starting at a leader, followed by the blocks
+/// it continues into (see [`BlockProgram::build`]). Control can only enter
+/// at the top.
 ///
-/// A block ends at the first control-transfer instruction (`jmp`, `call`,
-/// `jmp.br`, `chk.s`, `halt`), at a `syscall` (the runtime gets `&mut
-/// Machine` and may re-arm any boundary-checked state), just before the
-/// next leader (an instruction some branch targets), or after
-/// `MAX_BLOCK_LEN` instructions.
+/// A basic block ends at the first control-transfer instruction (`jmp`,
+/// `call`, `jmp.br`, `chk.s`, `halt`), at a `syscall` (the runtime gets
+/// `&mut Machine` and may re-arm any boundary-checked state), just before
+/// the next leader (an instruction some branch targets), or at the trace
+/// cap.
 #[derive(Clone, Debug)]
 pub(crate) struct Block {
-    /// Instruction index of the block's first instruction.
+    /// Instruction index of the trace's first instruction (its leader).
     pub start: u32,
-    /// Offset of the block's first micro-op in [`BlockProgram::uops`].
-    pub uop_start: u32,
-    /// Number of micro-ops in the block.
-    pub uop_len: u32,
-    /// Number of instructions in the block (the entry guard's unit).
+    /// First of the trace's micro-op ranges in [`BlockProgram::links`].
+    pub link_start: u32,
+    /// Number of micro-op ranges.
+    pub link_len: u32,
+    /// Number of instructions in the trace (the entry guard's unit).
     pub len: u32,
-    /// `true` when no instruction in the block is predicated or has a
+    /// Where control goes after the trace's last member block when its
+    /// last micro-op transfers nowhere: the block's fall-through `ip`, or
+    /// the target of its closing unpredicated `jmp` (which decodes to
+    /// [`Kind::Nop`]).
+    pub next_ip: u32,
+    /// `true` when no instruction in the trace is predicated or has a
     /// dynamic cycle cost (memory stalls, `chk.s` outcomes) or can fault /
-    /// trap mid-block — so a full pass can never deviate from the
+    /// trap mid-trace — so a full pass can never deviate from the
     /// precomputed accounting and the executor skips the predicate test.
     pub pure: bool,
-    /// First entry of this block's full-pass accounting in
+    /// First entry of this trace's full-pass accounting in
     /// [`BlockProgram::accts`].
     pub acct_start: u32,
     /// Number of accounting entries (distinct provenance labels touched).
     pub acct_len: u32,
 }
 
-/// The whole code image pre-decoded into superblocks.
+/// The whole code image pre-decoded into traces.
 ///
 /// Built once per [`crate::MachineSeed`] and shared by every spawned
 /// instance through `Arc` — decode cost is paid at load time, never on the
@@ -295,12 +346,17 @@ pub(crate) struct Block {
 /// rebuilds the tables wholesale.
 #[derive(Clone, Debug)]
 pub(crate) struct BlockProgram {
-    /// All blocks, ordered by `start`.
+    /// One trace per basic block, ordered by `start`.
     pub blocks: Box<[Block]>,
-    /// Flat micro-op arena; block `b` owns
-    /// `uops[b.uop_start .. b.uop_start + b.uop_len]`.
+    /// The micro-op ranges every trace walks, in execution order: one per
+    /// run of member blocks that lie back to back in `uops`. Trace `b` owns
+    /// `links[b.link_start .. b.link_start + b.link_len]`, and each entry
+    /// is a `(start, end)` range of `uops`.
+    pub links: Box<[(u32, u32)]>,
+    /// Flat micro-op arena: every basic block's micro-ops, once, in the
+    /// build's layout order.
     pub uops: Box<[MicroOp]>,
-    /// Sparse precomputed full-pass accounting; block `b` owns
+    /// Sparse precomputed full-pass accounting; trace `b` owns
     /// `accts[b.acct_start .. b.acct_start + b.acct_len]`.
     pub accts: Box<[ProvAcct]>,
     /// Operands of every fused tag-address template, indexed by
@@ -309,12 +365,35 @@ pub(crate) struct BlockProgram {
     /// Operands of every fused store tag merge, indexed by
     /// [`Kind::TagMerge`].
     pub merges: Box<[TagMerge]>,
-    /// Map from instruction index to owning block index.
+    /// Operands of every fused relax launder, indexed by
+    /// [`Kind::Launder`].
+    pub launders: Box<[Launder]>,
+    /// Map from instruction index to its basic block's index (which is
+    /// also the index of the trace that block starts).
     block_of: Box<[u32]>,
 }
 
+/// A basic block while [`BlockProgram::build`] chains traces: its
+/// instruction span, where control goes after it, the block a trace
+/// continues into from it, and its micro-ops and full-pass accounting in
+/// the program's arenas.
+struct Basic {
+    start: u32,
+    end: u32,
+    /// The target of a closing unpredicated `jmp`, else `end`.
+    next_ip: u32,
+    /// The block control always reaches next, through an unpredicated
+    /// direct `jmp` or by falling through into the next leader.
+    succ: Option<u32>,
+    /// The block ends in an unpredicated direct `jmp` to `next_ip`.
+    via_jmp: bool,
+    uops: (u32, u32),
+    accts: (u32, u32),
+    pure: bool,
+}
+
 impl BlockProgram {
-    /// Decodes `code` into superblocks.
+    /// Decodes `code` into traces.
     ///
     /// Discovery is a single linear pass (plus a leader marking pass): a
     /// *leader* is the entry point, any static branch target (`jmp`, `call`,
@@ -324,11 +403,25 @@ impl BlockProgram {
     /// indirect jump into the middle of a block is legal and simply executes
     /// on the per-instruction fallback tier until it rejoins a leader.
     ///
-    /// Each block then lowers to micro-ops in one left-to-right pass that
-    /// fuses the SHIFT instrumentation templates (the tag-address sequence,
-    /// its bit-index form, and the store tag merge) wherever one matches
-    /// structurally inside the block; everything else lowers one
-    /// instruction per micro-op.
+    /// Each basic block lowers to micro-ops once, in one left-to-right pass
+    /// that fuses the SHIFT instrumentation templates (the tag-address
+    /// sequence, its bit-index form, the store tag merge, and the relax
+    /// launder) wherever one matches structurally inside the block;
+    /// everything else lowers one instruction per micro-op.
+    ///
+    /// Every basic block then starts one trace, which keeps going into the
+    /// block control always reaches next: through an unpredicated direct
+    /// `jmp` or by falling through into the next leader. Such a `jmp`
+    /// always takes, so it decodes to a no-op at its folded `branch_taken`
+    /// cost and its block records the target as its `next_ip`. A trace
+    /// stops at a block already on it, at any other terminator (`call`
+    /// included), or before it would pass `MAX_TRACE_LEN` instructions.
+    /// A trace holds no micro-ops of its own: it links the micro-op ranges
+    /// of its member blocks, which the executor walks in turn, so a block
+    /// on many traces is still decoded and stored once and the arena is no
+    /// larger than the blocks'. Blocks are lowered in a layout that keeps
+    /// most traces one contiguous range. Building a trace allocates
+    /// nothing.
     pub fn build(code: &[Insn], cost: &CostModel) -> BlockProgram {
         let n = code.len();
         let mut leader = vec![false; n + 1];
@@ -347,23 +440,76 @@ impl BlockProgram {
             }
         }
 
-        let mut blocks = Vec::new();
-        let mut uops = Vec::with_capacity(n);
-        let mut accts = Vec::new();
-        let mut tag_addrs = Vec::new();
-        let mut merges = Vec::new();
+        // Pass 1: the basic blocks, and the block each one continues into.
+        let mut basics: Vec<Basic> = Vec::with_capacity(leader.iter().filter(|&&l| l).count());
         let mut block_of = vec![0u32; n];
         let mut start = 0usize;
         while start < n {
             // A block runs to the next leader; every terminator's successor
             // is a leader, so no block runs past a terminator.
             let mut end = start + 1;
-            while end < n && !leader[end] && end - start < MAX_BLOCK_LEN {
+            while end < n && !leader[end] && end - start < MAX_TRACE_LEN {
                 end += 1;
             }
-            let body = &code[start..end];
+            block_of[start..end].fill(basics.len() as u32);
+            let last = &code[end - 1];
+            let (next_ip, via_jmp) = match last.op {
+                Op::Jmp { target } if last.qp == Pr::P0 && target < n => (target, true),
+                _ => (end, false),
+            };
+            // Control always reaches `next_ip` after a closing `jmp` or a
+            // plain fall-through; a block that ends in any other
+            // terminator (or the code) ends every trace it is on.
+            let continues = via_jmp || (!is_terminator(&last.op) && end < n);
+            basics.push(Basic {
+                start: start as u32,
+                end: end as u32,
+                next_ip: next_ip as u32,
+                // An instruction index for now; a block index below, once
+                // every block exists.
+                succ: continues.then_some(next_ip as u32),
+                via_jmp,
+                uops: (0, 0),
+                accts: (0, 0),
+                pure: true,
+            });
+            start = end;
+        }
+        for b in &mut basics {
+            b.succ = b.succ.map(|ip| block_of[ip as usize]);
+        }
+
+        // Pass 2: lay the blocks out for the arena. Each unplaced block is
+        // followed by the unplaced blocks its traces run into, so a trace
+        // mostly walks one contiguous run of micro-ops. Blocks that close a
+        // loop with a backward `jmp` go first: the loop's hot trace (the
+        // closing block, then the loop head) is then one run, and the
+        // trace that enters the loop from above takes the extra link.
+        let nbb = basics.len();
+        let mut placed = vec![false; nbb];
+        let mut order = Vec::with_capacity(nbb);
+        let closes_loop = |b: &u32| {
+            basics[*b as usize].via_jmp && basics[*b as usize].succ.is_some_and(|s| s <= *b)
+        };
+        for first in (0..nbb as u32).filter(closes_loop).chain(0..nbb as u32) {
+            let mut b = Some(first);
+            while let Some(x) = b.filter(|&x| !placed[x as usize]) {
+                placed[x as usize] = true;
+                order.push(x);
+                b = basics[x as usize].succ;
+            }
+        }
+
+        // Pass 3: lower every basic block once, in layout order.
+        let mut uops = Vec::with_capacity(n);
+        let mut accts = Vec::with_capacity(basics.len() * 2);
+        let mut tag_addrs = Vec::new();
+        let mut merges = Vec::new();
+        let mut launders = Vec::new();
+        for &b in &order {
+            let bb = &mut basics[b as usize];
+            let (start, body) = (bb.start as usize, &code[bb.start as usize..bb.end as usize]);
             let uop_start = uops.len() as u32;
-            let mut pure = true;
             let mut cycles_by_prov = [0u64; NPROV];
             let mut insns_by_prov = [0u64; NPROV];
             let mut off = 0usize;
@@ -372,6 +518,9 @@ impl BlockProgram {
                 let (kind, len) = if let Some(m) = match_merge(rest, cost) {
                     merges.push(m);
                     (Kind::TagMerge(merges.len() as u32 - 1), 4)
+                } else if let Some(l) = match_launder(rest, cost) {
+                    launders.push(l);
+                    (Kind::Launder(launders.len() as u32 - 1), usize::from(l.lead) + 3)
                 } else if let Some((t, bit)) = match_tag_addr(rest) {
                     tag_addrs.push(t);
                     let i = tag_addrs.len() as u32 - 1;
@@ -380,6 +529,10 @@ impl BlockProgram {
                     } else {
                         (Kind::TagAddr(i), 7)
                     }
+                } else if bb.via_jmp && off + 1 == body.len() {
+                    // The closing `jmp` always takes, to the block's
+                    // `next_ip`: it retires as a no-op at its folded cost.
+                    (Kind::Nop, 1)
                 } else {
                     (lower(rest[0].op), 1)
                 };
@@ -389,7 +542,7 @@ impl BlockProgram {
                     // its effective base cost. Ops whose real cost can
                     // deviate from it — memory ops stall, `chk.s` outcome
                     // depends on NaT state, faulting/trapping ops end the
-                    // block early — and predicated ops (which may retire at
+                    // trace early — and predicated ops (which may retire at
                     // `pred_off` instead) make the block impure: the
                     // executor then records the deviations as they happen,
                     // against this same baseline.
@@ -405,7 +558,7 @@ impl BlockProgram {
                             | Op::Halt
                     );
                     if deviates || insn.qp != Pr::P0 {
-                        pure = false;
+                        bb.pure = false;
                     }
                     base += effective_cost(insn, cost);
                 }
@@ -418,51 +571,89 @@ impl BlockProgram {
                     qp: rest[0].qp,
                     prov,
                     n: len as u8,
-                    off: off as u16,
-                    base: u16::try_from(base).expect("micro-op base cost fits u16"),
+                    base: u8::try_from(base).expect("micro-op base cost fits u8"),
+                    off: u32::try_from(start + off).expect("code index fits u32"),
                 });
                 off += len;
             }
-
+            bb.uops = (uop_start, uops.len() as u32);
             let acct_start = accts.len() as u32;
-            for p in 0..NPROV {
-                if insns_by_prov[p] != 0 {
-                    accts.push(ProvAcct {
-                        prov: p as u8,
-                        cycles: u32::try_from(cycles_by_prov[p])
-                            .expect("block cycle total fits u32"),
-                        insns: u32::try_from(insns_by_prov[p]).expect("block insn total fits u32"),
-                    });
-                }
-            }
-            let acct_len = accts.len() as u32 - acct_start;
-            let bid = blocks.len() as u32;
-            for slot in &mut block_of[start..end] {
-                *slot = bid;
-            }
-            blocks.push(Block {
-                start: start as u32,
-                uop_start,
-                uop_len: uops.len() as u32 - uop_start,
-                len: body.len() as u32,
-                pure,
-                acct_start,
-                acct_len,
-            });
-            start = end;
+            push_accts(&mut accts, &cycles_by_prov, &insns_by_prov);
+            bb.accts = (acct_start, accts.len() as u32);
         }
 
+        // Pass 4: chain each block's trace. `on_trace` stamps a block with
+        // the head of the trace it was last put on, so the membership test
+        // needs no clearing between traces. Members that follow one another
+        // in the arena share one link. A one-block trace reuses its block's
+        // accounting entries; a longer one sums its blocks'.
+        let mut on_trace = vec![u32::MAX; nbb];
+        let mut links: Vec<(u32, u32)> = Vec::with_capacity(nbb * 2);
+        let mut blocks = Vec::with_capacity(nbb);
+        for h in 0..nbb as u32 {
+            let link_start = links.len() as u32;
+            let mut cycles_by_prov = [0u64; NPROV];
+            let mut insns_by_prov = [0u64; NPROV];
+            let (mut b, mut len, mut pure, mut members) = (h, 0u32, true, 0);
+            let tail = loop {
+                let bb = &basics[b as usize];
+                on_trace[b as usize] = h;
+                match links.last_mut() {
+                    Some(last) if members > 0 && last.1 == bb.uops.0 => last.1 = bb.uops.1,
+                    _ => links.push(bb.uops),
+                }
+                members += 1;
+                len += bb.end - bb.start;
+                pure &= bb.pure;
+                for a in &accts[bb.accts.0 as usize..bb.accts.1 as usize] {
+                    cycles_by_prov[usize::from(a.prov)] += u64::from(a.cycles);
+                    insns_by_prov[usize::from(a.prov)] += u64::from(a.insns);
+                }
+                match bb.succ {
+                    Some(s)
+                        if on_trace[s as usize] != h
+                            && (len + basics[s as usize].end - basics[s as usize].start)
+                                as usize
+                                <= MAX_TRACE_LEN =>
+                    {
+                        b = s;
+                    }
+                    _ => break bb,
+                }
+            };
+            let head = &basics[h as usize];
+            let link_len = links.len() as u32 - link_start;
+            let (acct_start, acct_end) = if members == 1 {
+                head.accts
+            } else {
+                let at = accts.len() as u32;
+                push_accts(&mut accts, &cycles_by_prov, &insns_by_prov);
+                (at, accts.len() as u32)
+            };
+            blocks.push(Block {
+                start: head.start,
+                link_start,
+                link_len,
+                len,
+                next_ip: tail.next_ip,
+                pure,
+                acct_start,
+                acct_len: acct_end - acct_start,
+            });
+        }
         BlockProgram {
             blocks: blocks.into_boxed_slice(),
+            links: links.into_boxed_slice(),
             uops: uops.into_boxed_slice(),
             accts: accts.into_boxed_slice(),
             tag_addrs: tag_addrs.into_boxed_slice(),
             merges: merges.into_boxed_slice(),
+            launders: launders.into_boxed_slice(),
             block_of: block_of.into_boxed_slice(),
         }
     }
 
-    /// The block whose first instruction is `ip`, if any. Mid-block and
+    /// The trace whose first instruction is `ip`, if any. Mid-block and
     /// out-of-range addresses return `None` (the caller falls back to the
     /// per-instruction tier, which raises `BadIp` for the latter).
     #[inline]
@@ -472,21 +663,35 @@ impl BlockProgram {
         (blk.start as usize == ip).then_some(bid)
     }
 
-    /// Number of decoded blocks.
+    /// Number of decoded traces (one per basic block).
     pub fn block_count(&self) -> usize {
         self.blocks.len()
     }
 }
 
-/// Returns `true` when `op` always ends a superblock: control transfers
+/// Appends the sparse full-pass accounting entries of a dense
+/// per-provenance tally.
+fn push_accts(accts: &mut Vec<ProvAcct>, cycles: &[u64; NPROV], insns: &[u64; NPROV]) {
+    for p in 0..NPROV {
+        if insns[p] != 0 {
+            accts.push(ProvAcct {
+                prov: p as u8,
+                cycles: u32::try_from(cycles[p]).expect("trace cycle total fits u32"),
+                insns: u32::try_from(insns[p]).expect("trace insn total fits u32"),
+            });
+        }
+    }
+}
+
+/// Returns `true` when `op` always ends a basic block: control transfers
 /// (the next instruction depends on machine state) and `syscall` (the
 /// runtime may re-arm boundary-checked machine state mid-call).
 fn is_terminator(op: &Op) -> bool {
     op.is_control() || matches!(op, Op::Syscall { .. })
 }
 
-/// `insn`'s retire cost on an undeviated pass through a block.
-/// Unconditional transfers always take inside a block, so their effective
+/// `insn`'s retire cost on an undeviated pass through a trace.
+/// Unconditional transfers always take inside a trace, so their effective
 /// cost is `branch_taken`, not the fall-through cost the per-instruction
 /// table carries.
 fn effective_cost(insn: &Insn, cost: &CostModel) -> u64 {
@@ -648,6 +853,52 @@ fn match_merge(code: &[Insn], cost: &CostModel) -> Option<TagMerge> {
     })
 }
 
+/// Matches the relax launder at the head of `code` (see [`Launder`]): the
+/// 4-instruction form when `code` opens with a `tnat`, else the
+/// 3-instruction form.
+fn match_launder(code: &[Insn], cost: &CostModel) -> Option<Launder> {
+    let lead = usize::from(matches!(code.first()?.op, Op::Tnat { .. }));
+    let m = code.get(..lead + 3)?;
+    // The spill is the rarest member: test it before unpacking the rest.
+    if !matches!(m[lead + 1].op, Op::StSpill { .. }) {
+        return None;
+    }
+    let (movl, spill, reload) = (&m[lead], &m[lead + 1], &m[lead + 2]);
+    let (
+        Op::MovI { dst: t, imm: slot },
+        Op::StSpill { src: r, addr: a1 },
+        Op::Ld { size: MemSize::B8, dst: r2, addr: a2, spec: false, .. },
+    ) = (movl.op, spill.op, reload.op)
+    else {
+        return None;
+    };
+    let p = spill.qp;
+    let mut pf = Pr::P0;
+    if lead == 1 {
+        let Op::Tnat { pt, pf: q, src } = m[0].op else { unreachable!("probed above") };
+        if m[0].qp != Pr::P0 || src != r || pt != p || p == Pr::P0 || q == p {
+            return None;
+        }
+        pf = q;
+    }
+    let one_prov = m.iter().all(|i| i.prov == m[0].prov);
+    let wired = a1 == t && a2 == t && r2 == r && t != Gpr::R0;
+    if movl.qp != Pr::P0 || reload.qp != p || !one_prov || !wired {
+        return None;
+    }
+    let squash = |i: &Insn| cost.pred_off.wrapping_sub(effective_cost(i, cost));
+    Some(Launder {
+        r,
+        t,
+        p,
+        pf,
+        lead: lead as u8,
+        slot: slot as u64,
+        dev_clean: squash(spill).wrapping_add(squash(reload)),
+        reload_base: u8::try_from(effective_cost(reload, cost)).expect("reload cost fits u8"),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,6 +906,23 @@ mod tests {
 
     fn decode(code: &[Insn]) -> BlockProgram {
         BlockProgram::build(code, &CostModel::ITANIUM2)
+    }
+
+    /// The micro-ops trace `b` runs, member block by member block.
+    fn trace_uops(prog: &BlockProgram, b: usize) -> Vec<MicroOp> {
+        let blk = &prog.blocks[b];
+        let links = &prog.links[blk.link_start as usize..(blk.link_start + blk.link_len) as usize];
+        links
+            .iter()
+            .flat_map(|&(lo, hi)| prog.uops[lo as usize..hi as usize].iter().copied())
+            .collect()
+    }
+
+    /// The basic blocks behind the traces: block `b` runs from its trace's
+    /// start to the next trace's start.
+    fn basic_spans(prog: &BlockProgram, n: usize) -> Vec<(usize, usize)> {
+        let starts: Vec<usize> = prog.blocks.iter().map(|b| b.start as usize).collect();
+        starts.iter().zip(starts.iter().skip(1).chain([&n])).map(|(&s, &e)| (s, e)).collect()
     }
 
     #[test]
@@ -666,16 +934,97 @@ mod tests {
             Insn::new(Op::Halt),
         ];
         let prog = decode(&code);
-        let total: u32 = prog.blocks.iter().map(|b| b.len).sum();
-        assert_eq!(total as usize, code.len());
-        for (ip, _) in code.iter().enumerate() {
-            let bid = prog.block_of[ip] as usize;
-            let b = &prog.blocks[bid];
-            assert!(
-                (b.start..b.start + b.len).contains(&(ip as u32)),
-                "insn {ip} not inside its block"
-            );
+        // Traces overlap (the first runs on through its `jmp`), but the
+        // basic blocks they start from partition the code.
+        let spans = basic_spans(&prog, code.len());
+        assert_eq!(spans, [(0, 2), (2, 3), (3, 4)]);
+        for ip in 0..code.len() {
+            let (start, end) = spans[prog.block_of[ip] as usize];
+            assert!((start..end).contains(&ip), "insn {ip} not inside its basic block");
         }
+    }
+
+    #[test]
+    fn traces_run_through_jumps_and_fall_throughs() {
+        let (r1, p1) = (Gpr::R1, Pr::P1);
+        let add = Insn::new(Op::AluI { op: AluOp::Add, dst: r1, src1: r1, imm: 1 });
+        let code = vec![
+            /* 0 */ add,
+            /* 1 */ Insn::new(Op::Jmp { target: 4 }), // forward chain
+            /* 2 */ Insn::new(Op::Jmp { target: 6 }), // lone `br`
+            /* 3 */ Insn::new(Op::Halt),
+            /* 4 */ add, // leader, falls through into 5
+            /* 5 */ Insn::new(Op::Jmp { target: 2 }).under(p1), // conditional: stops
+            /* 6 */ add, // loop head
+            /* 7 */ Insn::new(Op::Jmp { target: 8 }),
+            /* 8 */ Insn::new(Op::Jmp { target: 6 }), // closes the loop
+        ];
+        let prog = decode(&code);
+        let shape: Vec<(u32, u32, u32)> =
+            prog.blocks.iter().map(|b| (b.start, b.len, b.next_ip)).collect();
+        assert_eq!(shape, [(0, 4, 6), (2, 4, 6), (3, 1, 4), (4, 2, 6), (6, 3, 6), (8, 3, 8)]);
+        let kinds = |b: usize| -> Vec<(u32, bool)> {
+            trace_uops(&prog, b).iter().map(|u| (u.off, matches!(u.kind, Kind::Nop))).collect()
+        };
+        // Every unpredicated `jmp` retires as a no-op; a trace that ends at
+        // one (the loop stops where it would revisit its own head) leaves
+        // through `next_ip`. The conditional one stays a jump.
+        assert_eq!(kinds(0), [(0, false), (1, true), (4, false), (5, false)]);
+        assert_eq!(kinds(1), [(2, true), (6, false), (7, true), (8, true)]);
+        assert_eq!(kinds(4), [(6, false), (7, true), (8, true)]);
+        assert_eq!((prog.blocks[5].start, prog.blocks[5].next_ip), (8, 8));
+        let blk = &prog.blocks[0];
+        let acct = &prog.accts[blk.acct_start as usize];
+        let cost = CostModel::ITANIUM2;
+        assert_eq!(u64::from(acct.cycles), 2 * cost.alu + 2 * cost.branch_taken);
+        assert_eq!(acct.insns, 4);
+    }
+
+    #[test]
+    fn a_loop_closed_by_a_jmp_runs_as_one_range() {
+        let (r1, p1) = (Gpr::R1, Pr::P1);
+        let add = Insn::new(Op::AluI { op: AluOp::Add, dst: r1, src1: r1, imm: 1 });
+        let code = vec![
+            /* 0 */ Insn::new(Op::MovI { dst: r1, imm: 0 }), // falls into the head
+            /* 1 */ add, // loop head
+            /* 2 */
+            Insn::new(Op::CmpI {
+                rel: CmpRel::Eq,
+                pt: p1,
+                pf: Pr::P2,
+                src1: r1,
+                imm: 9,
+                nat_aware: false,
+            }),
+            /* 3 */ Insn::new(Op::Jmp { target: 6 }).under(p1),
+            /* 4 */ add,
+            /* 5 */ Insn::new(Op::Jmp { target: 1 }), // closes the loop
+            /* 6 */ Insn::new(Op::Halt),
+        ];
+        let prog = decode(&code);
+        let links = |start: usize| {
+            let blk =
+                &prog.blocks[prog.block_starting_at(start).expect("a trace starts here") as usize];
+            (blk.len, blk.link_len)
+        };
+        // The hot trace (closing block, then the head) is laid out as one
+        // range; the trace entering from above takes a second one.
+        assert_eq!(links(4), (5, 1));
+        assert_eq!(links(0), (4, 2));
+        assert_eq!(links(1), (3, 1));
+        assert_eq!(prog.uops.len(), code.len(), "every block is stored once");
+    }
+
+    #[test]
+    fn calls_end_traces() {
+        let code = vec![
+            Insn::new(Op::Call { link: Br::B0, target: 2 }),
+            Insn::new(Op::Halt),
+            Insn::new(Op::JmpBr { br: Br::B0 }),
+        ];
+        let prog = decode(&code);
+        assert_eq!(prog.blocks[0].len, 1, "a trace never continues through a call");
+        assert!(matches!(prog.uops[0].kind, Kind::Call { .. }));
     }
 
     #[test]
@@ -760,8 +1109,8 @@ mod tests {
         ];
         let prog = decode(&code);
         assert_eq!(prog.block_count(), 1);
-        let uops = &prog.uops[..prog.blocks[0].uop_len as usize];
-        let shape: Vec<(u16, u8)> = uops.iter().map(|u| (u.off, u.n)).collect();
+        let uops = trace_uops(&prog, 0);
+        let shape: Vec<(u32, u8)> = uops.iter().map(|u| (u.off, u.n)).collect();
         assert_eq!(shape, [(0, 1), (1, 10), (11, 4), (15, 1)]);
         assert!(matches!(uops[1].kind, Kind::TagAddrBit(0)));
         assert!(matches!(uops[2].kind, Kind::TagMerge(0)));
@@ -788,13 +1137,93 @@ mod tests {
     }
 
     #[test]
-    fn long_straight_line_runs_split_at_the_offset_limit() {
-        let mut code = vec![Insn::new(Op::Nop); MAX_BLOCK_LEN + 10];
+    fn long_straight_line_runs_split_at_the_trace_cap() {
+        let mut code = vec![Insn::new(Op::Nop); MAX_TRACE_LEN + 10];
         code.push(Insn::new(Op::Halt));
         let prog = decode(&code);
         assert_eq!(prog.block_count(), 2);
-        assert_eq!(prog.blocks[0].len as usize, MAX_BLOCK_LEN);
-        assert!(prog.block_starting_at(MAX_BLOCK_LEN).is_some());
+        // The first block fills the cap, so its trace cannot take the next.
+        assert_eq!(prog.blocks[0].len as usize, MAX_TRACE_LEN);
+        assert_eq!(prog.blocks[0].next_ip as usize, MAX_TRACE_LEN);
+        assert!(prog.block_starting_at(MAX_TRACE_LEN).is_some());
+    }
+
+    #[test]
+    fn fall_through_chains_stop_at_the_trace_cap() {
+        // Leaders every 100 instructions (each a `jmp` target): a trace
+        // takes two blocks and stops before a third would pass the cap.
+        let mut code = vec![Insn::new(Op::Nop); 500];
+        for target in [100, 200, 300, 400] {
+            code.push(Insn::new(Op::Jmp { target }));
+        }
+        code.push(Insn::new(Op::Halt));
+        let prog = decode(&code);
+        assert_eq!(prog.blocks[0].len, 200);
+        assert_eq!(prog.blocks[0].next_ip, 200);
+    }
+
+    /// The launder templates: the compare path's 4-instruction form, the
+    /// store path's 3-instruction form after a tag merge, and an unfused
+    /// `tnat` whose near miss still lets the 3-instruction tail fuse.
+    #[test]
+    fn relax_launders_fuse_in_both_forms() {
+        let cost = CostModel::ITANIUM2;
+        let (r, t) = (Gpr::R3, Gpr::R30);
+        let rx = |op| Insn::tagged(op, Provenance::Relax);
+        let slot = crate::layout::LAUNDER0 as i64;
+        let ld8 = |dst| Op::Ld { size: MemSize::B8, ext: ExtKind::Zero, dst, addr: t, spec: false };
+        let tail = |p| {
+            [
+                rx(Op::MovI { dst: t, imm: slot }),
+                rx(Op::StSpill { src: r, addr: t }).under(p),
+                rx(ld8(r)).under(p),
+            ]
+        };
+        let mut code = vec![rx(Op::Tnat { pt: Pr::P6, pf: Pr::P0, src: r })];
+        code.extend(tail(Pr::P6));
+        code.extend(tail(Pr::P7));
+        // Near miss: the `tnat` tests another register than the spill's.
+        code.push(rx(Op::Tnat { pt: Pr::P6, pf: Pr::P0, src: Gpr::R4 }));
+        code.extend(tail(Pr::P6));
+        code.push(Insn::new(Op::Halt));
+        let prog = decode(&code);
+        let shape: Vec<(u32, u8)> = prog.uops.iter().map(|u| (u.off, u.n)).collect();
+        assert_eq!(shape, [(0, 4), (4, 3), (7, 1), (8, 3), (11, 1)]);
+        let forms: Vec<u8> = prog.launders.iter().map(|l| l.lead).collect();
+        assert_eq!(forms, [1, 0, 0]);
+        let members = cost.alu + cost.movl + cost.store_issue + cost.load_issue;
+        assert_eq!(u64::from(prog.uops[0].base), members);
+        let l = &prog.launders[0];
+        assert_eq!((l.r, l.t, l.p, l.slot), (r, t, Pr::P6, slot as u64));
+        assert_eq!(l.dev_clean, (2 * cost.pred_off).wrapping_sub(2));
+        assert_eq!(u64::from(l.reload_base), cost.load_issue);
+    }
+
+    #[test]
+    fn launder_near_misses_stay_unfused() {
+        let (r, t) = (Gpr::R3, Gpr::R30);
+        let ld8 =
+            |dst, addr, spec| Op::Ld { size: MemSize::B8, ext: ExtKind::Zero, dst, addr, spec };
+        let launder = |movl_dst, spill_p, reload: Op, reload_p| {
+            vec![
+                Insn::new(Op::MovI { dst: movl_dst, imm: 0x100 }),
+                Insn::new(Op::StSpill { src: r, addr: t }).under(spill_p),
+                Insn::new(reload).under(reload_p),
+            ]
+        };
+        let fused = |code: Vec<Insn>| decode(&code).launders.len();
+        assert_eq!(fused(launder(t, Pr::P6, ld8(r, t, false), Pr::P6)), 1);
+        for code in [
+            launder(t, Pr::P6, ld8(r, t, false), Pr::P7), // predicates differ
+            launder(t, Pr::P6, ld8(Gpr::R4, t, false), Pr::P6), // reloads elsewhere
+            launder(t, Pr::P6, ld8(r, Gpr::R4, false), Pr::P6), // other address
+            launder(Gpr::R4, Pr::P6, ld8(r, t, false), Pr::P6), // slot not in `t`
+            launder(t, Pr::P6, ld8(r, t, true), Pr::P6),  // speculative reload
+            launder(t, Pr::P6, Op::LdFill { dst: r, addr: t }, Pr::P6), // keeps the NaT
+            launder(Gpr::R0, Pr::P6, ld8(r, Gpr::R0, false), Pr::P6), // `r0` slot
+        ] {
+            assert_eq!(fused(code.clone()), 0, "{code:?}");
+        }
     }
 
     #[test]

@@ -156,14 +156,23 @@ pub enum StepOut {
     Exit(Exit),
 }
 
-/// Why a micro-op left its superblock before the block's end.
+/// Why a micro-op left its trace before the trace's end.
 enum Leave {
-    /// An architectural fault at the micro-op's instruction.
-    Fault(Fault),
+    /// An architectural fault at member `member` of the micro-op (always
+    /// 0 outside a fused template). The members up to it retire; the ones
+    /// after it never issue, and `unretired_base` sums their base cost.
+    Fault { fault: Fault, member: u8, unretired_base: u8 },
     /// A `syscall`: the handler runs after the block's accounting flushes.
     Syscall(u32),
     /// `halt`.
     Halt,
+}
+
+impl Leave {
+    /// A fault at a micro-op's first (for an unfused one, only) member.
+    fn fault(fault: Fault) -> Leave {
+        Leave::Fault { fault, member: 0, unretired_base: 0 }
+    }
 }
 
 /// Host-side counters for the superblock dispatch tier (see
@@ -187,6 +196,9 @@ pub struct SuperblockStats {
     pub fused_tag_addrs: u64,
     /// Store tag merges fused into one micro-op each in the decoded program.
     pub fused_merges: u64,
+    /// Relax launders (either form) fused into one micro-op each in the
+    /// decoded program.
+    pub fused_launders: u64,
 }
 
 impl Machine {
@@ -471,11 +483,11 @@ impl Machine {
     /// Dispatch has two tiers (see DESIGN.md §13):
     ///
     /// 1. **Superblock tier** — when no per-instruction diagnostic (trace,
-    ///    observer, profiler) is armed and `ip` starts a pre-decoded block
-    ///    whose length fits every armed budget, whole blocks execute
+    ///    observer, profiler) is armed and `ip` starts a pre-decoded trace
+    ///    whose length fits every armed budget, whole traces execute
     ///    back-to-back through the trace-threaded dispatch loop. Watchdog
     ///    fuel, injection countdowns, and the run budget are checked once
-    ///    per block — the entry guard proves none can expire mid-block, so
+    ///    per trace — the entry guard proves none can expire mid-trace, so
     ///    checking them at boundaries only is exact, not approximate.
     /// 2. **Per-instruction stepper** — the fully-checked [`Machine::step`]
     ///    path. It runs every instruction while a diagnostic is armed, and
@@ -512,7 +524,7 @@ impl Machine {
         }
     }
 
-    /// Executes superblocks back-to-back until a side exit, through the
+    /// Executes traces back-to-back until a side exit, through the
     /// trace-threaded dispatch loop.
     ///
     /// Architecturally identical to stepping the same instructions one at a
@@ -524,23 +536,26 @@ impl Machine {
     ///   store — `ip` lives in a local and is written back only on exit;
     /// * one dispatch per micro-op, and fewer micro-ops than instructions:
     ///   kinds are specialised at decode and the SHIFT instrumentation
-    ///   templates are fused (see [`crate::block`]); pure and impure blocks
+    ///   templates are fused (see [`crate::block`]); pure and impure traces
     ///   run the same kernel, [`Machine::exec_uop`];
+    /// * one dispatch per trace, not per basic block: a trace runs on
+    ///   through static jumps and fall-throughs;
     /// * retire accounting lands in stack-local accumulators that persist
-    ///   *across* chained blocks and flush only on a side exit. Per-op
-    ///   accounting is gone entirely: every block merges its precomputed
+    ///   *across* chained traces and flush only on a side exit. Per-op
+    ///   accounting is gone entirely: every trace merges its precomputed
     ///   full-pass [`crate::block::ProvAcct`] entries at completion, and
     ///   the execution loop records only *deviations* from that full pass
     ///   (cache stalls, predicated-off slots, taken `chk.s`). Early exits
-    ///   settle the entered prefix from the micro-ops' static base costs;
+    ///   settle the entered prefix from the micro-ops' static base costs,
+    ///   less the members of a fused template that never issued;
     /// * watchdog fuel, injection countdowns, and the run budget are
-    ///   checked once per block — the entry guard proves none can expire
-    ///   mid-block (see below), so boundary-only checks are exact.
+    ///   checked once per trace — the entry guard proves none can expire
+    ///   mid-trace (see below), so boundary-only checks are exact.
     ///
     /// The entry guard: with the watchdog at `used` of `budget` fuel and
     /// `pending` locally-retired instructions not yet flushed, the
     /// per-instruction stepper would trip before instruction `i` of the next
-    /// block iff `used + pending + i >= budget`, so a full block of `len` is
+    /// trace iff `used + pending + i >= budget`, so a full trace of `len` is
     /// safe iff `used + pending + len <= budget`; the same argument bounds
     /// injection countdowns (an event fires when its countdown hits zero
     /// *before* an instruction) and the run budget.
@@ -605,14 +620,14 @@ impl Machine {
                 }
             }};
         }
-        // Settles accounting for a partially-executed block: micro-ops
-        // `..=$j` all entered, so charge each its static base cost and the
-        // instructions it covers. Dynamic deviations (stalls, pred-off
+        // Settles accounting for a partially-executed trace: the micro-ops
+        // in `$uops` all entered, so charge each its static base cost and
+        // the instructions it covers. Dynamic deviations (stalls, pred-off
         // slots) were already recorded as they happened, so base + recorded
         // deviations reproduces the per-instruction charges exactly.
         macro_rules! settle {
-            ($uops:expr, $j:expr) => {{
-                for u in &$uops[..=$j] {
+            ($uops:expr) => {{
+                for u in $uops {
                     let i = u.prov.index();
                     cyc[i] = cyc[i].wrapping_add(u64::from(u.base));
                     ins[i] += u64::from(u.n);
@@ -647,23 +662,34 @@ impl Machine {
                 return StepOut::Continue;
             }
             self.block_hits += 1;
-            let base_ip = ip;
-            let first = blk.uop_start as usize;
-            let uops = &prog.uops[first..first + blk.uop_len as usize];
-            let mut next_ip = base_ip + blk.len as usize;
+            let first = blk.link_start as usize;
+            let links = &prog.links[first..first + blk.link_len as usize];
+            let mut next_ip = blk.next_ip as usize;
 
-            // One kernel for every block; a pure block's micro-ops are all
+            // One kernel for every trace; a pure trace's micro-ops are all
             // unpredicated, so its instance compiles the predicate test out.
             let left = if blk.pure {
-                self.walk_block::<true>(prog, uops, base_ip, &mut cyc, &mut next_ip)
+                self.walk_trace::<true>(prog, links, &mut cyc, &mut next_ip)
             } else {
-                self.walk_block::<false>(prog, uops, base_ip, &mut cyc, &mut next_ip)
+                self.walk_trace::<false>(prog, links, &mut cyc, &mut next_ip)
             };
-            if let Some((j, leave)) = left {
-                settle!(uops, j);
-                let ip = base_ip + usize::from(uops[j].off);
+            if let Some((k, j, leave)) = left {
+                for &(lo, hi) in &links[..k] {
+                    settle!(&prog.uops[lo as usize..hi as usize]);
+                }
+                let uops = &prog.uops[links[k].0 as usize..links[k].1 as usize];
+                settle!(&uops[..=j]);
+                let u = &uops[j];
+                let ip = u.off as usize;
                 match leave {
-                    Leave::Fault(f) => exit_at!(ip, Exit::Fault(f)),
+                    Leave::Fault { fault, member, unretired_base } => {
+                        // Take back the members after the faulting one:
+                        // they never issued.
+                        let i = u.prov.index();
+                        cyc[i] = cyc[i].wrapping_sub(u64::from(unretired_base));
+                        ins[i] -= u64::from(u.n - 1 - member);
+                        exit_at!(ip + usize::from(member), Exit::Fault(fault))
+                    }
                     Leave::Syscall(num) => {
                         self.stats.syscalls += 1;
                         // Flush *before* the handler runs: the `Os` gets
@@ -688,6 +714,27 @@ impl Machine {
         }
     }
 
+    /// Walks a trace's member blocks in turn through
+    /// [`Machine::walk_block`]. Returns `None` when the trace ran to its
+    /// end, or the index of the member block and of the micro-op in it
+    /// that left early, and why.
+    #[inline(always)]
+    fn walk_trace<const PURE: bool>(
+        &mut self,
+        prog: &BlockProgram,
+        links: &[(u32, u32)],
+        cyc: &mut [u64; NPROV],
+        next_ip: &mut usize,
+    ) -> Option<(usize, usize, Leave)> {
+        for (k, &(lo, hi)) in links.iter().enumerate() {
+            let uops = &prog.uops[lo as usize..hi as usize];
+            if let Some((j, leave)) = self.walk_block::<PURE>(prog, uops, cyc, next_ip) {
+                return Some((k, j, leave));
+            }
+        }
+        None
+    }
+
     /// Walks one block's micro-ops through [`Machine::exec_uop`]. Returns
     /// `None` when the block ran to its end, or the index of the micro-op
     /// that left it early and why. `PURE` skips the predicate test, which
@@ -697,7 +744,6 @@ impl Machine {
         &mut self,
         prog: &BlockProgram,
         uops: &[MicroOp],
-        base_ip: usize,
         cyc: &mut [u64; NPROV],
         next_ip: &mut usize,
     ) -> Option<(usize, Leave)> {
@@ -707,7 +753,7 @@ impl Machine {
                 cyc[i] = cyc[i].wrapping_add(self.cost.pred_off.wrapping_sub(u64::from(u.base)));
                 continue;
             }
-            if let Err(leave) = self.exec_uop(prog, u, base_ip + usize::from(u.off), cyc, next_ip) {
+            if let Err(leave) = self.exec_uop(prog, u, u.off as usize, cyc, next_ip) {
                 return Some((j, leave));
             }
         }
@@ -741,7 +787,7 @@ impl Machine {
         }
         macro_rules! nat_fault {
             ($kind:expr) => {
-                return Err(Leave::Fault(Fault::NatConsumption { kind: $kind, ip }))
+                return Err(Leave::fault(Fault::NatConsumption { kind: $kind, ip }))
             };
         }
         // Register-register and register-immediate ALU forms: the result's
@@ -819,7 +865,7 @@ impl Machine {
                             self.stats.deferred_loads += 1;
                             self.cpu.set_gpr(dst, RegVal::NAT);
                         }
-                        Err(e) => return Err(Leave::Fault(mem_fault(e, ip))),
+                        Err(e) => return Err(Leave::fault(mem_fault(e, ip))),
                     }
                 }
             }
@@ -832,7 +878,7 @@ impl Machine {
                     nat_fault!(NatFaultKind::StoreValue);
                 }
                 if let Err(e) = self.mem.write_int(a.value, size.bytes(), v.value) {
-                    return Err(Leave::Fault(mem_fault(e, ip)));
+                    return Err(Leave::fault(mem_fault(e, ip)));
                 }
                 dev!(self.cache.access(a.value, size.bytes()));
                 if u.prov == Provenance::Original {
@@ -845,7 +891,7 @@ impl Machine {
                     nat_fault!(NatFaultKind::StoreAddress);
                 }
                 if let Err(e) = self.mem.write_int(a.value, 8, v.value) {
-                    return Err(Leave::Fault(mem_fault(e, ip)));
+                    return Err(Leave::fault(mem_fault(e, ip)));
                 }
                 dev!(self.cache.access(a.value, 8));
                 self.cpu.unat = set_unat_bit(self.cpu.unat, a.value, v.nat);
@@ -861,7 +907,7 @@ impl Machine {
                 }
                 let raw = match self.mem.read_int(a.value, 8) {
                     Ok(raw) => raw,
-                    Err(e) => return Err(Leave::Fault(mem_fault(e, ip))),
+                    Err(e) => return Err(Leave::fault(mem_fault(e, ip))),
                 };
                 dev!(self.cache.access(a.value, 8));
                 let nat = self.mem.spill_nat(a.value);
@@ -894,7 +940,8 @@ impl Machine {
                 let v = self.cpu.gpr(dst);
                 self.cpu.set_gpr_nz(dst, RegVal::of(v.value));
             }
-            // Terminators (always the last micro-op of a block).
+            // Terminators (always the last micro-op of a trace: a `jmp` the
+            // trace runs through decodes to `Nop`).
             // Unconditional transfers carry `branch_taken` in `u.base`
             // already (folded at decode time).
             Kind::ChkS { src, target } => {
@@ -943,6 +990,57 @@ impl Machine {
                     self.cpu
                         .set_gpr_nz(m.t1, RegVal { value: x.value & y.value, nat: x.nat || y.nat });
                     dev!(m.dev_clean);
+                }
+            }
+            Kind::Launder(i) => {
+                let l = &prog.launders[i as usize];
+                let taken = if l.lead == 1 {
+                    let nat = self.cpu.gpr(l.r).nat;
+                    self.cpu.set_pr(l.p, nat);
+                    self.cpu.set_pr(l.pf, !nat);
+                    nat
+                } else {
+                    self.cpu.pr(l.p)
+                };
+                self.cpu.set_gpr_nz(l.t, RegVal::of(l.slot));
+                if !taken {
+                    dev!(l.dev_clean);
+                    return Ok(());
+                }
+                // The spill: `t` holds the slot, clean, so only the write
+                // itself can fault. Read `r` after the `movl`, which may
+                // have overwritten it.
+                let spill_ip = ip + usize::from(l.lead) + 1;
+                let v = self.cpu.gpr(l.r);
+                if let Err(e) = self.mem.write_int(l.slot, 8, v.value) {
+                    return Err(Leave::Fault {
+                        fault: mem_fault(e, spill_ip),
+                        member: l.lead + 1,
+                        unretired_base: l.reload_base,
+                    });
+                }
+                dev!(self.cache.access(l.slot, 8));
+                self.cpu.unat = set_unat_bit(self.cpu.unat, l.slot, v.nat);
+                self.mem.set_spill_nat(l.slot, v.nat);
+                if u.prov == Provenance::Original {
+                    self.stats.stores += 1;
+                }
+                // The plain reload drops the NaT bit.
+                match self.mem.read_int(l.slot, 8) {
+                    Ok(raw) => {
+                        dev!(self.cache.access(l.slot, 8));
+                        self.cpu.set_gpr(l.r, RegVal::of(raw));
+                        if u.prov == Provenance::Original {
+                            self.stats.loads += 1;
+                        }
+                    }
+                    Err(e) => {
+                        return Err(Leave::Fault {
+                            fault: mem_fault(e, spill_ip + 1),
+                            member: l.lead + 2,
+                            unretired_base: 0,
+                        })
+                    }
                 }
             }
         }
@@ -1025,6 +1123,7 @@ impl Machine {
             blocks: self.blocks.block_count() as u64,
             fused_tag_addrs: self.blocks.tag_addrs.len() as u64,
             fused_merges: self.blocks.merges.len() as u64,
+            fused_launders: self.blocks.launders.len() as u64,
         }
     }
 

@@ -13,22 +13,25 @@
 //! * A page frame's backing is a [`PageData`]: `Zero` (no backing at all —
 //!   the canonical deduplicated all-zero page, which is also every all-clean
 //!   region-0 tag page), `Shared` (an `Arc`'d immutable page of the pristine
-//!   image), or `Owned` (this instance's private, writable copy). Reads
-//!   serve from any variant; the first write to a non-`Owned` page takes a
-//!   *COW fault* that materializes a private copy.
-//! * The whole page table (frames, index, mappings) lives behind one `Arc`,
-//!   so cloning a `Memory` — the [`crate::MachineSeed::spawn`] path — is a
-//!   reference-count bump, O(1) in the image size. The first mutation after
-//!   a clone un-shares the table (frame *headers* copy; page *contents*
-//!   stay shared until individually COW-faulted).
+//!   image), or `Owned` (an index into this instance's private, writable
+//!   pages). Reads serve from any variant; the first write to a non-`Owned`
+//!   page takes a *COW fault* that materializes a private copy.
+//! * The page table (frames, index, mappings) lives behind one `Arc`, so
+//!   cloning a `Memory` — the [`crate::MachineSeed::spawn`] path — is a
+//!   reference-count bump, O(1) in the image size. The private pages live
+//!   outside it, in a plain vector on [`Memory`], so a store to an owned
+//!   page never touches the shared table. Only a change to the table
+//!   itself — a COW fault, a newly resident page, a mapping — un-shares it
+//!   (frame *headers* copy; page *contents* stay shared until individually
+//!   COW-faulted).
 //! * Page frames live in an arena (`frames`) indexed by a `page_idx` map, so
 //!   a frame is reachable from a plain integer slot without hashing.
 //! * A small direct-mapped software TLB caches `page → slot` translations.
 //!   An entry is only installed after a *successful* access, so a hit
 //!   implies the page is implemented and mapped — the fast path needs only
-//!   the alignment check to produce identical errors. Each entry carries a
-//!   `writable` bit that is set exactly when the frame is `Owned`: the TLB
-//!   hands out write-through slots only for private pages, and every other
+//!   the alignment check to produce identical errors. Each entry carries
+//!   the private page's index exactly when the frame is `Owned`: the TLB
+//!   hands out write-through pages only for private pages, and every other
 //!   write goes through the slow path to take its COW fault first. The TLB
 //!   is flushed whenever translations or writability can change wholesale
 //!   (`map_range`, `rollback_checkpoint`, `freeze`); hit/miss counters are
@@ -39,10 +42,12 @@
 //!   of per byte. Implementedness and mapping are page-granular, so
 //!   per-span checks fault at exactly the byte the per-byte loop would
 //!   have.
-//! * A checkpoint is a copy of the page table, made with the same sharing
-//!   scheme: `Shared` and `Zero` frames copy by reference, and only the
-//!   instance's `Owned` pages copy by value. Rollback installs a copy of
-//!   the saved table, so the checkpoint stays armed for the next rollback.
+//! * A checkpoint is the page table's `Arc` plus a copy of the private
+//!   pages: the table is shared, not copied, and only the instance's
+//!   `Owned` pages copy by value. Rollback reinstalls the saved table's
+//!   `Arc` and copies the saved pages back, so the checkpoint stays armed
+//!   for the next rollback. When nothing changed the table in between, the
+//!   rollback keeps every cached translation.
 //!
 //! None of this is visible to the model: modelled cycles come from the cost
 //! model and cache simulator, never from host data-structure choices, and
@@ -118,12 +123,15 @@ impl std::fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// One page of bytes.
+type Page = [u8; PAGE_USIZE];
+
 /// Backing storage of one resident page.
 ///
 /// `Zero` and `Shared` are immutable — a write COW-faults them into `Owned`
-/// first. Cloning is an `Arc` bump for `Shared`, free for `Zero`, and a deep
-/// copy only for `Owned` (a dirtied instance cloned, or its table copied by
-/// a checkpoint or a rollback).
+/// first. Cloning is an `Arc` bump for `Shared` and free for `Zero` and
+/// `Owned`: an owned page's bytes live in [`Memory::owned`], outside the
+/// table.
 #[derive(Clone, Debug)]
 enum PageData {
     /// No backing: reads see the canonical all-zero page. Every all-zero
@@ -132,20 +140,22 @@ enum PageData {
     Zero,
     /// An immutable page shared by reference: the pristine image a spawn
     /// inherits.
-    Shared(Arc<[u8; PAGE_USIZE]>),
-    /// This instance's private copy, produced by a COW fault; the only
-    /// variant the write path may hand out.
-    Owned(Box<[u8; PAGE_USIZE]>),
+    Shared(Arc<Page>),
+    /// This instance's private copy, produced by a COW fault: the index of
+    /// its bytes in the owning [`Memory`]'s private pages. The only variant
+    /// the write path may hand out.
+    Owned(u32),
 }
 
 impl PageData {
-    /// The page's bytes, wherever they live.
+    /// The page's bytes, wherever they live; `owned` holds the private
+    /// pages the table's `Owned` frames index.
     #[inline]
-    fn bytes(&self) -> &[u8; PAGE_USIZE] {
+    fn bytes<'a>(&'a self, owned: &'a [Box<Page>]) -> &'a Page {
         match self {
             PageData::Zero => &ZERO_PAGE,
             PageData::Shared(a) => a,
-            PageData::Owned(b) => b,
+            PageData::Owned(i) => &owned[*i as usize],
         }
     }
 }
@@ -157,22 +167,25 @@ struct Frame {
     data: PageData,
 }
 
+/// Marks a TLB entry whose frame is not `Owned`.
+const NOT_OWNED: u32 = u32::MAX;
+
 #[derive(Clone, Copy, Debug)]
 struct TlbEntry {
     page: u64,
     slot: u32,
-    /// `true` exactly when the frame is `Owned`: the one case a write may go
-    /// straight through.
-    writable: bool,
+    /// The private page's index when the frame is `Owned` — the one case a
+    /// write may go straight through — else [`NOT_OWNED`].
+    owned: u32,
 }
 
 const EMPTY_TLB: [TlbEntry; TLB_SIZE] =
-    [TlbEntry { page: TLB_EMPTY, slot: 0, writable: false }; TLB_SIZE];
+    [TlbEntry { page: TLB_EMPTY, slot: 0, owned: NOT_OWNED }; TLB_SIZE];
 
 /// The sharable page table: everything a pristine image contributes. Lives
-/// behind an `Arc` in [`Memory`] so spawning shares it wholesale; the first
-/// mutation after a share clones frame headers (`Arc::make_mut`) while page
-/// contents stay shared until individually COW-faulted.
+/// behind an `Arc` in [`Memory`] so spawning and checkpoints share it
+/// wholesale; the first change to it after a share clones frame headers
+/// (`Arc::make_mut`) while page contents stay where they are.
 #[derive(Clone, Debug, Default)]
 struct Table {
     frames: Vec<Frame>,
@@ -182,9 +195,18 @@ struct Table {
 
 impl Table {
     /// The bytes of `page`'s frame, if the page is resident.
-    fn page(&self, page: u64) -> Option<&[u8; PAGE_USIZE]> {
-        self.page_idx.get(&page).map(|&slot| self.frames[slot as usize].data.bytes())
+    fn page<'a>(&'a self, page: u64, owned: &'a [Box<Page>]) -> Option<&'a Page> {
+        self.page_idx.get(&page).map(|&slot| self.frames[slot as usize].data.bytes(owned))
     }
+}
+
+/// An armed checkpoint: the page table and private pages, and the
+/// spill-NaT bank, as they were when it was taken.
+#[derive(Clone, Debug)]
+struct Checkpoint {
+    table: Arc<Table>,
+    owned: Vec<Box<Page>>,
+    spill_nat: Vec<u64>,
 }
 
 /// Sparse paged memory with explicit mappings (plus lazily-backed region 0).
@@ -203,13 +225,15 @@ impl Table {
 #[derive(Clone, Debug)]
 pub struct Memory {
     table: Arc<Table>,
+    /// This instance's private pages, indexed by `PageData::Owned`. Kept
+    /// out of the shared table so a store never has to un-share it.
+    owned: Vec<Box<Page>>,
     /// Banked spill-NaT slots (8-aligned addresses), sorted ascending. The
     /// bank holds a handful of slots, so a binary search beats hashing and
     /// the digest walks it in order without sorting.
     spill_nat: Vec<u64>,
-    /// The armed checkpoint: the page table and the spill-NaT bank as they
-    /// were when it was taken.
-    checkpoint: Option<(Table, Vec<u64>)>,
+    /// The armed checkpoint.
+    checkpoint: Option<Checkpoint>,
     epoch: u64,
     tlb: [TlbEntry; TLB_SIZE],
     tlb_hits: u64,
@@ -223,6 +247,7 @@ impl Default for Memory {
     fn default() -> Memory {
         Memory {
             table: Arc::new(Table::default()),
+            owned: Vec::new(),
             spill_nat: Vec::new(),
             checkpoint: None,
             epoch: 0,
@@ -281,7 +306,7 @@ impl Memory {
     /// cost, `owned_pages() * PAGE_SIZE` bytes. Shared and zero pages cost
     /// an instance nothing beyond the frame header.
     pub fn owned_pages(&self) -> usize {
-        self.table.frames.iter().filter(|f| matches!(f.data, PageData::Owned(_))).count()
+        self.owned.len()
     }
 
     /// Resident pages backed by a shared (`Arc`'d) immutable page — the
@@ -302,47 +327,45 @@ impl Memory {
         self.cow_faults
     }
 
-    /// The page bytes behind `slot` (read path — any variant serves).
+    /// The page bytes behind a translation (read path — any variant
+    /// serves): an owned page straight from the private pages (`NOT_OWNED`
+    /// is past their end), anything else through the table.
     #[inline]
-    fn page_bytes(&self, slot: u32) -> &[u8; PAGE_USIZE] {
-        self.table.frames[slot as usize].data.bytes()
+    fn entry_bytes(&self, e: TlbEntry) -> &Page {
+        match self.owned.get(e.owned as usize) {
+            Some(page) => page,
+            None => self.table.frames[e.slot as usize].data.bytes(&self.owned),
+        }
     }
 
-    /// The private writable page behind `slot`. Callers must have gone
-    /// through the write-resolution path (a writable TLB hit or
-    /// [`Memory::resolve_slow`] with `for_write`), which guarantees the
-    /// frame is `Owned`.
-    #[inline]
-    fn page_bytes_mut(&mut self, slot: u32) -> &mut [u8; PAGE_USIZE] {
-        let table = Arc::make_mut(&mut self.table);
-        match &mut table.frames[slot as usize].data {
-            PageData::Owned(b) => b,
-            _ => unreachable!("write path handed out a non-owned page"),
-        }
+    /// Moves `data` into the private pages, returning its `Owned` backing.
+    fn push_owned(&mut self, data: Box<Page>) -> PageData {
+        let i = u32::try_from(self.owned.len()).expect("private page count fits u32");
+        self.owned.push(data);
+        self.cow_faults += 1;
+        PageData::Owned(i)
     }
 
     /// Takes the COW fault for `slot` if its page is not yet private:
-    /// `Zero`/`Shared` become a freshly copied `Owned` page.
+    /// `Zero`/`Shared` become a freshly copied `Owned` page. Returns the
+    /// private page's index.
     #[inline]
-    fn own_frame(&mut self, slot: u32) {
-        // Fast no-op probe without un-sharing the table.
-        if matches!(self.table.frames[slot as usize].data, PageData::Owned(_)) {
-            return;
-        }
-        let table = Arc::make_mut(&mut self.table);
-        let frame = &mut table.frames[slot as usize];
-        frame.data = match &frame.data {
-            PageData::Zero => PageData::Owned(Box::new([0u8; PAGE_USIZE])),
-            PageData::Shared(a) => PageData::Owned(Box::new(**a)),
-            PageData::Owned(_) => unreachable!("probed above"),
+    fn own_frame(&mut self, slot: u32) -> u32 {
+        // Fast probe without un-sharing the table.
+        let copy = match &self.table.frames[slot as usize].data {
+            PageData::Owned(i) => return *i,
+            PageData::Zero => Box::new([0u8; PAGE_USIZE]),
+            PageData::Shared(a) => Box::new(**a),
         };
-        self.cow_faults += 1;
+        let data = self.push_owned(copy);
+        Arc::make_mut(&mut self.table).frames[slot as usize].data = data;
+        self.owned.len() as u32 - 1
     }
 
     /// Full translation: permission checks, frame allocation, COW faulting
-    /// (for writes), and TLB fill. Error order matches the historical
-    /// `check()`: `Unimplemented` before `Unmapped`.
-    fn resolve_slow(&mut self, addr: u64, for_write: bool) -> Result<u32, MemError> {
+    /// (for writes), and TLB fill. Returns the installed entry. Error order
+    /// matches the historical `check()`: `Unimplemented` before `Unmapped`.
+    fn resolve_slow(&mut self, addr: u64, for_write: bool) -> Result<TlbEntry, MemError> {
         self.tlb_misses += 1;
         if !is_implemented(addr) {
             return Err(MemError::Unimplemented { addr });
@@ -364,8 +387,7 @@ impl Memory {
                 // but deduplicated to the canonical zero page. Writes take
                 // the COW fault to a private zeroed copy.
                 let data = if for_write {
-                    self.cow_faults += 1;
-                    PageData::Owned(Box::new([0u8; PAGE_USIZE]))
+                    self.push_owned(Box::new([0u8; PAGE_USIZE]))
                 } else {
                     PageData::Zero
                 };
@@ -376,22 +398,26 @@ impl Memory {
                 slot
             }
         };
-        let writable = matches!(self.table.frames[slot as usize].data, PageData::Owned(_));
-        self.tlb[Self::tlb_index(page)] = TlbEntry { page, slot, writable };
-        Ok(slot)
+        let owned = match self.table.frames[slot as usize].data {
+            PageData::Owned(i) => i,
+            _ => NOT_OWNED,
+        };
+        let e = TlbEntry { page, slot, owned };
+        self.tlb[Self::tlb_index(page)] = e;
+        Ok(e)
     }
 
     /// Translation for byte-granularity accessors (no alignment concerns).
     /// A read may use any TLB hit; a write-through hit additionally needs
-    /// the `writable` bit — anything else resolves slowly (COW fault, entry
+    /// an owned page — anything else resolves slowly (COW fault, entry
     /// upgrade).
     #[inline]
-    fn slot_for(&mut self, addr: u64, for_write: bool) -> Result<u32, MemError> {
+    fn entry_for(&mut self, addr: u64, for_write: bool) -> Result<TlbEntry, MemError> {
         let page = addr / PAGE_SIZE;
         let e = self.tlb[Self::tlb_index(page)];
-        if e.page == page && (!for_write || e.writable) {
+        if e.page == page && (!for_write || e.owned != NOT_OWNED) {
             self.tlb_hits += 1;
-            Ok(e.slot)
+            Ok(e)
         } else {
             self.resolve_slow(addr, for_write)
         }
@@ -411,7 +437,8 @@ impl Memory {
     pub fn freeze(&mut self) {
         let table = Arc::make_mut(&mut self.table);
         for f in &mut table.frames {
-            if let PageData::Owned(b) = &f.data {
+            if let PageData::Owned(i) = f.data {
+                let b = &self.owned[i as usize];
                 f.data = if b.iter().all(|&x| x == 0) {
                     PageData::Zero
                 } else {
@@ -419,6 +446,7 @@ impl Memory {
                 };
             }
         }
+        self.owned.clear();
         self.tlb_flush();
         self.tlb_hits = 0;
         self.tlb_misses = 0;
@@ -460,14 +488,28 @@ impl Memory {
         is_implemented(addr) && (self.table.mapped.contains(&page) || region_of(addr) == 0)
     }
 
-    /// Arms a checkpoint: a copy of the page table (shared and zero pages by
-    /// reference, owned pages by value) and of the spill-NaT bank, so
+    /// Arms a checkpoint: the page table by reference, and copies of the
+    /// private pages and the spill-NaT bank, so
     /// [`Memory::rollback_checkpoint`] can return to this point. Replaces any
-    /// previous checkpoint. The live table is untouched, so cached
-    /// translations stay valid. Returns the checkpoint's epoch.
+    /// previous checkpoint, reusing its buffers. The live table is
+    /// untouched, so cached translations stay valid. Returns the
+    /// checkpoint's epoch.
     pub fn begin_checkpoint(&mut self) -> u64 {
         self.epoch += 1;
-        self.checkpoint = Some(((*self.table).clone(), self.spill_nat.clone()));
+        match &mut self.checkpoint {
+            Some(ck) => {
+                ck.table = Arc::clone(&self.table);
+                ck.owned.clone_from(&self.owned);
+                ck.spill_nat.clone_from(&self.spill_nat);
+            }
+            None => {
+                self.checkpoint = Some(Checkpoint {
+                    table: Arc::clone(&self.table),
+                    owned: self.owned.clone(),
+                    spill_nat: self.spill_nat.clone(),
+                });
+            }
+        }
         self.epoch
     }
 
@@ -477,16 +519,22 @@ impl Memory {
     }
 
     /// Returns pages, mappings and banked spill-NaT bits to their state at
-    /// [`Memory::begin_checkpoint`] by installing a copy of the saved table.
-    /// The checkpoint stays armed, so the same point can be rolled back to
-    /// again. Returns `false` (doing nothing) when no checkpoint is armed.
+    /// [`Memory::begin_checkpoint`]: reinstalls the saved table and copies
+    /// the saved private pages back. The checkpoint stays armed, so the
+    /// same point can be rolled back to again. Returns `false` (doing
+    /// nothing) when no checkpoint is armed.
     pub fn rollback_checkpoint(&mut self) -> bool {
-        let Some((table, spill_nat)) = &self.checkpoint else { return false };
-        self.table = Arc::new(table.clone());
-        self.spill_nat = spill_nat.clone();
-        // Rollback can drop pages, revoke mappings, and un-own frames:
-        // every cached translation is suspect.
-        self.tlb_flush();
+        let Some(ck) = &self.checkpoint else { return false };
+        // An unchanged table means no page became resident or private and
+        // no mapping moved since the checkpoint: every cached translation
+        // still holds. Otherwise rollback can drop pages, revoke mappings,
+        // and un-own frames, and every cached translation is suspect.
+        if !Arc::ptr_eq(&self.table, &ck.table) {
+            self.table = Arc::clone(&ck.table);
+            self.tlb = EMPTY_TLB;
+        }
+        self.owned.clone_from(&ck.owned);
+        self.spill_nat.clone_from(&ck.spill_nat);
         true
     }
 
@@ -499,11 +547,13 @@ impl Memory {
     /// none is armed) — the pages a rollback would change. A page the
     /// checkpoint lacked counts as all-zero.
     pub fn dirty_pages(&self) -> usize {
-        let Some((saved, _)) = &self.checkpoint else { return 0 };
+        let Some(ck) = &self.checkpoint else { return 0 };
         self.table
             .frames
             .iter()
-            .filter(|f| saved.page(f.page).unwrap_or(&ZERO_PAGE) != f.data.bytes())
+            .filter(|f| {
+                ck.table.page(f.page, &ck.owned).unwrap_or(&ZERO_PAGE) != f.data.bytes(&self.owned)
+            })
             .count()
     }
 
@@ -516,13 +566,13 @@ impl Memory {
     pub fn read_int(&mut self, addr: u64, size: u64) -> Result<u64, MemError> {
         let page = addr / PAGE_SIZE;
         let e = self.tlb[Self::tlb_index(page)];
-        let slot = if e.page == page {
+        let e = if e.page == page {
             // A hit proves implemented + mapped; only alignment can fail.
             self.tlb_hits += 1;
             if !aligned(addr, size) {
                 return Err(MemError::Unaligned { addr, size });
             }
-            e.slot
+            e
         } else {
             // Historical error order: unimplemented, unaligned, unmapped.
             if !is_implemented(addr) {
@@ -533,7 +583,7 @@ impl Memory {
             }
             self.resolve_slow(addr, false)?
         };
-        let data = self.page_bytes(slot);
+        let data = self.entry_bytes(e);
         let off = (addr % PAGE_SIZE) as usize;
         Ok(match size {
             8 => u64::from_le_bytes(data[off..off + 8].try_into().expect("8-byte slice")),
@@ -563,14 +613,14 @@ impl Memory {
     pub fn write_int(&mut self, addr: u64, size: u64, value: u64) -> Result<(), MemError> {
         let page = addr / PAGE_SIZE;
         let e = self.tlb[Self::tlb_index(page)];
-        let slot = if e.page == page && e.writable {
-            // A writable hit proves the frame is private: write straight
-            // through.
+        let owned = if e.page == page && e.owned != NOT_OWNED {
+            // A hit on an owned page proves it is private: write straight
+            // through, without touching the shared table.
             self.tlb_hits += 1;
             if !aligned(addr, size) {
                 return Err(MemError::Unaligned { addr, size });
             }
-            e.slot
+            e.owned
         } else {
             if !is_implemented(addr) {
                 return Err(MemError::Unimplemented { addr });
@@ -578,9 +628,9 @@ impl Memory {
             if !aligned(addr, size) {
                 return Err(MemError::Unaligned { addr, size });
             }
-            self.resolve_slow(addr, true)?
+            self.resolve_slow(addr, true)?.owned
         };
-        let data = self.page_bytes_mut(slot);
+        let data = &mut self.owned[owned as usize];
         let off = (addr % PAGE_SIZE) as usize;
         match size {
             8 => data[off..off + 8].copy_from_slice(&value.to_le_bytes()),
@@ -636,9 +686,8 @@ impl Memory {
             let a = addr.wrapping_add(done as u64);
             let off = (a % PAGE_SIZE) as usize;
             let span = (PAGE_USIZE - off).min(out.len() - done);
-            let slot = self.slot_for(a, false)?;
-            let data = self.page_bytes(slot);
-            out[done..done + span].copy_from_slice(&data[off..off + span]);
+            let e = self.entry_for(a, false)?;
+            out[done..done + span].copy_from_slice(&self.entry_bytes(e)[off..off + span]);
             done += span;
         }
         Ok(())
@@ -657,14 +706,38 @@ impl Memory {
     ///
     /// [`MemError`] if any byte is unimplemented or unmapped.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
+        self.write_spans(addr, data.len(), |done, span| {
+            span.copy_from_slice(&data[done..done + span.len()])
+        })
+    }
+
+    /// Sets the `len` bytes starting at `addr` to `byte` (no alignment
+    /// requirement), with [`Memory::write_bytes`]'s page-span behaviour:
+    /// one check and at most one COW fault per page, banked spill NaTs in
+    /// the range dropped, and spans before a faulting page already written.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError`] if any byte is unimplemented or unmapped.
+    pub fn fill_bytes(&mut self, addr: u64, len: usize, byte: u8) -> Result<(), MemError> {
+        self.write_spans(addr, len, |_, span| span.fill(byte))
+    }
+
+    /// The page-span write loop behind the bulk writers: `fill(done, span)`
+    /// writes the `span.len()` bytes that start `done` bytes into the range.
+    fn write_spans(
+        &mut self,
+        addr: u64,
+        len: usize,
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), MemError> {
         let mut done = 0usize;
-        while done < data.len() {
+        while done < len {
             let a = addr.wrapping_add(done as u64);
             let off = (a % PAGE_SIZE) as usize;
-            let span = (PAGE_USIZE - off).min(data.len() - done);
-            let slot = self.slot_for(a, true)?;
-            let frame = self.page_bytes_mut(slot);
-            frame[off..off + span].copy_from_slice(&data[done..done + span]);
+            let span = (PAGE_USIZE - off).min(len - done);
+            let owned = self.entry_for(a, true)?.owned;
+            fill(done, &mut self.owned[owned as usize][off..off + span]);
             // Drop every banked spill slot the span overlaps: one sorted
             // range of the bank, found by two binary searches.
             let first = a & !7;
@@ -672,6 +745,38 @@ impl Memory {
             let lo = self.spill_nat.partition_point(|&s| s < first);
             let hi = self.spill_nat.partition_point(|&s| s <= last);
             self.spill_nat.drain(lo..hi);
+            done += span;
+        }
+        Ok(())
+    }
+
+    /// Appends the `len` bytes starting at `addr` to `out` (no alignment
+    /// requirement), a page span at a time, without zero-filling `out`
+    /// first. On error `out` is left exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError`] if any byte is unimplemented or unmapped.
+    pub fn append_bytes(
+        &mut self,
+        addr: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), MemError> {
+        let start = out.len();
+        out.reserve(len);
+        let mut done = 0usize;
+        while done < len {
+            let a = addr.wrapping_add(done as u64);
+            let off = (a % PAGE_SIZE) as usize;
+            let span = (PAGE_USIZE - off).min(len - done);
+            match self.entry_for(a, false) {
+                Ok(e) => out.extend_from_slice(&self.entry_bytes(e)[off..off + span]),
+                Err(e) => {
+                    out.truncate(start);
+                    return Err(e);
+                }
+            }
             done += span;
         }
         Ok(())
@@ -691,8 +796,8 @@ impl Memory {
             let a = addr.wrapping_add(done as u64);
             let off = (a % PAGE_SIZE) as usize;
             let span = (PAGE_USIZE - off).min(max - done);
-            let slot = self.slot_for(a, false)?;
-            let chunk = &self.page_bytes(slot)[off..off + span];
+            let e = self.entry_for(a, false)?;
+            let chunk = &self.entry_bytes(e)[off..off + span];
             match chunk.iter().position(|&b| b == 0) {
                 Some(nul) => {
                     out.extend_from_slice(&chunk[..nul]);
@@ -724,7 +829,8 @@ impl Memory {
             .iter()
             .enumerate()
             .filter(|(_, f)| {
-                !matches!(f.data, PageData::Zero) && f.data.bytes().iter().any(|&b| b != 0)
+                !matches!(f.data, PageData::Zero)
+                    && f.data.bytes(&self.owned).iter().any(|&b| b != 0)
             })
             .map(|(s, f)| (f.page, s))
             .collect();
@@ -732,7 +838,7 @@ impl Memory {
         for (_, slot) in &slots {
             let f = &self.table.frames[*slot];
             h.word(f.page);
-            h.bytes(&f.data.bytes()[..]);
+            h.bytes(&f.data.bytes(&self.owned)[..]);
         }
         // Domain separators keep the variable-length sections unambiguous.
         h.word(u64::MAX);
@@ -1058,6 +1164,85 @@ mod tests {
         let faults = m.cow_faults();
         m.write_int(base, 8, 333).unwrap();
         assert_eq!(m.cow_faults(), faults);
+    }
+
+    /// Whether the live table is the armed checkpoint's, by reference.
+    fn table_shared_with_checkpoint(m: &Memory) -> bool {
+        Arc::ptr_eq(&m.table, &m.checkpoint.as_ref().expect("armed").table)
+    }
+
+    #[test]
+    fn checkpoint_shares_the_table_until_it_changes() {
+        let (mut m, base) = mapped();
+        m.write_int(base, 8, 1).unwrap();
+        m.begin_checkpoint();
+        assert!(table_shared_with_checkpoint(&m));
+        // Stores to an owned page take no COW fault and leave the table
+        // shared.
+        m.write_int(base + 8, 8, 2).unwrap();
+        m.write_bytes(base + 16, &[1, 2, 3]).unwrap();
+        m.fill_bytes(base + 32, 8, 0xee).unwrap();
+        assert_eq!(m.cow_faults(), 1);
+        assert!(table_shared_with_checkpoint(&m));
+        // A COW fault changes the table, which un-shares it.
+        m.write_int(base + PAGE_SIZE, 8, 3).unwrap();
+        assert_eq!(m.cow_faults(), 2);
+        assert!(!table_shared_with_checkpoint(&m));
+        // A new checkpoint, reusing the old one's buffers, shares it again.
+        m.begin_checkpoint();
+        assert!(table_shared_with_checkpoint(&m));
+    }
+
+    #[test]
+    fn store_after_rollback_takes_no_cow_fault() {
+        let (mut m, base) = mapped();
+        m.write_int(base, 8, 1).unwrap();
+        m.begin_checkpoint();
+        m.write_int(base, 8, 2).unwrap();
+        let (faults, misses) = (m.cow_faults(), m.tlb_stats().1);
+        assert!(m.rollback_checkpoint());
+        assert_eq!(m.read_int(base, 8).unwrap(), 1);
+        m.write_int(base, 8, 3).unwrap();
+        assert_eq!(m.cow_faults(), faults, "the owned page stays owned across the rollback");
+        assert_eq!(m.tlb_stats().1, misses, "an unchanged table keeps its translations");
+        assert!(m.rollback_checkpoint());
+        assert_eq!(m.read_int(base, 8).unwrap(), 1, "the checkpoint stays armed");
+    }
+
+    #[test]
+    fn append_bytes_spans_pages_and_leaves_output_alone_on_fault() {
+        let mut m = Memory::new();
+        let base = make_vaddr(1, 0x10000);
+        m.map_range(base, 2 * PAGE_SIZE);
+        let data: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        let start = base + PAGE_SIZE - 100;
+        m.write_bytes(start, &data).unwrap();
+        let mut out = b"head".to_vec();
+        m.append_bytes(start, data.len(), &mut out).unwrap();
+        assert_eq!(&out[..4], b"head");
+        assert_eq!(&out[4..], &data[..]);
+        // A run into the unmapped third page faults and appends nothing.
+        let before = out.clone();
+        let err = m.append_bytes(base + PAGE_SIZE, PAGE_SIZE as usize + 1, &mut out).unwrap_err();
+        assert_eq!(err, MemError::Unmapped { addr: base + 2 * PAGE_SIZE });
+        assert_eq!(out, before);
+    }
+
+    #[test]
+    fn fill_bytes_matches_write_bytes() {
+        let (start, len) = (make_vaddr(0, 0x8000) + 13, PAGE_SIZE as usize + 20);
+        let (mut filled, mut written) = (Memory::new(), Memory::new());
+        for m in [&mut filled, &mut written] {
+            m.write_int(start & !7, 8, 7).unwrap();
+            m.set_spill_nat(start & !7, true);
+            m.set_spill_nat(start + len as u64 + 16, true);
+        }
+        filled.fill_bytes(start, len, 0xff).unwrap();
+        written.write_bytes(start, &vec![0xff; len]).unwrap();
+        assert_eq!(filled.digest(), written.digest());
+        assert_eq!(filled.cow_faults(), written.cow_faults());
+        assert!(!filled.spill_nat(start & !7));
+        assert!(filled.spill_nat(start + len as u64 + 16));
     }
 
     #[test]

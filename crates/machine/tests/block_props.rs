@@ -5,8 +5,10 @@
 //! injected perturbations — [`Machine::run`] must produce bit-identical
 //! results to stepping the same instructions one at a time. These tests
 //! generate random programs from the constructs that stress block dispatch
-//! (backward branches forming hot blocks, predicated slots, `chk.s` side
-//! exits, faulting stores) and require *everything* observable to match:
+//! (backward branches forming hot blocks, jump chains that traces run
+//! through, predicated slots, `chk.s` side exits, faulting stores, fused
+//! templates that fault mid-way) and require *everything* observable to
+//! match:
 //! the exit, the final `state_digest`, and the whole [`Stats`] struct
 //! (total and per-provenance cycle/instruction counts included).
 
@@ -33,6 +35,10 @@ const SCRATCH: Gpr = Gpr::R15;
 fn data_addr(off: u64) -> u64 {
     layout::DATA_BASE + (off % 0x4000) / 8 * 8
 }
+
+/// An 8-aligned data-region address past the mapped window. (Region 0,
+/// the tag space, is lazily backed: a low address there never faults.)
+const UNMAPPED: u64 = layout::DATA_BASE + 0x10_0000;
 
 /// One generated program construct. Each expands to a short instruction
 /// sequence; together they cover every superblock execution path: pure
@@ -74,6 +80,31 @@ enum Step {
     /// The store tag merge over a random source NaT and random scratch
     /// values, with an optional near miss.
     Merge { k: usize, d: usize, imm: i64, vals: [i64; 2], nat: bool, miss: Miss },
+    /// The relax launder of register `reg(r)` (`four`: with its leading
+    /// `tnat`; else the 3-instruction form under a predicate a `tnat` set
+    /// two instructions earlier) over a random value and NaT, through a
+    /// `slot` that may be unmapped or misaligned so the spill faults
+    /// mid-template, with an optional near miss.
+    Launder { four: bool, r: usize, value: i64, nat: bool, slot: Slot, miss: Miss },
+    /// `hops` forward `jmp`s, each over a dead `halt`, with `body` ALU ops
+    /// at every stop: a chain of blocks one trace runs through.
+    Chain { hops: u8, body: u8 },
+    /// A counted loop whose conditional exit leaves a lone `jmp` back to
+    /// the head (the `strlen` layout): the head is reached by falling
+    /// through from the counter's `movl`, and the loop closes through the
+    /// unconditional `jmp`.
+    LoopJmp { count: u8, body: u8 },
+}
+
+/// Where a generated launder spills.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Slot {
+    /// An aligned slot in the mapped data window.
+    Mapped(u64),
+    /// An unmapped address: the spill faults.
+    Unmapped,
+    /// A misaligned address: the spill faults.
+    Misaligned,
 }
 
 /// How a generated template departs from the fusable shape. `at` picks
@@ -83,7 +114,8 @@ enum Miss {
     /// Fusable as emitted.
     None,
     /// The address register is one of the scratch registers (for the
-    /// merge: its two scratch registers coincide).
+    /// merge: its two scratch registers coincide; for the launder: the
+    /// reload writes another register than the spill reads).
     Aliased(u8),
     /// One member is predicated (for the merge: the `tnat`).
     Predicated(u8),
@@ -105,7 +137,9 @@ fn emit_template(code: &mut Vec<Insn>, mut members: Vec<Insn>, miss: Miss) {
         }
         Miss::MixedProv(at) => {
             let m = &mut members[usize::from(at) % len];
-            *m = m.with_prov(Provenance::Relax);
+            let other =
+                if m.prov == Provenance::Relax { Provenance::Check } else { Provenance::Relax };
+            *m = m.with_prov(other);
         }
         Miss::BranchInto(at) => {
             let target = code.len() + 2 + usize::from(at) % (len - 1);
@@ -149,7 +183,7 @@ fn assemble(steps: &[Step]) -> Vec<Insn> {
                 );
             }
             Step::SpecLoadBad { dst } => {
-                code.push(Insn::new(Op::MovI { dst: ADDR, imm: 16 }));
+                code.push(Insn::new(Op::MovI { dst: ADDR, imm: UNMAPPED as i64 }));
                 code.push(Insn::new(Op::Ld {
                     size: MemSize::B8,
                     ext: ExtKind::Zero,
@@ -180,7 +214,7 @@ fn assemble(steps: &[Step]) -> Vec<Insn> {
                 }));
             }
             Step::StoreBad { src } => {
-                code.push(Insn::new(Op::MovI { dst: ADDR, imm: 16 }));
+                code.push(Insn::new(Op::MovI { dst: ADDR, imm: UNMAPPED as i64 }));
                 code.push(Insn::new(Op::St { size: MemSize::B8, src: reg(src), addr: ADDR }));
             }
             Step::Loop { count, body } => {
@@ -260,11 +294,100 @@ fn assemble(steps: &[Step]) -> Vec<Insn> {
                 };
                 emit_template(&mut code, members, miss);
             }
+            Step::Launder { four, r, value, nat, slot, miss } => {
+                assemble_launder(&mut code, four, r, value, nat, slot, miss);
+            }
+            Step::Chain { hops, body } => {
+                for _ in 0..hops % 4 + 1 {
+                    for b in 0..body % 3 {
+                        let r = reg(usize::from(b) + usize::from(hops));
+                        code.push(Insn::new(Op::AluI { op: AluOp::Add, dst: r, src1: r, imm: 7 }));
+                    }
+                    let target = code.len() + 2;
+                    code.push(Insn::new(Op::Jmp { target }));
+                    code.push(Insn::new(Op::Halt));
+                }
+            }
+            Step::LoopJmp { count, body } => {
+                code.push(Insn::new(Op::MovI { dst: CTR, imm: i64::from(count % 6 + 1) }));
+                let top = code.len();
+                for b in 0..(body % 4 + 1) {
+                    let r = reg(usize::from(b) + 3);
+                    code.push(Insn::new(Op::AluI { op: AluOp::Xor, dst: r, src1: r, imm: 5 }));
+                }
+                code.push(Insn::new(Op::AluI { op: AluOp::Add, dst: CTR, src1: CTR, imm: -1 }));
+                code.push(Insn::new(Op::CmpI {
+                    rel: CmpRel::Eq,
+                    pt: Pr::P1,
+                    pf: Pr::P2,
+                    src1: CTR,
+                    imm: 0,
+                    nat_aware: false,
+                }));
+                let exit = code.len() + 2;
+                code.push(Insn::new(Op::Jmp { target: exit }).under(Pr::P1));
+                code.push(Insn::new(Op::Jmp { target: top }));
+            }
         }
     }
     code.push(Insn::new(Op::MovI { dst: Gpr::R8, imm: 0 }));
     code.push(Insn::new(Op::Halt));
     code
+}
+
+/// The launder's scratch (`t`) register, disjoint from `reg()`'s range
+/// like the other fixed registers, and its predicates.
+const SLOT_REG: Gpr = Gpr::R12;
+const LP: Pr = Pr::P6;
+const LQ: Pr = Pr::P7;
+
+fn assemble_launder(
+    code: &mut Vec<Insn>,
+    four: bool,
+    r: usize,
+    value: i64,
+    nat: bool,
+    slot: Slot,
+    miss: Miss,
+) {
+    let src = reg(r);
+    code.push(Insn::new(Op::MovI { dst: src, imm: value }));
+    if nat {
+        code.push(Insn::new(Op::Tset { dst: src }));
+    }
+    let slot = match slot {
+        Slot::Mapped(off) => data_addr(off),
+        Slot::Unmapped => UNMAPPED,
+        Slot::Misaligned => layout::DATA_BASE + 4,
+    };
+    let rx = |op| Insn::tagged(op, Provenance::Relax);
+    let tnat = rx(Op::Tnat { pt: LP, pf: LQ, src });
+    let mut members = Vec::new();
+    if four {
+        members.push(tnat);
+    } else {
+        // The store path's shape: the predicate comes from an earlier
+        // `tnat`, with other work in between.
+        code.push(tnat);
+        code.push(Insn::new(Op::AluI { op: AluOp::Add, dst: SCRATCH, src1: SCRATCH, imm: 1 }));
+    }
+    let dst = if let Miss::Aliased(_) = miss { reg(r + 1) } else { src };
+    members.push(rx(Op::MovI { dst: SLOT_REG, imm: slot as i64 }));
+    members.push(rx(Op::StSpill { src, addr: SLOT_REG }).under(LP));
+    members.push(
+        rx(Op::Ld { size: MemSize::B8, ext: ExtKind::Zero, dst, addr: SLOT_REG, spec: false })
+            .under(LP),
+    );
+    let miss = match miss {
+        // The `movl` is unpredicated in the fusable shape of both forms.
+        Miss::Predicated(_) => {
+            let movl = &mut members[usize::from(four)];
+            *movl = movl.under(Pr::P1);
+            Miss::None
+        }
+        other => other,
+    };
+    emit_template(code, members, miss);
 }
 
 fn build_image(steps: &[Step]) -> Image {
@@ -306,8 +429,32 @@ fn step_strategy() -> BoxedStrategy<Step> {
         tag_addr_strategy(),
         tag_addr_strategy(),
         merge_strategy(),
+        launder_strategy(),
+        launder_strategy(),
+        (any::<u8>(), any::<u8>()).prop_map(|(hops, body)| Step::Chain { hops, body }),
+        (any::<u8>(), any::<u8>()).prop_map(|(count, body)| Step::LoopJmp { count, body }),
     ]
     .boxed()
+}
+
+fn launder_strategy() -> BoxedStrategy<Step> {
+    let slot = prop_oneof![
+        (0u64..0x4000).prop_map(Slot::Mapped),
+        (0u64..0x4000).prop_map(Slot::Mapped),
+        (0u64..0x4000).prop_map(Slot::Mapped),
+        Just(Slot::Unmapped),
+        Just(Slot::Misaligned),
+    ];
+    (any::<bool>(), 0usize..11, any::<i64>(), any::<bool>(), slot, miss_strategy())
+        .prop_map(|(four, r, value, nat, slot, miss)| Step::Launder {
+            four,
+            r,
+            value,
+            nat,
+            slot,
+            miss,
+        })
+        .boxed()
 }
 
 fn miss_strategy() -> BoxedStrategy<Miss> {
@@ -368,9 +515,26 @@ fn merge_strategy() -> BoxedStrategy<Step> {
 /// superblock; with only the flight recorder armed, it must dispatch
 /// exactly as the unarmed run does.
 fn assert_tiers_agree(image: &Image, injections: &[(u64, Injection)]) -> Result<(), TestCaseError> {
+    assert_tiers_agree_with_fuel(image, injections, None)
+}
+
+/// [`assert_tiers_agree`] with the watchdog armed at `fuel` instructions
+/// on every arm, when given.
+fn assert_tiers_agree_with_fuel(
+    image: &Image,
+    injections: &[(u64, Injection)],
+    fuel: Option<u64>,
+) -> Result<(), TestCaseError> {
     let seed = MachineSeed::new(image);
-    let mut sb = seed.spawn_injected(injections);
-    let mut pi = seed.spawn_injected(injections);
+    let spawn = || {
+        let mut m = seed.spawn_injected(injections);
+        if let Some(fuel) = fuel {
+            m.arm_watchdog(fuel);
+        }
+        m
+    };
+    let mut sb = spawn();
+    let mut pi = spawn();
 
     let exit_sb = sb.run(&mut NullOs, BUDGET);
     let exit_pi = pi.run_per_insn(&mut NullOs, BUDGET);
@@ -380,7 +544,7 @@ fn assert_tiers_agree(image: &Image, injections: &[(u64, Injection)]) -> Result<
     prop_assert_eq!(sb.state_digest(), pi.state_digest(), "dispatch tiers diverged in guest state");
     prop_assert_eq!(&sb.stats, &pi.stats, "dispatch tiers diverged in modelled accounting");
 
-    let mut diag = seed.spawn_injected(injections);
+    let mut diag = spawn();
     diag.enable_trace(16);
     diag.enable_taint_observer();
     diag.enable_profiler(vec![FuncSpan { name: "main".into(), start: 0, end: image.code.len() }]);
@@ -395,7 +559,7 @@ fn assert_tiers_agree(image: &Image, injections: &[(u64, Injection)]) -> Result<
     prop_assert_eq!(&sb.stats, &diag.stats, "armed diagnostics changed modelled accounting");
     prop_assert_eq!(diag.superblock_stats().hits, 0, "armed diagnostics entered a superblock");
 
-    let mut flight = seed.spawn_injected(injections);
+    let mut flight = spawn();
     flight.enable_flight_recorder(64, 0);
     let exit_flight = flight.run(&mut NullOs, BUDGET);
     prop_assert_eq!(&exit_sb, &exit_flight, "the flight recorder changed the exit");
@@ -444,6 +608,17 @@ proptest! {
             Injection::Fault(Fault::Unmapped { addr: 0xdead_0000, ip: 0 })
         };
         assert_tiers_agree(&build_image(&steps), &[(countdown, inj)])?;
+    }
+
+    /// ... and with the watchdog armed: fuel that runs out inside a trace
+    /// must make the trace guard refuse entry, so the run stops with
+    /// `FuelExhausted` at exactly the same retired-instruction count.
+    #[test]
+    fn superblocks_match_per_insn_under_watchdog(
+        steps in prop::collection::vec(step_strategy(), 1..40),
+        fuel in 0u64..300,
+    ) {
+        assert_tiers_agree_with_fuel(&build_image(&steps), &[], Some(fuel))?;
     }
 
     /// Invalidating and rebuilding the superblock tables mid-run changes
@@ -512,7 +687,7 @@ fn mid_block_injection_fires_at_exact_instruction_count() {
 fn generated_templates_fuse_and_near_misses_do_not() {
     let fused = |step: Step| {
         let sb = MachineSeed::new(&build_image(&[step])).spawn().superblock_stats();
-        (sb.fused_tag_addrs, sb.fused_merges)
+        (sb.fused_tag_addrs, sb.fused_merges, sb.fused_launders)
     };
     let misses = [Miss::Aliased(1), Miss::Predicated(4), Miss::MixedProv(2), Miss::BranchInto(3)];
     for bit in [false, true] {
@@ -525,14 +700,58 @@ fn generated_templates_fuse_and_near_misses_do_not() {
             nat: false,
             miss,
         };
-        assert_eq!(fused(t(Miss::None)), (1, 0), "bit={bit}");
+        assert_eq!(fused(t(Miss::None)), (1, 0, 0), "bit={bit}");
         for miss in misses {
-            assert_eq!(fused(t(miss)), (0, 0), "bit={bit} {miss:?}");
+            assert_eq!(fused(t(miss)), (0, 0, 0), "bit={bit} {miss:?}");
         }
     }
     let m = |miss| Step::Merge { k: 4, d: 5, imm: -1, vals: [0x0f, 0x30], nat: true, miss };
-    assert_eq!(fused(m(Miss::None)), (0, 1));
+    assert_eq!(fused(m(Miss::None)), (0, 1, 0));
     for miss in misses {
-        assert_eq!(fused(m(miss)), (0, 0), "{miss:?}");
+        assert_eq!(fused(m(miss)), (0, 0, 0), "{miss:?}");
+    }
+    for four in [false, true] {
+        let l =
+            |miss| Step::Launder { four, r: 3, value: 5, nat: true, slot: Slot::Mapped(64), miss };
+        assert_eq!(fused(l(Miss::None)), (0, 0, 1), "four={four}");
+        for at in 0..4 {
+            for miss in
+                [Miss::Aliased(at), Miss::Predicated(at), Miss::MixedProv(at), Miss::BranchInto(at)]
+            {
+                // A near miss that touches only the `tnat` of the
+                // 4-instruction form (re-tagging it, or branching to the
+                // `movl` after it) leaves a fusable 3-instruction tail.
+                let tail = four && matches!(miss, Miss::MixedProv(0 | 4) | Miss::BranchInto(0 | 3));
+                let expected = (0, 0, u64::from(tail));
+                assert_eq!(fused(l(miss)), expected, "four={four} {miss:?}");
+            }
+        }
+    }
+}
+
+/// A spill that faults inside a fused launder leaves `ip` on the spill
+/// and retires exactly the members before it and the spill itself — the
+/// reload never issues — on the trace tier as on the stepper. (The reload
+/// cannot fault once its spill succeeded: it reads back the same aligned
+/// 8 bytes, and permissions are page-granular.)
+#[test]
+fn launder_spill_faults_retire_exactly_the_members_up_to_the_spill() {
+    for four in [false, true] {
+        for slot in [Slot::Unmapped, Slot::Misaligned] {
+            let step = Step::Launder { four, r: 3, value: 5, nat: true, slot, miss: Miss::None };
+            let image = build_image(&[step]);
+            let spill = image.code.iter().position(|i| matches!(i.op, Op::StSpill { .. }));
+            let spill = spill.expect("the launder spills");
+            let seed = MachineSeed::new(&image);
+            assert_eq!(seed.spawn().superblock_stats().fused_launders, 1);
+            let (mut sb, mut pi) = (seed.spawn(), seed.spawn());
+            let exit = sb.run(&mut NullOs, BUDGET);
+            assert_eq!(exit, pi.run_per_insn(&mut NullOs, BUDGET), "four={four} {slot:?}");
+            assert!(matches!(exit, Exit::Fault(_)), "four={four} {slot:?}: {exit:?}");
+            assert_eq!(sb.cpu.ip, spill, "four={four} {slot:?}: ip rests on the spill");
+            assert_eq!(sb.stats.instructions, spill as u64 + 1, "four={four} {slot:?}");
+            assert_eq!(&sb.stats, &pi.stats, "four={four} {slot:?}");
+            assert!(sb.superblock_stats().hits > 0, "four={four} {slot:?}: ran as a trace");
+        }
     }
 }

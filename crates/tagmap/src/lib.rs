@@ -225,13 +225,34 @@ impl TagRange {
     pub fn apply(&self, tags: &mut [u8], tainted: bool) {
         debug_assert_eq!(tags.len() as u64, self.len);
         let Some(last) = tags.len().checked_sub(1) else { return };
-        let (lo, hi) = (tags[0], tags[last]);
-        tags.fill(if tainted { 0xff } else { 0 });
-        let blend = |old: u8, mask: u8| if tainted { old | mask } else { old & !mask };
-        tags[0] = blend(lo, self.mask(0));
+        let (lo, hi) = self.blend_edges(tags[0], tags[last], tainted);
+        tags.fill(Self::fill(tainted));
+        tags[0] = lo;
         if last > 0 {
-            tags[last] = blend(hi, self.hi_mask);
+            tags[last] = hi;
         }
+    }
+
+    /// The value of every interior tag byte once the run is marked
+    /// (`tainted`) or cleared.
+    #[inline]
+    pub fn fill(tainted: bool) -> u8 {
+        if tainted {
+            0xff
+        } else {
+            0
+        }
+    }
+
+    /// The first and last tag bytes once the run is marked or cleared,
+    /// given their current values `lo` and `hi`: the run's bits set or
+    /// cleared, the neighbouring bits kept. For a one-byte span only the
+    /// first result applies. With [`TagRange::fill`] for the interior,
+    /// this lets a caller rewrite the span in place.
+    #[inline]
+    pub fn blend_edges(&self, lo: u8, hi: u8, tainted: bool) -> (u8, u8) {
+        let blend = |old: u8, mask: u8| if tainted { old | mask } else { old & !mask };
+        (blend(lo, self.mask(0)), blend(hi, self.hi_mask))
     }
 
     /// Whether data byte `i` of the run is tainted, given the span's tag

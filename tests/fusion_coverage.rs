@@ -8,11 +8,12 @@
 //! fusion off (the differential proptests would still pass, only slower).
 //! The software-only shadow pass emits the same sequence through the same
 //! emitter, so in every mode the fused sites must equal the Figure-4
-//! sequences counted in the emitted code.
+//! sequences counted in the emitted code. The relax launders of the
+//! baseline modes fuse the same way, and the enhanced modes emit none.
 
 use shift_compiler::CompiledProgram;
 use shift_core::{Granularity, Mode, Shift, ShiftOptions};
-use shift_isa::{AluOp, Insn, Op};
+use shift_isa::{AluOp, Insn, Op, Provenance};
 use shift_machine::Machine;
 use shift_workloads::apache::apache_program;
 use shift_workloads::spec::all_benches;
@@ -21,6 +22,13 @@ fn baseline_modes() -> [(&'static str, Mode); 2] {
     [
         ("byte", Mode::Shift(ShiftOptions::baseline(Granularity::Byte))),
         ("word", Mode::Shift(ShiftOptions::baseline(Granularity::Word))),
+    ]
+}
+
+fn enhanced_modes() -> [(&'static str, Mode); 2] {
+    [
+        ("byte-enhanced", Mode::Shift(ShiftOptions::enhanced(Granularity::Byte))),
+        ("word-enhanced", Mode::Shift(ShiftOptions::enhanced(Granularity::Word))),
     ]
 }
 
@@ -97,5 +105,53 @@ fn store_merges_fuse_once_per_laundered_byte_mode_store() {
         let expected = if name == "byte" { compiled.stats.stores_laundered as u64 } else { 0 };
         assert!(name == "word" || expected > 0, "apache/byte: no laundered store");
         assert_eq!(merges, expected, "apache/{name}: fused store tag merges");
+    }
+}
+
+/// Relax launder sequences in `code`: a `movl` of the spill slot, the
+/// predicated `st8.spill` to it and the plain `ld8` back, all tagged
+/// `Relax`. Each is the tail of either launder form.
+fn launder_sequences(code: &[Insn]) -> u64 {
+    code.windows(3)
+        .filter(|w| {
+            w.iter().all(|i| i.prov == Provenance::Relax)
+                && matches!(
+                    (&w[0].op, &w[1].op, &w[2].op),
+                    (Op::MovI { .. }, Op::StSpill { .. }, Op::Ld { spec: false, .. })
+                )
+        })
+        .count() as u64
+}
+
+fn assert_every_launder_fuses(what: &str, compiled: &CompiledProgram, enhanced: bool) {
+    let fused = Machine::new(&compiled.image).superblock_stats().fused_launders;
+    let sequences = launder_sequences(&compiled.image.code);
+    assert_eq!(fused, sequences, "{what}: fused launders must equal the launder sequences");
+    if enhanced {
+        assert_eq!(sequences, 0, "{what}: the enhancements remove every launder");
+    }
+}
+
+/// Every relax launder the baseline pass emits (compare operands,
+/// sanitized addresses, sub-word stores) fuses into one micro-op; the
+/// `cmp.nat` and `tset/tclr` enhancements leave none to fuse.
+#[test]
+fn relax_launders_fuse_in_baseline_modes_and_vanish_when_enhanced() {
+    let modes = baseline_modes().into_iter().map(|m| (m, false));
+    let modes: Vec<_> = modes.chain(enhanced_modes().into_iter().map(|m| (m, true))).collect();
+    let app = apache_program();
+    for &((name, mode), enhanced) in &modes {
+        let compiled = Shift::new(mode).compile(&app).expect("apache compiles");
+        assert!(
+            enhanced || launder_sequences(&compiled.image.code) > 0,
+            "apache/{name}: no launder emitted"
+        );
+        assert_every_launder_fuses(&format!("apache/{name}"), &compiled, enhanced);
+    }
+    for bench in all_benches() {
+        for &((name, mode), enhanced) in &modes {
+            let compiled = shift_workloads::compile_spec(&bench, mode);
+            assert_every_launder_fuses(&format!("{}/{name}", bench.name), &compiled, enhanced);
+        }
     }
 }
