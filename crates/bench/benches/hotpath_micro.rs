@@ -1,22 +1,23 @@
 //! Criterion microbenchmarks of the interpreter hot paths this crate's
 //! evaluation sweeps lean on: superblock vs. per-instruction dispatch, the
 //! software-TLB'd `Memory` accessors, the page-span bulk copies, the
-//! word-level `HostShadow` operations, and a whole apache-sim request as
-//! the end-to-end composite. These are the numbers to watch when touching
-//! `shift-machine::exec`, `shift-machine::mem` or `shift-tagmap::HostShadow`
+//! word-level `HostShadow` operations, loading a seed and snapshotting an
+//! instance, and a whole apache-sim request as the end-to-end composite.
+//! These are the numbers to watch when touching `shift-machine::exec`,
+//! `shift-machine::mem`, `shift-machine::seed` or `shift-tagmap::HostShadow`
 //! — the figure sweeps only show regressions after minutes of simulation,
 //! these show them in microseconds.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use shift_core::{Granularity, Mode, ShiftOptions};
+use shift_core::{Granularity, Mode, Shift, ShiftOptions};
 use shift_ir::{ProgramBuilder, Rhs};
 use shift_isa::{make_vaddr, sys, AluOp, CmpRel, ExtKind, Gpr, Insn, MemSize, Op, Pr};
 use shift_machine::{
     layout, Exit, Image, Machine, MachineSeed, Memory, NullOs, Os, SysResult, PAGE_SIZE,
 };
 use shift_tagmap::HostShadow;
-use shift_workloads::apache::run_apache;
+use shift_workloads::apache::{apache_program, run_apache};
 
 /// Loop iterations for the dispatch A/B — enough retired instructions
 /// (~20k) that per-iteration dispatch overhead dominates setup.
@@ -302,17 +303,27 @@ fn bench_shadow(c: &mut Criterion) {
         })
     });
 
-    // Overlapping forward copy of a ragged (unaligned ends) region — the
-    // worst case for the 64-byte-chunk shift-combine path.
-    g.throughput(Throughput::Bytes(4000));
-    g.bench_function("copy_taint_overlap", |b| {
-        let mut s = HostShadow::new();
-        s.set_range(3, 997, true);
-        b.iter(|| {
-            s.copy_taint(517, 3, 4000);
-            s.tainted_bytes()
-        })
-    });
+    g.finish();
+}
+
+fn bench_load(c: &mut Criterion) {
+    let mode = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
+    let image = Shift::new(mode).compile(&apache_program()).expect("compiles").image;
+    let mut g = c.benchmark_group("load");
+
+    // Loading the byte-mode Apache image: map and copy its segments, freeze
+    // the pristine page table, decode its superblocks. Paid once per
+    // guest image; the fleet then spawns from the seed.
+    g.bench_function("seed_apache_byte", |b| b.iter(|| MachineSeed::new(&image).insn_count()));
+
+    // A snapshot of an instance that has written part of its image, as the
+    // runtime takes one before each request: the page table by reference,
+    // the owned pages by value. The guest runs up to its first runtime
+    // call, which `NullOs` refuses.
+    let mut m = MachineSeed::new(&image).spawn();
+    m.run(&mut NullOs, u64::MAX);
+    assert!(m.mem.owned_pages() > 0, "the instance must own pages");
+    g.bench_function("snapshot_apache_byte", |b| b.iter(|| m.snapshot()));
 
     g.finish();
 }
@@ -338,6 +349,7 @@ criterion_group!(
     bench_strlen,
     bench_memory,
     bench_shadow,
+    bench_load,
     bench_apache_request
 );
 criterion_main!(benches);

@@ -65,7 +65,6 @@ fn common_metrics(reg: &mut Registry, stats: &Stats, machine: &Machine, runtime:
     let sb = machine.superblock_stats();
     reg.counter_add("machine.blocks.hits", sb.hits);
     reg.counter_add("machine.blocks.misses", sb.misses);
-    reg.counter_add("machine.blocks.flushes", sb.flushes);
     reg.counter_add("machine.blocks.decoded", sb.blocks);
 
     reg.counter_add("tagmap.shadow.tainted_bytes", runtime.shadow.tainted_bytes());

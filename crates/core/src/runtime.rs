@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use shift_isa::{sys, Gpr};
+use shift_isa::{is_implemented, region_of, sys, Gpr};
 use shift_machine::{
     layout, Exit, Fault, Machine, MemError, Os, Sample, Snapshot, SysResult, TraceKind, Violation,
 };
@@ -362,14 +362,16 @@ impl Runtime {
 
     /// Reads guest bytes plus their taint **as the guest's bitmap records
     /// it** — this is what policy checks must use. Bytes without tags
-    /// (uninstrumented guest, region 0) read as clean.
+    /// (uninstrumented guest, region 0) read as clean. The buffers grow as
+    /// the reads succeed, so a guest-supplied length past mapped memory
+    /// faults at the first unmapped byte without allocating it first.
     fn read_tainted(&self, m: &mut Machine, addr: u64, len: u64) -> Result<TaintedBytes, MemError> {
-        let mut bytes = vec![0u8; len as usize];
-        m.mem.read_bytes(addr, &mut bytes)?;
+        let mut bytes = Vec::new();
+        m.mem.append_bytes(addr, len as usize, &mut bytes)?;
         let taint = match self.gran.and_then(|gran| tag_range(addr, len, gran).ok()) {
             Some(r) => {
-                let mut span = vec![0u8; r.len as usize];
-                m.mem.read_bytes(r.byte_addr, &mut span)?;
+                let mut span = Vec::new();
+                m.mem.append_bytes(r.byte_addr, r.len as usize, &mut span)?;
                 (0..len).map(|i| r.is_tainted(&span, i)).collect()
             }
             None => vec![false; bytes.len()],
@@ -700,8 +702,8 @@ impl Runtime {
         match num {
             sys::EXIT => Ok(SysResult::Stop(Exit::Halted(a0 as i64))),
             sys::PRINT => {
-                let mut bytes = vec![0u8; a1 as usize];
-                m.mem.read_bytes(a0, &mut bytes)?;
+                let mut bytes = Vec::new();
+                m.mem.append_bytes(a0, a1 as usize, &mut bytes)?;
                 self.log.push(bytes);
                 Self::ret(m, 0);
                 Ok(SysResult::Continue)
@@ -800,8 +802,8 @@ impl Runtime {
                     Self::ret(m, -1);
                     return Ok(SysResult::Continue);
                 }
-                let mut bytes = vec![0u8; a2 as usize];
-                m.mem.read_bytes(a1, &mut bytes)?;
+                let mut bytes = Vec::new();
+                m.mem.append_bytes(a1, a2 as usize, &mut bytes)?;
                 let n = bytes.len() as u64;
                 Arc::make_mut(&mut self.world.files)
                     .entry(f.name.clone())
@@ -860,11 +862,21 @@ impl Runtime {
                 Ok(self.io_done(charged))
             }
             sys::BRK => {
-                let size = a0.div_ceil(16) * 16;
+                // Grants round up to 16 bytes (at least 16). A break that
+                // overflows or leaves the heap region's implemented bits is
+                // refused with -1, like a failed `sbrk`.
                 let base = self.heap_cursor;
-                m.mem.map_range(base, size.max(16));
-                self.heap_cursor += size.max(16);
-                Self::ret(m, base as i64);
+                let end = a0.max(1).checked_next_multiple_of(16).and_then(|n| base.checked_add(n));
+                match end {
+                    Some(end)
+                        if is_implemented(end - 1) && region_of(end - 1) == layout::HEAP_REGION =>
+                    {
+                        m.mem.map_range(base, end - base);
+                        self.heap_cursor = end;
+                        Self::ret(m, base as i64);
+                    }
+                    _ => Self::ret(m, -1),
+                }
                 Ok(SysResult::Continue)
             }
             sys::GET_ARG => {
@@ -1119,6 +1131,48 @@ mod tests {
         // Memory is usable.
         m.mem.write_int(p1, 8, 42).unwrap();
         assert_eq!(m.mem.read_int(p1, 8).unwrap(), 42);
+    }
+
+    #[test]
+    fn brk_refuses_a_break_past_the_heap_region() {
+        let mut m = machine();
+        let mut r = rt(World::new());
+        // Past the implemented bits, past the region, and overflowing.
+        for size in [1 << 41, (1 << 40) + 16, 1 << 61, u64::MAX - 7, u64::MAX] {
+            assert_eq!(call(&mut r, &mut m, sys::BRK, &[size]), SysResult::Continue);
+            assert_eq!(m.cpu.gpr(Gpr::RET).value as i64, -1, "brk({size:#x})");
+        }
+        // A refused break leaves the heap where it was.
+        assert_eq!(call(&mut r, &mut m, sys::BRK, &[16]), SysResult::Continue);
+        assert_eq!(m.cpu.gpr(Gpr::RET).value, layout::HEAP_BASE);
+    }
+
+    #[test]
+    fn oversized_lengths_fault_at_the_first_unmapped_byte() {
+        const TIB: u64 = 1 << 40;
+        let (buf, end) = (layout::GLOBALS_BASE, layout::DATA_BASE + 0x10000);
+        let calls = [
+            (sys::PRINT, None),
+            (sys::NET_WRITE, None),
+            (sys::FILE_WRITE, Some("out.txt")),
+            (sys::SQL_EXEC, None),
+            (sys::SYSTEM, None),
+            (sys::HTML_OUT, None),
+        ];
+        for (num, file) in calls {
+            let mut m = machine();
+            let mut r = rt(World::new());
+            let args = match file {
+                Some(name) => vec![open(&mut r, &mut m, name, true), buf, TIB],
+                None => vec![buf, TIB],
+            };
+            let ip = m.cpu.ip;
+            assert_eq!(
+                call(&mut r, &mut m, num, &args),
+                SysResult::Stop(Exit::Fault(Fault::Unmapped { addr: end, ip })),
+                "syscall {num}"
+            );
+        }
     }
 
     #[test]

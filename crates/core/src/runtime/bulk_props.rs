@@ -107,16 +107,17 @@ fn dirty_machine(gran: Granularity, seed: u64, freeze: bool) -> Machine {
 
 /// Everything the two sides must agree on after each step: guest bytes,
 /// bitmap bytes, memory digest, COW counters and pages dirtied since the
-/// checkpoint.
+/// runtime's checkpoint (0 without one).
 type Observed = (Vec<u8>, Vec<u8>, u64, (usize, usize, u64), usize);
 
-fn observe(m: &mut Machine, gran: Granularity) -> Observed {
+fn observe(m: &mut Machine, rt: &Runtime, gran: Granularity) -> Observed {
     let mut data = vec![0u8; WINDOW as usize];
     m.mem.read_bytes(layout::DATA_BASE, &mut data).unwrap();
     let tags = tag_range(layout::DATA_BASE, WINDOW, gran).unwrap();
     let mut bitmap = vec![0u8; tags.len as usize];
     m.mem.read_bytes(tags.byte_addr, &mut bitmap).unwrap();
-    (data, bitmap, m.mem.digest(), m.mem.cow_stats(), m.mem.dirty_pages())
+    let dirty = rt.checkpoint.as_ref().map_or(0, |(snap, _)| m.mem.dirty_pages(snap.mem()));
+    (data, bitmap, m.mem.digest(), m.mem.cow_stats(), dirty)
 }
 
 fn runtime(gran: Granularity) -> Runtime {
@@ -162,10 +163,19 @@ proptest! {
                 let want = per_byte_read(&mut reference, gran, addr, len);
                 prop_assert_eq!(got, want);
             }
-            prop_assert_eq!(observe(&mut bulk, gran), observe(&mut reference, gran), "after op {}", k);
+            prop_assert_eq!(
+                observe(&mut bulk, &rb, gran),
+                observe(&mut reference, &rr, gran),
+                "after op {}",
+                k
+            );
         }
         prop_assert_eq!(rb.recover(&mut bulk), checkpoint);
         prop_assert_eq!(rr.recover(&mut reference), checkpoint);
-        prop_assert_eq!(observe(&mut bulk, gran), observe(&mut reference, gran), "after recover");
+        prop_assert_eq!(
+            observe(&mut bulk, &rb, gran),
+            observe(&mut reference, &rr, gran),
+            "after recover"
+        );
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The per-instruction dispatcher in [`crate::Machine`] pays fixed costs on
 //! every instruction: a bounds-checked fetch from `code`, a budget compare,
-//! an `ip` store, a second indexed load for the base cost, and four
+//! an `ip` store, a second match on the op for its base cost, and four
 //! read-modify-writes into [`crate::Stats`]. A [`BlockProgram`] removes all
 //! of them from straight-line code: every basic block is decoded **once**
 //! (at [`crate::MachineSeed`] build time) into uniform [`MicroOp`]s whose
@@ -31,7 +31,9 @@
 //! See DESIGN.md §13 for the discovery rules, the boundary-check contract,
 //! and the dispatch-tier diagram.
 
-use shift_isa::{AluOp, Br, CmpRel, CostModel, ExtKind, Gpr, Insn, MemSize, Op, Pr, Provenance};
+use shift_isa::{AluOp, Br, CmpRel, ExtKind, Gpr, Insn, MemSize, Op, Pr, Provenance};
+
+use crate::COST;
 
 /// Number of provenance labels (accumulator array width).
 pub(crate) const NPROV: usize = Provenance::ALL.len();
@@ -51,7 +53,7 @@ const MAX_TRACE_LEN: usize = 256;
 /// `repr(u8)`), the qualifying predicate, the provenance label for cycle
 /// attribution, and the summed base cycle cost that the per-instruction
 /// stepper would re-derive from `CostModel::base`. The executor never
-/// touches `code` or `base_cost` while inside a trace.
+/// touches `code` or the cost model while inside a trace.
 ///
 /// A micro-op covers `n` consecutive instructions starting at instruction
 /// index `off`: one for a plain instruction, the whole template for a
@@ -341,9 +343,8 @@ pub(crate) struct Block {
 /// Built once per [`crate::MachineSeed`] and shared by every spawned
 /// instance through `Arc` — decode cost is paid at load time, never on the
 /// execution path. Guest code is immutable (`Arc<[Insn]>`; the ISA has no
-/// code store), so the program can never go stale while a machine runs; the
-/// only invalidation path is [`crate::Machine::flush_superblocks`], which
-/// rebuilds the tables wholesale.
+/// code store, and self-modifying code is out of scope — DESIGN.md §12), so
+/// the program can never go stale and has no invalidation path.
 #[derive(Clone, Debug)]
 pub(crate) struct BlockProgram {
     /// One trace per basic block, ordered by `start`.
@@ -422,7 +423,7 @@ impl BlockProgram {
     /// larger than the blocks'. Blocks are lowered in a layout that keeps
     /// most traces one contiguous range. Building a trace allocates
     /// nothing.
-    pub fn build(code: &[Insn], cost: &CostModel) -> BlockProgram {
+    pub fn build(code: &[Insn]) -> BlockProgram {
         let n = code.len();
         let mut leader = vec![false; n + 1];
         leader[0] = true;
@@ -515,10 +516,10 @@ impl BlockProgram {
             let mut off = 0usize;
             while off < body.len() {
                 let rest = &body[off..];
-                let (kind, len) = if let Some(m) = match_merge(rest, cost) {
+                let (kind, len) = if let Some(m) = match_merge(rest) {
                     merges.push(m);
                     (Kind::TagMerge(merges.len() as u32 - 1), 4)
-                } else if let Some(l) = match_launder(rest, cost) {
+                } else if let Some(l) = match_launder(rest) {
                     launders.push(l);
                     (Kind::Launder(launders.len() as u32 - 1), usize::from(l.lead) + 3)
                 } else if let Some((t, bit)) = match_tag_addr(rest) {
@@ -560,7 +561,7 @@ impl BlockProgram {
                     if deviates || insn.qp != Pr::P0 {
                         bb.pure = false;
                     }
-                    base += effective_cost(insn, cost);
+                    base += effective_cost(insn);
                 }
                 // A fused micro-op's members share one provenance.
                 let prov = rest[0].prov;
@@ -694,10 +695,10 @@ fn is_terminator(op: &Op) -> bool {
 /// Unconditional transfers always take inside a trace, so their effective
 /// cost is `branch_taken`, not the fall-through cost the per-instruction
 /// table carries.
-fn effective_cost(insn: &Insn, cost: &CostModel) -> u64 {
+fn effective_cost(insn: &Insn) -> u64 {
     match insn.op {
-        Op::Jmp { .. } | Op::Call { .. } | Op::JmpBr { .. } => cost.branch_taken,
-        _ => cost.base(&insn.op),
+        Op::Jmp { .. } | Op::Call { .. } | Op::JmpBr { .. } => COST.branch_taken,
+        _ => COST.base(&insn.op),
     }
 }
 
@@ -826,7 +827,7 @@ fn match_tag_addr(code: &[Insn]) -> Option<(TagAddr, bool)> {
 }
 
 /// Matches the store tag merge at the head of `code` (see [`TagMerge`]).
-fn match_merge(code: &[Insn], cost: &CostModel) -> Option<TagMerge> {
+fn match_merge(code: &[Insn]) -> Option<TagMerge> {
     let m = code.get(..4).filter(|m| matches!(m[0].op, Op::Tnat { .. }))?;
     let [Op::Tnat { pt, pf, src }, Op::Alu { op: AluOp::Or, dst: d1, src1: a1, src2: t2 }, Op::AluI { op: AluOp::Xor, dst: d2, src1: a2, imm }, Op::Alu { op: AluOp::And, dst: t1, src1: a3, src2: b3 }] =
         [m[0].op, m[1].op, m[2].op, m[3].op]
@@ -840,7 +841,7 @@ fn match_merge(code: &[Insn], cost: &CostModel) -> Option<TagMerge> {
     if !guarded || !one_prov || !wired || !distinct || t1 == Gpr::R0 || t2 == Gpr::R0 {
         return None;
     }
-    let squash = |i: &Insn| cost.pred_off.wrapping_sub(effective_cost(i, cost));
+    let squash = |i: &Insn| COST.pred_off.wrapping_sub(effective_cost(i));
     Some(TagMerge {
         src,
         pt,
@@ -856,7 +857,7 @@ fn match_merge(code: &[Insn], cost: &CostModel) -> Option<TagMerge> {
 /// Matches the relax launder at the head of `code` (see [`Launder`]): the
 /// 4-instruction form when `code` opens with a `tnat`, else the
 /// 3-instruction form.
-fn match_launder(code: &[Insn], cost: &CostModel) -> Option<Launder> {
+fn match_launder(code: &[Insn]) -> Option<Launder> {
     let lead = usize::from(matches!(code.first()?.op, Op::Tnat { .. }));
     let m = code.get(..lead + 3)?;
     // The spill is the rarest member: test it before unpacking the rest.
@@ -886,7 +887,7 @@ fn match_launder(code: &[Insn], cost: &CostModel) -> Option<Launder> {
     if movl.qp != Pr::P0 || reload.qp != p || !one_prov || !wired {
         return None;
     }
-    let squash = |i: &Insn| cost.pred_off.wrapping_sub(effective_cost(i, cost));
+    let squash = |i: &Insn| COST.pred_off.wrapping_sub(effective_cost(i));
     Some(Launder {
         r,
         t,
@@ -895,7 +896,7 @@ fn match_launder(code: &[Insn], cost: &CostModel) -> Option<Launder> {
         lead: lead as u8,
         slot: slot as u64,
         dev_clean: squash(spill).wrapping_add(squash(reload)),
-        reload_base: u8::try_from(effective_cost(reload, cost)).expect("reload cost fits u8"),
+        reload_base: u8::try_from(effective_cost(reload)).expect("reload cost fits u8"),
     })
 }
 
@@ -905,7 +906,7 @@ mod tests {
     use shift_isa::{AluOp, Gpr, Pr};
 
     fn decode(code: &[Insn]) -> BlockProgram {
-        BlockProgram::build(code, &CostModel::ITANIUM2)
+        BlockProgram::build(code)
     }
 
     /// The micro-ops trace `b` runs, member block by member block.
@@ -975,8 +976,7 @@ mod tests {
         assert_eq!((prog.blocks[5].start, prog.blocks[5].next_ip), (8, 8));
         let blk = &prog.blocks[0];
         let acct = &prog.accts[blk.acct_start as usize];
-        let cost = CostModel::ITANIUM2;
-        assert_eq!(u64::from(acct.cycles), 2 * cost.alu + 2 * cost.branch_taken);
+        assert_eq!(u64::from(acct.cycles), 2 * COST.alu + 2 * COST.branch_taken);
         assert_eq!(acct.insns, 4);
     }
 
@@ -1055,7 +1055,6 @@ mod tests {
 
     #[test]
     fn pure_blocks_precompute_static_accounting() {
-        let cost = CostModel::ITANIUM2;
         let code = vec![
             Insn::new(Op::MovI { dst: Gpr::R1, imm: 1 << 40 }), // long movl
             Insn::new(Op::Alu { op: AluOp::Add, dst: Gpr::R2, src1: Gpr::R1, src2: Gpr::R1 }),
@@ -1069,7 +1068,7 @@ mod tests {
         let a = &prog.accts[b.acct_start as usize];
         assert_eq!(usize::from(a.prov), Provenance::Original.index());
         assert_eq!(u64::from(a.insns), 3);
-        assert_eq!(u64::from(a.cycles), cost.movl + cost.alu + cost.branch_taken);
+        assert_eq!(u64::from(a.cycles), COST.movl + COST.alu + COST.branch_taken);
     }
 
     #[test]
@@ -1086,7 +1085,6 @@ mod tests {
 
     #[test]
     fn fused_templates_cover_their_members() {
-        let cost = CostModel::ITANIUM2;
         let (t0, t1, t2, a) = (Gpr::R28, Gpr::R29, Gpr::R30, Gpr::R1);
         let tc = |op| Insn::tagged(op, Provenance::StTagCompute);
         let code = vec![
@@ -1115,10 +1113,10 @@ mod tests {
         assert!(matches!(uops[1].kind, Kind::TagAddrBit(0)));
         assert!(matches!(uops[2].kind, Kind::TagMerge(0)));
         // One long immediate (the mask); `movl t2 = 1` fits a short slot.
-        assert_eq!(u64::from(uops[1].base), 9 * cost.alu + cost.movl);
-        assert_eq!(u64::from(uops[2].base), 4 * cost.alu);
-        assert_eq!(prog.merges[0].dev_tainted, (2 * cost.pred_off).wrapping_sub(2 * cost.alu));
-        assert_eq!(prog.merges[0].dev_clean, cost.pred_off.wrapping_sub(cost.alu));
+        assert_eq!(u64::from(uops[1].base), 9 * COST.alu + COST.movl);
+        assert_eq!(u64::from(uops[2].base), 4 * COST.alu);
+        assert_eq!(prog.merges[0].dev_tainted, (2 * COST.pred_off).wrapping_sub(2 * COST.alu));
+        assert_eq!(prog.merges[0].dev_clean, COST.pred_off.wrapping_sub(COST.alu));
     }
 
     #[test]
@@ -1167,7 +1165,6 @@ mod tests {
     /// `tnat` whose near miss still lets the 3-instruction tail fuse.
     #[test]
     fn relax_launders_fuse_in_both_forms() {
-        let cost = CostModel::ITANIUM2;
         let (r, t) = (Gpr::R3, Gpr::R30);
         let rx = |op| Insn::tagged(op, Provenance::Relax);
         let slot = crate::layout::LAUNDER0 as i64;
@@ -1191,12 +1188,12 @@ mod tests {
         assert_eq!(shape, [(0, 4), (4, 3), (7, 1), (8, 3), (11, 1)]);
         let forms: Vec<u8> = prog.launders.iter().map(|l| l.lead).collect();
         assert_eq!(forms, [1, 0, 0]);
-        let members = cost.alu + cost.movl + cost.store_issue + cost.load_issue;
+        let members = COST.alu + COST.movl + COST.store_issue + COST.load_issue;
         assert_eq!(u64::from(prog.uops[0].base), members);
         let l = &prog.launders[0];
         assert_eq!((l.r, l.t, l.p, l.slot), (r, t, Pr::P6, slot as u64));
-        assert_eq!(l.dev_clean, (2 * cost.pred_off).wrapping_sub(2));
-        assert_eq!(u64::from(l.reload_base), cost.load_issue);
+        assert_eq!(l.dev_clean, (2 * COST.pred_off).wrapping_sub(2));
+        assert_eq!(u64::from(l.reload_base), COST.load_issue);
     }
 
     #[test]

@@ -8,70 +8,57 @@
 //! bytes, bitmap accesses have high locality and mostly hit in L1, which is
 //! why the paper finds the *memory-access* share of instrumentation overhead
 //! small next to the *computation* share (§6.4, Figure 9).
+//!
+//! The geometry and latencies are those of the one modelled Itanium 2, so
+//! they are compile-time constants: set counts and ways are type
+//! parameters, line math is a fixed shift, and nothing about the model can
+//! be reconfigured at run time.
 
-/// Configuration of one cache level.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CacheConfig {
-    /// Total capacity in bytes.
-    pub capacity: u64,
-    /// Associativity (ways per set).
-    pub ways: usize,
-    /// Line size in bytes (power of two).
-    pub line: u64,
-}
+/// Cache line size in bytes, at both levels.
+const LINE: u64 = 64;
 
-impl CacheConfig {
-    /// Number of sets implied by the configuration.
-    pub fn sets(&self) -> usize {
-        (self.capacity / (self.line * self.ways as u64)) as usize
-    }
-}
+/// `log2(LINE)`: line math is a shift, not a `u64` division — the cache
+/// sits on the interpreter's memory fast path.
+const LINE_SHIFT: u32 = LINE.trailing_zeros();
 
-/// One set-associative LRU cache level.
+/// Extra cycles for an L1 miss that hits L2.
+pub const L2_LATENCY: u64 = 8;
+
+/// Extra cycles for an access that misses both levels.
+pub const MEM_LATENCY: u64 = 120;
+
+/// One set-associative LRU cache level of `SETS` sets (a power of two) of
+/// `WAYS` ways.
 ///
-/// Ways are stored flat (`slots[set * ways ..][..ways]`, most-recent first)
-/// with an impossible line number as the empty sentinel, so an access is one
+/// Each set is a fixed array of line numbers, most-recent first, with an
+/// impossible line number as the empty sentinel, so an access is one
 /// contiguous scan with no per-set allocation. LRU behaviour — and therefore
 /// the hit/miss/stall sequence — is identical to the textbook
 /// list-of-tags formulation.
 #[derive(Clone, Debug)]
-struct Level {
-    cfg: CacheConfig,
-    set_mask: usize,
-    /// `log2(cfg.line)`: line math compiles to shifts, not `u64` division —
-    /// the cache sits on the interpreter's memory fast path and a hardware
-    /// divide per access is measurable there.
-    line_shift: u32,
-    slots: Vec<u64>,
+struct Level<const SETS: usize, const WAYS: usize> {
+    sets: Box<[[u64; WAYS]; SETS]>,
     hits: u64,
     misses: u64,
 }
 
-/// No real line has this number: lines are `addr / line_size` and addresses
+/// No real line has this number: lines are `addr / LINE` and addresses
 /// top out well below `u64::MAX`.
 const EMPTY_LINE: u64 = u64::MAX;
 
-impl Level {
-    fn new(cfg: CacheConfig) -> Level {
-        assert!(cfg.line.is_power_of_two(), "line size must be a power of two");
-        let sets = cfg.sets();
-        assert!(sets.is_power_of_two() && sets > 0, "set count must be a power of two");
-        Level {
-            cfg,
-            set_mask: sets - 1,
-            line_shift: cfg.line.trailing_zeros(),
-            slots: vec![EMPTY_LINE; sets * cfg.ways],
-            hits: 0,
-            misses: 0,
-        }
+impl<const SETS: usize, const WAYS: usize> Level<SETS, WAYS> {
+    const POW2: () = assert!(SETS.is_power_of_two(), "set count must be a power of two");
+
+    fn new() -> Self {
+        let () = Self::POW2;
+        let sets = vec![[EMPTY_LINE; WAYS]; SETS].into_boxed_slice();
+        Level { sets: sets.try_into().expect("SETS sets"), hits: 0, misses: 0 }
     }
 
-    /// Touches the line containing `addr`; returns `true` on hit.
+    /// Touches `line`; returns `true` on hit.
     #[inline]
-    fn access(&mut self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line as usize) & self.set_mask;
-        let ways = &mut self.slots[set * self.cfg.ways..(set + 1) * self.cfg.ways];
+    fn access(&mut self, line: u64) -> bool {
+        let ways = &mut self.sets[(line as usize) & (SETS - 1)];
         if ways[0] == line {
             // Most-recently-used hit: the dominant case, no reordering.
             self.hits += 1;
@@ -93,24 +80,18 @@ impl Level {
 /// The L1 + L2 + DRAM hierarchy with stall-latency accounting.
 #[derive(Clone, Debug)]
 pub struct CacheHierarchy {
-    l1: Level,
-    l2: Level,
-    /// Extra cycles for an L1 miss that hits L2.
-    pub l2_latency: u64,
-    /// Extra cycles for an access that misses both levels.
-    pub mem_latency: u64,
+    /// 16 KiB: 64 sets of 4 ways of 64-byte lines.
+    l1: Level<64, 4>,
+    /// 256 KiB: 512 sets of 8 ways of 64-byte lines.
+    l2: Level<512, 8>,
 }
 
 impl CacheHierarchy {
-    /// The Itanium-2-flavoured default: 16 KiB/4-way L1D (stall-free hits),
-    /// 256 KiB/8-way L2 at +8 cycles, DRAM at +120 cycles.
+    /// The Itanium 2 hierarchy, cold: 16 KiB/4-way L1D (stall-free hits),
+    /// 256 KiB/8-way L2 at +[`L2_LATENCY`] cycles, DRAM at
+    /// +[`MEM_LATENCY`] cycles.
     pub fn itanium2() -> CacheHierarchy {
-        CacheHierarchy {
-            l1: Level::new(CacheConfig { capacity: 16 << 10, ways: 4, line: 64 }),
-            l2: Level::new(CacheConfig { capacity: 256 << 10, ways: 8, line: 64 }),
-            l2_latency: 8,
-            mem_latency: 120,
-        }
+        CacheHierarchy { l1: Level::new(), l2: Level::new() }
     }
 
     /// Simulates a data access of `size` bytes at `addr`; returns the stall
@@ -118,27 +99,26 @@ impl CacheHierarchy {
     /// line boundary touch both lines.
     #[inline]
     pub fn access(&mut self, addr: u64, size: u64) -> u64 {
-        let shift = self.l1.line_shift;
-        let first = addr >> shift;
-        let last = addr.wrapping_add(size.max(1) - 1) >> shift;
+        let first = addr >> LINE_SHIFT;
+        let last = addr.wrapping_add(size.max(1) - 1) >> LINE_SHIFT;
         if first == last {
-            return self.access_line(first << shift);
+            return self.access_line(first);
         }
         let mut stall = 0;
         for line in first..=last {
-            stall += self.access_line(line << shift);
+            stall += self.access_line(line);
         }
         stall
     }
 
     #[inline]
-    fn access_line(&mut self, addr: u64) -> u64 {
-        if self.l1.access(addr) {
+    fn access_line(&mut self, line: u64) -> u64 {
+        if self.l1.access(line) {
             0
-        } else if self.l2.access(addr) {
-            self.l2_latency
+        } else if self.l2.access(line) {
+            L2_LATENCY
         } else {
-            self.mem_latency
+            MEM_LATENCY
         }
     }
 
@@ -150,13 +130,6 @@ impl CacheHierarchy {
     /// `(hits, misses)` at L2.
     pub fn l2_stats(&self) -> (u64, u64) {
         (self.l2.hits, self.l2.misses)
-    }
-
-    /// Resets contents and counters (used between benchmark phases).
-    pub fn reset(&mut self) {
-        let (l1c, l2c) = (self.l1.cfg, self.l2.cfg);
-        self.l1 = Level::new(l1c);
-        self.l2 = Level::new(l2c);
     }
 }
 
@@ -173,7 +146,7 @@ mod tests {
     #[test]
     fn first_touch_misses_then_hits() {
         let mut c = CacheHierarchy::itanium2();
-        assert_eq!(c.access(0x1000, 8), c.mem_latency);
+        assert_eq!(c.access(0x1000, 8), MEM_LATENCY);
         assert_eq!(c.access(0x1000, 8), 0);
         // Same line, different offset: still a hit.
         assert_eq!(c.access(0x1008, 8), 0);
@@ -190,7 +163,7 @@ mod tests {
             c.access(i * set_stride, 8);
         }
         let stall = c.access(0, 8);
-        assert_eq!(stall, c.l2_latency, "should be an L2 hit after L1 eviction");
+        assert_eq!(stall, L2_LATENCY, "should be an L2 hit after L1 eviction");
     }
 
     #[test]
@@ -199,7 +172,7 @@ mod tests {
         // Byte-granularity access spanning a line boundary (only possible
         // for unaligned byte-string ops).
         let stall = c.access(64 - 1, 2);
-        assert_eq!(stall, 2 * c.mem_latency);
+        assert_eq!(stall, 2 * MEM_LATENCY);
     }
 
     #[test]
@@ -209,8 +182,6 @@ mod tests {
         c.access(0, 8);
         let (h, m) = c.l1_stats();
         assert_eq!((h, m), (1, 1));
-        c.reset();
-        assert_eq!(c.l1_stats(), (0, 0));
     }
 
     #[test]
@@ -228,6 +199,6 @@ mod tests {
         // 4 KiB of data (64 lines) + 512 B of tags (8 lines) ≈ 72 cold
         // misses; anything close to that means the tag stream is riding the
         // data stream's locality.
-        assert!(stalls <= 80 * c.mem_latency, "stalls = {stalls}");
+        assert!(stalls <= 80 * MEM_LATENCY, "stalls = {stalls}");
     }
 }

@@ -1,16 +1,17 @@
 //! The in-order executor: fetch, predicate check, execute, account.
 
-use shift_isa::{AluOp, CostModel, ExtKind, Insn, MemSize, Op, Provenance};
+use shift_isa::{AluOp, ExtKind, Insn, MemSize, Op, Provenance};
 use shift_obs::{FuncSpan, Profiler, TaintObserver, TraceKind, TraceRing};
 
 use crate::block::{BlockProgram, Kind, MicroOp, TagAddr, NPROV};
-use crate::cache::CacheHierarchy;
+use crate::cache::{CacheHierarchy, MEM_LATENCY};
 use crate::cpu::{Cpu, RegVal};
 use crate::fault::{Fault, NatFaultKind};
 use crate::image::Image;
 use crate::mem::{MemError, Memory};
 use crate::snapshot::{Fnv, Injection, Snapshot};
 use crate::stats::{Exit, Stats};
+use crate::COST;
 
 /// Host runtime interface: handles `syscall` traps.
 ///
@@ -72,17 +73,9 @@ pub struct Machine {
     pub cache: CacheHierarchy,
     /// Cycle/event accounting.
     pub stats: Stats,
-    /// Instruction latency table. Private because `base_cost` caches its
-    /// per-instruction answers — mutating one without the other would skew
-    /// the cycle model.
-    cost: CostModel,
     /// Decoded code, shared with the [`crate::MachineSeed`] (and every
     /// sibling instance) that spawned this machine.
     code: std::sync::Arc<[Insn]>,
-    /// `cost.base()` of each instruction in `code`, precomputed so the
-    /// dispatcher replaces a second match on the op with one indexed load.
-    /// Shared like `code`.
-    base_cost: std::sync::Arc<[u64]>,
     /// Code pre-decoded into superblocks (see [`crate::block`]), shared like
     /// `code`. A pure host-speed structure: never part of guest state.
     blocks: std::sync::Arc<BlockProgram>,
@@ -91,8 +84,6 @@ pub struct Machine {
     /// Instructions stepped on the per-instruction fallback tier while block
     /// dispatch was eligible (mid-block entry, boundary guard, budget tail).
     block_misses: u64,
-    /// Times the superblock tables were invalidated and rebuilt.
-    block_flushes: u64,
     watchdog: Option<Watchdog>,
     injections: Vec<(u64, Injection)>,
     /// Per-instruction diagnostics (see [`Diagnostics`]). Arming any of
@@ -101,9 +92,9 @@ pub struct Machine {
     diag: Option<Box<Diagnostics>>,
     /// Flight recorder (DESIGN.md §14). Diagnostic-only like `diag`, but
     /// deliberately NOT part of the tier gate: its events originate only at
-    /// syscall boundaries, superblock flushes, recovery points, and
-    /// injection firings — never per instruction — so the superblock tier
-    /// stays armed while recording.
+    /// syscall boundaries, recovery points, and injection firings — never
+    /// per instruction — so the superblock tier stays armed while
+    /// recording.
     flight: Option<Box<TraceRing>>,
 }
 
@@ -187,8 +178,6 @@ pub struct SuperblockStats {
     /// dispatch was eligible (mid-block entry, boundary guard refusal, or
     /// the run budget's tail being shorter than the next block).
     pub misses: u64,
-    /// Times [`Machine::flush_superblocks`] rebuilt the tables.
-    pub flushes: u64,
     /// Superblocks in the decoded program.
     pub blocks: u64,
     /// Tag-address templates (either form) fused into one micro-op each in
@@ -219,7 +208,6 @@ impl Machine {
         cpu: Cpu,
         mem: Memory,
         code: std::sync::Arc<[Insn]>,
-        base_cost: std::sync::Arc<[u64]>,
         blocks: std::sync::Arc<BlockProgram>,
     ) -> Machine {
         Machine {
@@ -227,13 +215,10 @@ impl Machine {
             mem,
             cache: CacheHierarchy::itanium2(),
             stats: Stats::new(),
-            cost: CostModel::ITANIUM2,
-            base_cost,
             code,
             blocks,
             block_hits: 0,
             block_misses: 0,
-            block_flushes: 0,
             watchdog: None,
             injections: Vec::new(),
             diag: None,
@@ -334,8 +319,8 @@ impl Machine {
     /// Captures a restorable [`Snapshot`]: the full architected CPU state
     /// (GPRs with NaT bits, predicates, branch registers, `UNAT`, `ip`) plus
     /// a memory checkpoint — a copy of the page table whose shared pages
-    /// copy by reference and owned pages by value. Supersedes any earlier
-    /// snapshot of this machine.
+    /// copy by reference and owned pages by value. The machine is not
+    /// touched, and earlier snapshots stay valid.
     ///
     /// ```
     /// use shift_isa::{Gpr, Insn, Op};
@@ -352,27 +337,16 @@ impl Machine {
     /// m.restore(&snap);
     /// assert_eq!(m.state_digest(), before);
     /// ```
-    pub fn snapshot(&mut self) -> Snapshot {
-        let mem_epoch = self.mem.begin_checkpoint();
-        Snapshot { cpu: self.cpu.clone(), mem_epoch }
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot { cpu: self.cpu.clone(), mem: self.mem.checkpoint() }
     }
 
-    /// Rewinds CPU and memory to `snap`'s point. The checkpoint stays armed,
+    /// Rewinds CPU and memory to `snap`'s point. `snap` is left as it was,
     /// so the same snapshot can be restored repeatedly (per-request
     /// isolation rolls back to one snapshot many times). Timing state
     /// (cache, statistics) is not rewound — see [`Snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` was superseded by a newer [`Machine::snapshot`] or
-    /// belongs to another machine.
     pub fn restore(&mut self, snap: &Snapshot) {
-        assert_eq!(
-            self.mem.checkpoint_epoch(),
-            snap.mem_epoch,
-            "snapshot superseded by a newer checkpoint (or from another machine)"
-        );
-        assert!(self.mem.rollback_checkpoint(), "no armed memory checkpoint to restore");
+        self.mem.rollback(&snap.mem);
         self.cpu = snap.cpu.clone();
     }
 
@@ -501,9 +475,8 @@ impl Machine {
     /// have armed anything).
     pub fn run<O: Os>(&mut self, os: &mut O, max_insns: u64) -> Exit {
         let budget = self.stats.instructions.saturating_add(max_insns);
-        // One handle for the whole run: `self.blocks` can only be swapped by
-        // `flush_superblocks`, which rebuilds identical tables from the same
-        // immutable code, so a run never observes a stale decode.
+        // One handle for the whole run, so the dispatch loop can borrow the
+        // program while the `Os` handler borrows the machine.
         let prog = std::sync::Arc::clone(&self.blocks);
         loop {
             if self.stats.instructions >= budget {
@@ -750,7 +723,7 @@ impl Machine {
         for (j, u) in uops.iter().enumerate() {
             if !PURE && !self.cpu.pr(u.qp) {
                 let i = u.prov.index();
-                cyc[i] = cyc[i].wrapping_add(self.cost.pred_off.wrapping_sub(u64::from(u.base)));
+                cyc[i] = cyc[i].wrapping_add(COST.pred_off.wrapping_sub(u64::from(u.base)));
                 continue;
             }
             if let Err(leave) = self.exec_uop(prog, u, u.off as usize, cyc, next_ip) {
@@ -861,7 +834,7 @@ impl Machine {
                             }
                         }
                         Err(_) if spec => {
-                            dev!(self.cache.mem_latency);
+                            dev!(MEM_LATENCY);
                             self.stats.deferred_loads += 1;
                             self.cpu.set_gpr(dst, RegVal::NAT);
                         }
@@ -946,7 +919,7 @@ impl Machine {
             // already (folded at decode time).
             Kind::ChkS { src, target } => {
                 if self.cpu.gpr(src).nat {
-                    dev!(self.cost.chk_set.wrapping_sub(u64::from(u.base)));
+                    dev!(COST.chk_set.wrapping_sub(u64::from(u.base)));
                     self.stats.chk_taken += 1;
                     *next_ip = target;
                 }
@@ -1084,23 +1057,6 @@ impl Machine {
         }
     }
 
-    /// Drops and rebuilds the superblock tables from the (immutable) code.
-    ///
-    /// Guest code cannot change under this simulator — `code` is a shared
-    /// `Arc<[Insn]>` and the ISA has no code store — so nothing *requires*
-    /// invalidation today; this is the hook a future embedder with mutable
-    /// code would call, and the regression suite uses it to prove a flushed
-    /// machine re-decodes to bit-identical behaviour.
-    pub fn flush_superblocks(&mut self) {
-        self.blocks = std::sync::Arc::new(BlockProgram::build(&self.code, &self.cost));
-        self.block_flushes += 1;
-        let now = self.stats.total_time();
-        let blocks = self.blocks.block_count() as u64;
-        if let Some(fr) = self.flight.as_deref_mut() {
-            fr.instant(now, TraceKind::SuperblockFlush { blocks });
-        }
-    }
-
     /// Host-side superblock dispatch counters (see [`SuperblockStats`]).
     ///
     /// ```
@@ -1119,7 +1075,6 @@ impl Machine {
         SuperblockStats {
             hits: self.block_hits,
             misses: self.block_misses,
-            flushes: self.block_flushes,
             blocks: self.blocks.block_count() as u64,
             fused_tag_addrs: self.blocks.tag_addrs.len() as u64,
             fused_merges: self.blocks.merges.len() as u64,
@@ -1187,14 +1142,12 @@ impl Machine {
         // Predicated-off instructions are squashed; on the 6-wide machine
         // their slot is effectively free (see CostModel::pred_off).
         if !self.cpu.pr(insn.qp) {
-            self.retire(ip, insn.prov, self.cost.pred_off);
+            self.retire(ip, insn.prov, COST.pred_off);
             self.cpu.ip = ip + 1;
             return StepOut::Continue;
         }
 
-        // Same index as the fetch above, so the bound holds; equals
-        // `self.cost.base(&insn.op)` by construction.
-        let base = self.base_cost[ip];
+        let base = COST.base(&insn.op);
         let mut cycles = base;
         let mut next_ip = ip + 1;
 
@@ -1316,7 +1269,7 @@ impl Machine {
                             // why SHIFT generates its NaT-source register
                             // once and keeps it (§4.4: per-function
                             // generation costs 3×).
-                            cycles += self.cache.mem_latency;
+                            cycles += MEM_LATENCY;
                             self.stats.deferred_loads += 1;
                             self.cpu.set_gpr(dst, RegVal::NAT);
                             if let Some(o) = self.taint_observer_mut() {
@@ -1404,7 +1357,7 @@ impl Machine {
             }
             Op::ChkS { src, target } => {
                 if self.cpu.gpr(src).nat {
-                    cycles = self.cost.chk_set;
+                    cycles = COST.chk_set;
                     self.stats.chk_taken += 1;
                     next_ip = target;
                     if let Some(o) = self.taint_observer_mut() {
@@ -1413,11 +1366,11 @@ impl Machine {
                 }
             }
             Op::Jmp { target } => {
-                cycles = self.cost.branch_taken;
+                cycles = COST.branch_taken;
                 next_ip = target;
             }
             Op::Call { link, target } => {
-                cycles = self.cost.branch_taken;
+                cycles = COST.branch_taken;
                 self.cpu.set_br(link, (ip + 1) as u64);
                 next_ip = target;
                 if let Some(p) = self.profiler_mut() {
@@ -1425,7 +1378,7 @@ impl Machine {
                 }
             }
             Op::JmpBr { br } => {
-                cycles = self.cost.branch_taken;
+                cycles = COST.branch_taken;
                 next_ip = self.cpu.br(br) as usize;
                 if let Some(p) = self.profiler_mut() {
                     p.on_branch(next_ip);
@@ -2058,7 +2011,7 @@ mod tests {
         ]);
         assert!(m.cpu.gpr(Gpr::R1).nat);
         assert!(
-            m.stats.cycles >= m.cache.mem_latency,
+            m.stats.cycles >= MEM_LATENCY,
             "deferral must cost a translation walk: {} cycles",
             m.stats.cycles
         );
@@ -2125,13 +2078,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "superseded")]
-    fn superseded_snapshot_is_rejected() {
-        let image = Image::builder().code(vec![Insn::new(Op::Halt)]).build();
+    fn snapshots_are_values_restored_in_any_order() {
+        let slot = data_addr(0x600);
+        // Each pass through the loop bumps r1 and stores it to `slot`.
+        let image = Image::builder()
+            .code(vec![
+                Insn::new(Op::MovI { dst: Gpr::R2, imm: slot as i64 }),
+                Insn::new(Op::AluI { op: AluOp::Add, dst: Gpr::R1, src1: Gpr::R1, imm: 1 }),
+                Insn::new(Op::St { size: MemSize::B8, src: Gpr::R1, addr: Gpr::R2 }),
+                Insn::new(Op::Jmp { target: 1 }),
+            ])
+            .map(layout::DATA_BASE, 0x1000)
+            .build();
         let mut m = Machine::new(&image);
-        let old = m.snapshot();
-        let _new = m.snapshot();
-        m.restore(&old);
+        assert_eq!(m.run(&mut NullOs, 10), Exit::InsnLimit);
+        let early = m.snapshot();
+        let early_digest = m.state_digest();
+        assert_eq!(m.run(&mut NullOs, 30), Exit::InsnLimit);
+        let late = m.snapshot();
+        let late_digest = m.state_digest();
+        assert_ne!(early_digest, late_digest);
+        // Both stay live: restore them in either order, each one twice,
+        // running on between restores.
+        for (snap, digest) in [(&early, early_digest), (&late, late_digest)]
+            .into_iter()
+            .chain([(&late, late_digest), (&early, early_digest)])
+        {
+            assert_eq!(m.run(&mut NullOs, 7), Exit::InsnLimit);
+            m.restore(snap);
+            assert_eq!(m.state_digest(), digest);
+        }
     }
 
     #[test]

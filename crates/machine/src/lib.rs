@@ -57,12 +57,17 @@ mod seed;
 mod snapshot;
 mod stats;
 
+/// The one modelled processor's instruction latencies. A constant, not a
+/// per-machine field: every experiment runs the same Itanium 2, so the
+/// stepper and the superblock decoder read the same table.
+pub(crate) const COST: shift_isa::CostModel = shift_isa::CostModel::ITANIUM2;
+
 pub use cache::CacheHierarchy;
 pub use cpu::{Cpu, RegVal};
 pub use exec::{Machine, NullOs, Os, StepOut, SuperblockStats, SysResult};
 pub use fault::{Fault, NatFaultKind};
 pub use image::{Image, ImageBuilder};
-pub use mem::{MemError, Memory, PAGE_SIZE};
+pub use mem::{Checkpoint, MemError, Memory, PAGE_SIZE};
 pub use seed::MachineSeed;
 pub use snapshot::{Injection, Snapshot};
 pub use stats::{Exit, Stats, Violation};

@@ -34,7 +34,7 @@
 //!   hands out write-through pages only for private pages, and every other
 //!   write goes through the slow path to take its COW fault first. The TLB
 //!   is flushed whenever translations or writability can change wholesale
-//!   (`map_range`, `rollback_checkpoint`, `freeze`); hit/miss counters are
+//!   (`map_range`, `rollback`, `freeze`); hit/miss counters are
 //!   exported via [`Memory::tlb_stats`] and COW traffic via
 //!   [`Memory::cow_stats`].
 //! * Bulk accessors (`read_bytes`/`write_bytes`/`read_cstr`) work per
@@ -42,12 +42,14 @@
 //!   of per byte. Implementedness and mapping are page-granular, so
 //!   per-span checks fault at exactly the byte the per-byte loop would
 //!   have.
-//! * A checkpoint is the page table's `Arc` plus a copy of the private
-//!   pages: the table is shared, not copied, and only the instance's
-//!   `Owned` pages copy by value. Rollback reinstalls the saved table's
-//!   `Arc` and copies the saved pages back, so the checkpoint stays armed
-//!   for the next rollback. When nothing changed the table in between, the
-//!   rollback keeps every cached translation.
+//! * A [`Checkpoint`] is a value: the page table's `Arc` plus a copy of the
+//!   private pages and the spill-NaT bank. The table is shared, not copied,
+//!   and only the instance's `Owned` pages copy by value. Rollback
+//!   reinstalls the saved table's `Arc` and copies the saved pages back,
+//!   leaving the checkpoint intact, so any number of checkpoints can be
+//!   live and each rolls back any number of times, in any order. When the
+//!   live table is still the checkpoint's, the rollback keeps every cached
+//!   translation.
 //!
 //! None of this is visible to the model: modelled cycles come from the cost
 //! model and cache simulator, never from host data-structure choices, and
@@ -200,10 +202,12 @@ impl Table {
     }
 }
 
-/// An armed checkpoint: the page table and private pages, and the
-/// spill-NaT bank, as they were when it was taken.
+/// A restorable point of a [`Memory`]: its page table and private pages,
+/// and its spill-NaT bank, as they were when [`Memory::checkpoint`] took
+/// it. Self-contained — the table is held by reference, so nothing a later
+/// write, mapping or checkpoint does can change it.
 #[derive(Clone, Debug)]
-struct Checkpoint {
+pub struct Checkpoint {
     table: Arc<Table>,
     owned: Vec<Box<Page>>,
     spill_nat: Vec<u64>,
@@ -232,9 +236,6 @@ pub struct Memory {
     /// bank holds a handful of slots, so a binary search beats hashing and
     /// the digest walks it in order without sorting.
     spill_nat: Vec<u64>,
-    /// The armed checkpoint.
-    checkpoint: Option<Checkpoint>,
-    epoch: u64,
     tlb: [TlbEntry; TLB_SIZE],
     tlb_hits: u64,
     tlb_misses: u64,
@@ -249,8 +250,6 @@ impl Default for Memory {
             table: Arc::new(Table::default()),
             owned: Vec::new(),
             spill_nat: Vec::new(),
-            checkpoint: None,
-            epoch: 0,
             tlb: EMPTY_TLB,
             tlb_hits: 0,
             tlb_misses: 0,
@@ -488,73 +487,47 @@ impl Memory {
         is_implemented(addr) && (self.table.mapped.contains(&page) || region_of(addr) == 0)
     }
 
-    /// Arms a checkpoint: the page table by reference, and copies of the
-    /// private pages and the spill-NaT bank, so
-    /// [`Memory::rollback_checkpoint`] can return to this point. Replaces any
-    /// previous checkpoint, reusing its buffers. The live table is
-    /// untouched, so cached translations stay valid. Returns the
-    /// checkpoint's epoch.
-    pub fn begin_checkpoint(&mut self) -> u64 {
-        self.epoch += 1;
-        match &mut self.checkpoint {
-            Some(ck) => {
-                ck.table = Arc::clone(&self.table);
-                ck.owned.clone_from(&self.owned);
-                ck.spill_nat.clone_from(&self.spill_nat);
-            }
-            None => {
-                self.checkpoint = Some(Checkpoint {
-                    table: Arc::clone(&self.table),
-                    owned: self.owned.clone(),
-                    spill_nat: self.spill_nat.clone(),
-                });
-            }
+    /// Takes a checkpoint: the page table by reference, and copies of the
+    /// private pages and the spill-NaT bank, so [`Memory::rollback`] can
+    /// return to this point. The live table is untouched, so cached
+    /// translations stay valid.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            table: Arc::clone(&self.table),
+            owned: self.owned.clone(),
+            spill_nat: self.spill_nat.clone(),
         }
-        self.epoch
-    }
-
-    /// Epoch of the active checkpoint (0 when none has ever been armed).
-    pub fn checkpoint_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Returns pages, mappings and banked spill-NaT bits to their state at
-    /// [`Memory::begin_checkpoint`]: reinstalls the saved table and copies
-    /// the saved private pages back. The checkpoint stays armed, so the
-    /// same point can be rolled back to again. Returns `false` (doing
-    /// nothing) when no checkpoint is armed.
-    pub fn rollback_checkpoint(&mut self) -> bool {
-        let Some(ck) = &self.checkpoint else { return false };
-        // An unchanged table means no page became resident or private and
-        // no mapping moved since the checkpoint: every cached translation
-        // still holds. Otherwise rollback can drop pages, revoke mappings,
-        // and un-own frames, and every cached translation is suspect.
+    /// `ck`: reinstalls its table and copies its private pages back. `ck`
+    /// is left as it was, so the same point can be rolled back to again.
+    pub fn rollback(&mut self, ck: &Checkpoint) {
+        // The checkpoint's own table means no page became resident or
+        // private and no mapping moved since it was taken (a change would
+        // have un-shared the table): every cached translation still holds.
+        // Otherwise rollback can drop pages, revoke mappings, and un-own
+        // frames, and every cached translation is suspect.
         if !Arc::ptr_eq(&self.table, &ck.table) {
             self.table = Arc::clone(&ck.table);
             self.tlb = EMPTY_TLB;
         }
         self.owned.clone_from(&ck.owned);
         self.spill_nat.clone_from(&ck.spill_nat);
-        true
     }
 
-    /// Drops the active checkpoint (if any) without undoing anything.
-    pub fn discard_checkpoint(&mut self) {
-        self.checkpoint = None;
-    }
-
-    /// Number of pages whose bytes differ from the active checkpoint (0 when
-    /// none is armed) — the pages a rollback would change. A page the
-    /// checkpoint lacked counts as all-zero.
-    pub fn dirty_pages(&self) -> usize {
-        let Some(ck) = &self.checkpoint else { return 0 };
-        self.table
-            .frames
-            .iter()
-            .filter(|f| {
-                ck.table.page(f.page, &ck.owned).unwrap_or(&ZERO_PAGE) != f.data.bytes(&self.owned)
-            })
-            .count()
+    /// Number of pages whose bytes differ between this memory and `ck` —
+    /// the pages a rollback to it would change. A page absent on either
+    /// side counts as all-zero: `ck` may be older or newer than the live
+    /// state, so either side can hold pages the other lacks.
+    pub fn dirty_pages(&self, ck: &Checkpoint) -> usize {
+        let changed = self.table.frames.iter().filter(|f| {
+            ck.table.page(f.page, &ck.owned).unwrap_or(&ZERO_PAGE) != f.data.bytes(&self.owned)
+        });
+        let dropped = ck.table.frames.iter().filter(|f| {
+            !self.table.page_idx.contains_key(&f.page) && f.data.bytes(&ck.owned) != &ZERO_PAGE
+        });
+        changed.count() + dropped.count()
     }
 
     /// Reads a naturally-aligned little-endian integer of `size` ∈ {1,2,4,8}
@@ -752,7 +725,9 @@ impl Memory {
 
     /// Appends the `len` bytes starting at `addr` to `out` (no alignment
     /// requirement), a page span at a time, without zero-filling `out`
-    /// first. On error `out` is left exactly as it was.
+    /// first. `out` grows only as each span succeeds, so an oversized `len`
+    /// faults at the first unmapped byte without allocating for the rest.
+    /// On error `out` is left exactly as it was.
     ///
     /// # Errors
     ///
@@ -764,7 +739,6 @@ impl Memory {
         out: &mut Vec<u8>,
     ) -> Result<(), MemError> {
         let start = out.len();
-        out.reserve(len);
         let mut done = 0usize;
         while done < len {
             let a = addr.wrapping_add(done as u64);
@@ -979,12 +953,12 @@ mod tests {
     fn tlb_invalidated_by_rollback() {
         let mut m = Memory::new();
         let base = make_vaddr(1, 0x10000);
-        m.begin_checkpoint();
-        // Map + write inside the checkpoint, priming the TLB for the page.
+        let ck = m.checkpoint();
+        // Map + write after the checkpoint, priming the TLB for the page.
         m.map_range(base, PAGE_SIZE);
         m.write_int(base, 8, 0xdead).unwrap();
         assert!(m.is_mapped(base));
-        assert!(m.rollback_checkpoint());
+        m.rollback(&ck);
         // The mapping was revoked; a stale TLB entry must not leak through.
         assert!(!m.is_mapped(base));
         assert_eq!(m.read_int(base, 8), Err(MemError::Unmapped { addr: base }));
@@ -994,10 +968,10 @@ mod tests {
     fn repeated_rollback_to_same_checkpoint() {
         let (mut m, base) = mapped();
         m.write_int(base, 8, 111).unwrap();
-        m.begin_checkpoint();
+        let ck = m.checkpoint();
         for round in 0..3 {
             m.write_int(base, 8, 222 + round).unwrap();
-            assert!(m.rollback_checkpoint());
+            m.rollback(&ck);
             assert_eq!(m.read_int(base, 8).unwrap(), 111, "round {round}");
         }
     }
@@ -1136,12 +1110,12 @@ mod tests {
         m.write_bytes(base, b"origin").unwrap();
         m.freeze();
         let mut inst = m.clone();
-        inst.begin_checkpoint();
+        let ck = inst.checkpoint();
         inst.write_int(base, 8, 0xbad).unwrap();
         // The checkpoint copied the shared page by reference, not by bytes;
         // the write itself took the one COW fault.
         assert_eq!(inst.cow_faults(), 1);
-        assert!(inst.rollback_checkpoint());
+        inst.rollback(&ck);
         assert_eq!(&inst.read_cstr(base, 16).unwrap(), b"origin");
         // The saved table holds the page as shared, so the rolled-back page
         // is shared again: the next write faults anew.
@@ -1154,9 +1128,9 @@ mod tests {
     fn rollback_keeps_owned_pages_owned() {
         let (mut m, base) = mapped();
         m.write_int(base, 8, 111).unwrap();
-        m.begin_checkpoint();
+        let ck = m.checkpoint();
         m.write_int(base, 8, 222).unwrap();
-        assert!(m.rollback_checkpoint());
+        m.rollback(&ck);
         assert_eq!(m.read_int(base, 8).unwrap(), 111);
         // The checkpoint saved the private page by value, and the rollback
         // restored a private copy: a write after it takes no COW fault.
@@ -1166,47 +1140,47 @@ mod tests {
         assert_eq!(m.cow_faults(), faults);
     }
 
-    /// Whether the live table is the armed checkpoint's, by reference.
-    fn table_shared_with_checkpoint(m: &Memory) -> bool {
-        Arc::ptr_eq(&m.table, &m.checkpoint.as_ref().expect("armed").table)
+    /// Whether the live table is `ck`'s, by reference.
+    fn table_shared_with(m: &Memory, ck: &Checkpoint) -> bool {
+        Arc::ptr_eq(&m.table, &ck.table)
     }
 
     #[test]
     fn checkpoint_shares_the_table_until_it_changes() {
         let (mut m, base) = mapped();
         m.write_int(base, 8, 1).unwrap();
-        m.begin_checkpoint();
-        assert!(table_shared_with_checkpoint(&m));
+        let ck = m.checkpoint();
+        assert!(table_shared_with(&m, &ck));
         // Stores to an owned page take no COW fault and leave the table
         // shared.
         m.write_int(base + 8, 8, 2).unwrap();
         m.write_bytes(base + 16, &[1, 2, 3]).unwrap();
         m.fill_bytes(base + 32, 8, 0xee).unwrap();
         assert_eq!(m.cow_faults(), 1);
-        assert!(table_shared_with_checkpoint(&m));
+        assert!(table_shared_with(&m, &ck));
         // A COW fault changes the table, which un-shares it.
         m.write_int(base + PAGE_SIZE, 8, 3).unwrap();
         assert_eq!(m.cow_faults(), 2);
-        assert!(!table_shared_with_checkpoint(&m));
-        // A new checkpoint, reusing the old one's buffers, shares it again.
-        m.begin_checkpoint();
-        assert!(table_shared_with_checkpoint(&m));
+        assert!(!table_shared_with(&m, &ck));
+        // A new checkpoint shares it again.
+        let ck = m.checkpoint();
+        assert!(table_shared_with(&m, &ck));
     }
 
     #[test]
     fn store_after_rollback_takes_no_cow_fault() {
         let (mut m, base) = mapped();
         m.write_int(base, 8, 1).unwrap();
-        m.begin_checkpoint();
+        let ck = m.checkpoint();
         m.write_int(base, 8, 2).unwrap();
         let (faults, misses) = (m.cow_faults(), m.tlb_stats().1);
-        assert!(m.rollback_checkpoint());
+        m.rollback(&ck);
         assert_eq!(m.read_int(base, 8).unwrap(), 1);
         m.write_int(base, 8, 3).unwrap();
         assert_eq!(m.cow_faults(), faults, "the owned page stays owned across the rollback");
         assert_eq!(m.tlb_stats().1, misses, "an unchanged table keeps its translations");
-        assert!(m.rollback_checkpoint());
-        assert_eq!(m.read_int(base, 8).unwrap(), 1, "the checkpoint stays armed");
+        m.rollback(&ck);
+        assert_eq!(m.read_int(base, 8).unwrap(), 1, "the checkpoint is reusable");
     }
 
     #[test]
@@ -1246,11 +1220,11 @@ mod tests {
     }
 
     #[test]
-    fn begin_checkpoint_keeps_hot_translations() {
+    fn checkpoint_keeps_hot_translations() {
         let (mut m, base) = mapped();
         m.write_int(base, 8, 1).unwrap();
         let (_, misses) = m.tlb_stats();
-        m.begin_checkpoint();
+        let _ck = m.checkpoint();
         m.write_int(base + 8, 8, 2).unwrap();
         assert_eq!(m.tlb_stats().1, misses, "a hot page must not miss after a checkpoint");
     }
@@ -1259,18 +1233,37 @@ mod tests {
     fn dirty_pages_counts_pages_a_rollback_changes() {
         let (mut m, base) = mapped();
         m.write_int(base, 8, 1).unwrap();
-        assert_eq!(m.dirty_pages(), 0, "no checkpoint armed");
-        m.begin_checkpoint();
+        let ck = m.checkpoint();
         // A read-allocated page and a rewrite with the same bytes change
         // nothing a rollback would undo.
         m.read_int(make_vaddr(0, 0x9000), 8).unwrap();
         m.write_int(base, 8, 1).unwrap();
-        assert_eq!(m.dirty_pages(), 0);
+        assert_eq!(m.dirty_pages(&ck), 0);
         m.write_int(base, 8, 2).unwrap();
         m.write_int(base + PAGE_SIZE, 8, 3).unwrap();
-        assert_eq!(m.dirty_pages(), 2);
-        assert!(m.rollback_checkpoint());
-        assert_eq!(m.dirty_pages(), 0);
+        assert_eq!(m.dirty_pages(&ck), 2);
+        m.rollback(&ck);
+        assert_eq!(m.dirty_pages(&ck), 0);
+    }
+
+    #[test]
+    fn dirty_pages_counts_against_the_checkpoint_it_is_given() {
+        let (mut m, base) = mapped();
+        let first = m.checkpoint();
+        m.write_int(base, 8, 1).unwrap();
+        let second = m.checkpoint();
+        m.write_int(base + PAGE_SIZE, 8, 2).unwrap();
+        // Both checkpoints stay live: the first misses both writes, the
+        // second only the one after it.
+        assert_eq!((m.dirty_pages(&first), m.dirty_pages(&second)), (2, 1));
+        m.rollback(&second);
+        assert_eq!((m.dirty_pages(&first), m.dirty_pages(&second)), (1, 0));
+        m.rollback(&first);
+        assert_eq!((m.dirty_pages(&first), m.dirty_pages(&second)), (0, 1));
+        // Either one still rolls back after the other.
+        m.rollback(&second);
+        assert_eq!(m.read_int(base, 8).unwrap(), 1);
+        assert_eq!(m.read_int(base + PAGE_SIZE, 8).unwrap(), 0);
     }
 
     #[test]
@@ -1284,11 +1277,11 @@ mod tests {
             h.0
         };
         let before = digest(&m);
-        m.begin_checkpoint();
+        let ck = m.checkpoint();
         m.write_bytes(base + 100, &[1, 2, 3]).unwrap();
         m.write_int(base + PAGE_SIZE, 8, 42).unwrap();
         assert_ne!(digest(&m), before);
-        assert!(m.rollback_checkpoint());
+        m.rollback(&ck);
         assert_eq!(digest(&m), before, "rollback must restore the exact digest");
     }
 }

@@ -1,14 +1,16 @@
 //! Load-once, spawn-many machine images.
 //!
 //! [`MachineSeed`] performs the expensive parts of [`Machine::new`] exactly
-//! once — decoding cost tables and materializing the initialized memory
-//! image — and then stamps out fresh instances with [`MachineSeed::spawn`].
-//! The decoded code and per-instruction base-cost table are shared between
-//! every spawned instance through `Arc`, and the pristine memory image is
-//! [`Memory::freeze`]-prepared so the whole page table is shared the same
-//! way: spawning is a handful of reference-count bumps, O(1) in the image
-//! size, and an instance pays for private pages only as it copy-on-write
-//! faults them in (see DESIGN.md §15).
+//! once — decoding the code into superblocks and materializing the
+//! initialized memory image — and then stamps out fresh instances with
+//! [`MachineSeed::spawn`]. The code and its superblock decode are shared
+//! between every spawned instance through `Arc`, and the pristine memory
+//! image is [`Memory::freeze`]-prepared so the whole page table is shared
+//! the same way: spawning is a handful of reference-count bumps, O(1) in
+//! the image size, and an instance pays for private pages only as it
+//! copy-on-write faults them in (see DESIGN.md §15). The cost and cache
+//! models are constants of the one modelled processor, so a seed carries
+//! no per-instruction cost table.
 //!
 //! A spawned machine is bit-identical to one built by [`Machine::new`] from
 //! the same [`Image`]: same `state_digest`, same cold caches, same zeroed
@@ -16,7 +18,7 @@
 
 use std::sync::Arc;
 
-use shift_isa::{CostModel, Insn};
+use shift_isa::Insn;
 
 use crate::block::BlockProgram;
 use crate::cpu::Cpu;
@@ -26,8 +28,8 @@ use crate::mem::Memory;
 
 /// A pristine machine image prepared for repeated spawning.
 ///
-/// Cloning a seed is O(1) in the image size: the code and cost tables are
-/// shared through `Arc`, and the frozen pristine page table is shared
+/// Cloning a seed is O(1) in the image size: the code and its superblock
+/// decode are shared through `Arc`, and the frozen pristine page table is shared
 /// copy-on-write — no page bytes move until an instance writes.
 ///
 /// ```
@@ -47,7 +49,6 @@ use crate::mem::Memory;
 #[derive(Clone, Debug)]
 pub struct MachineSeed {
     code: Arc<[Insn]>,
-    base_cost: Arc<[u64]>,
     /// Code pre-decoded into superblocks (see `crate::block`): built once
     /// here, shared by every spawn like `code` — decode cost never lands on
     /// the execution path.
@@ -80,8 +81,7 @@ impl MachineSeed {
         mem.freeze();
         MachineSeed {
             code: image.code.clone().into(),
-            base_cost: image.code.iter().map(|i| CostModel::ITANIUM2.base(&i.op)).collect(),
-            blocks: Arc::new(BlockProgram::build(&image.code, &CostModel::ITANIUM2)),
+            blocks: Arc::new(BlockProgram::build(&image.code)),
             mem,
             entry: image.entry,
             stack_top: image.stack_top,
@@ -113,7 +113,7 @@ impl MachineSeed {
     pub fn into_machine(self) -> Machine {
         let mut cpu = Cpu::new(self.entry);
         cpu.set_gpr_val(shift_isa::Gpr::SP, self.stack_top);
-        Machine::from_seed_parts(cpu, self.mem, self.code, self.base_cost, self.blocks)
+        Machine::from_seed_parts(cpu, self.mem, self.code, self.blocks)
     }
 
     /// Pages of the pristine image that are actually resident (frame

@@ -3,12 +3,13 @@
 //! The recovery layer (shift-core) snapshots the machine at request
 //! boundaries and rolls back on a violation or fault, so one malicious or
 //! wedged request cannot take down a long-running server. A [`Snapshot`]
-//! pairs a full copy of the architected CPU state (GPRs with NaT bits,
-//! predicates, branch registers, `UNAT`, `ip`) with a memory checkpoint
-//! armed in [`crate::Memory`]: a copy of the page table that shares the
-//! pristine image's pages by reference and copies only the instance's
-//! privately owned pages, so a per-request checkpoint costs in proportion to
-//! the instance's owned pages, not the address space.
+//! is a value: a full copy of the architected CPU state (GPRs with NaT
+//! bits, predicates, branch registers, `UNAT`, `ip`) and a memory
+//! [`Checkpoint`] — the page table by reference, sharing the pristine
+//! image's pages, plus copies of only the instance's privately owned pages.
+//! A per-request snapshot costs in proportion to the instance's owned
+//! pages, not the address space, and it owns everything it restores, so
+//! any number can be live and each restores any number of times.
 //!
 //! [`Injection`] describes the transient events the fault-injection harness
 //! drives through [`crate::Machine::inject_after`]: NaT-bit flips, tag-bitmap
@@ -19,20 +20,27 @@ use shift_isa::Gpr;
 
 use crate::cpu::Cpu;
 use crate::fault::Fault;
+use crate::mem::Checkpoint;
 
 /// A restorable point in a guest's execution.
 ///
 /// Created by [`crate::Machine::snapshot`]; restored by
-/// [`crate::Machine::restore`]. Only one snapshot is live per machine at a
-/// time — taking a new one supersedes the old (restoring a superseded
-/// snapshot is rejected). Timing state (cache contents, accumulated
-/// statistics) is deliberately *not* rolled back: recovery rewinds what the
-/// guest can observe, while cycle accounting keeps recording what actually
-/// happened, recovery included.
+/// [`crate::Machine::restore`], as often and in whatever order the caller
+/// likes. Timing state (cache contents, accumulated statistics) is
+/// deliberately *not* rolled back: recovery rewinds what the guest can
+/// observe, while cycle accounting keeps recording what actually happened,
+/// recovery included.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub(crate) cpu: Cpu,
-    pub(crate) mem_epoch: u64,
+    pub(crate) mem: Checkpoint,
+}
+
+impl Snapshot {
+    /// The memory half, for [`crate::Memory::dirty_pages`].
+    pub fn mem(&self) -> &Checkpoint {
+        &self.mem
+    }
 }
 
 /// A transient event the fault-injection harness can deliver mid-run.

@@ -621,32 +621,6 @@ proptest! {
         assert_tiers_agree_with_fuel(&build_image(&steps), &[], Some(fuel))?;
     }
 
-    /// Invalidating and rebuilding the superblock tables mid-run changes
-    /// nothing observable: the rebuilt decode is bit-identical.
-    #[test]
-    fn flush_mid_run_is_invisible(
-        steps in prop::collection::vec(step_strategy(), 1..40),
-        cut in 1u64..500,
-    ) {
-        let image = build_image(&steps);
-        let seed = MachineSeed::new(&image);
-
-        let mut flushed = seed.spawn();
-        let first = flushed.run(&mut NullOs, cut);
-        flushed.flush_superblocks();
-        if first == Exit::InsnLimit {
-            let _ = flushed.run(&mut NullOs, BUDGET - cut);
-        }
-
-        let mut straight = seed.spawn();
-        let _ = straight.run(&mut NullOs, BUDGET);
-
-        prop_assert_eq!(flushed.state_digest(), straight.state_digest(),
-            "flush_superblocks changed observable state");
-        prop_assert_eq!(&flushed.stats, &straight.stats,
-            "flush_superblocks changed modelled accounting");
-        prop_assert_eq!(flushed.superblock_stats().flushes, 1);
-    }
 }
 
 /// Regression: an injection scheduled to fire in the middle of what block

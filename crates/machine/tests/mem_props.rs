@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 use shift_isa::{is_implemented, make_vaddr, region_of};
-use shift_machine::{MemError, Memory, PAGE_SIZE};
+use shift_machine::{Checkpoint, MemError, Memory, PAGE_SIZE};
 
 /// Naive reference: one hash-map entry per byte, full-state checkpoints.
 /// Slow and obviously correct — the semantics the optimized paths must
@@ -115,11 +115,11 @@ impl NaiveMem {
         self.spill.contains(&(addr & !7))
     }
 
-    fn begin_checkpoint(&mut self) {
+    fn checkpoint(&mut self) {
         self.saved = Some(Box::new((self.bytes.clone(), self.mapped.clone(), self.spill.clone())));
     }
 
-    fn rollback_checkpoint(&mut self) -> bool {
+    fn rollback(&mut self) -> bool {
         match &self.saved {
             Some(s) => {
                 let (bytes, mapped, spill) = (**s).clone();
@@ -132,7 +132,7 @@ impl NaiveMem {
         }
     }
 
-    fn discard_checkpoint(&mut self) {
+    fn discard(&mut self) {
         self.saved = None;
     }
 }
@@ -221,8 +221,23 @@ fn naive_observation(naive: &mut NaiveMem, base: u64) -> (Vec<bool>, Vec<Vec<u8>
     (mapped, contents, spill)
 }
 
+/// A [`Memory`] under test with the checkpoint the harness keeps beside
+/// it, as the runtime keeps one per transaction.
+#[derive(Clone)]
+struct Inst {
+    mem: Memory,
+    ck: Option<Checkpoint>,
+}
+
+impl Inst {
+    fn new(mem: Memory) -> Inst {
+        Inst { mem, ck: None }
+    }
+}
+
 /// Applies one op to both implementations; every result must agree.
-fn apply(mem: &mut Memory, naive: &mut NaiveMem, base: u64, op: &Op) {
+fn apply(inst: &mut Inst, naive: &mut NaiveMem, base: u64, op: &Op) {
+    let mem = &mut inst.mem;
     match *op {
         Op::Map { off, len } => {
             let len = len.min(WINDOW - off);
@@ -261,15 +276,18 @@ fn apply(mem: &mut Memory, naive: &mut NaiveMem, base: u64, op: &Op) {
             assert_eq!(mem.spill_nat(base + off), naive.spill_nat(base + off));
         }
         Op::Begin => {
-            mem.begin_checkpoint();
-            naive.begin_checkpoint();
+            inst.ck = Some(mem.checkpoint());
+            naive.checkpoint();
         }
         Op::Rollback => {
-            assert_eq!(mem.rollback_checkpoint(), naive.rollback_checkpoint());
+            if let Some(ck) = &inst.ck {
+                mem.rollback(ck);
+            }
+            assert_eq!(inst.ck.is_some(), naive.rollback());
         }
         Op::Discard => {
-            mem.discard_checkpoint();
-            naive.discard_checkpoint();
+            inst.ck = None;
+            naive.discard();
         }
     }
 }
@@ -308,10 +326,11 @@ proptest! {
             mem.map_range(base, premap);
             naive.map_range(base, premap);
         }
+        let mut inst = Inst::new(mem);
         for op in &ops {
-            apply(&mut mem, &mut naive, base, op);
+            apply(&mut inst, &mut naive, base, op);
         }
-        assert_equivalent(&mut mem, &mut naive, base);
+        assert_equivalent(&mut inst.mem, &mut naive, base);
     }
 
     /// Region-0 window: the lazily-backed tag space, where every implemented
@@ -321,12 +340,12 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..40),
     ) {
         let base = make_vaddr(0, 0x8000);
-        let mut mem = Memory::new();
+        let mut inst = Inst::new(Memory::new());
         let mut naive = NaiveMem::default();
         for op in &ops {
-            apply(&mut mem, &mut naive, base, op);
+            apply(&mut inst, &mut naive, base, op);
         }
-        assert_equivalent(&mut mem, &mut naive, base);
+        assert_equivalent(&mut inst.mem, &mut naive, base);
     }
 
     /// COW fleets vs deep clones: random interleavings of spawn / write /
@@ -351,8 +370,8 @@ proptest! {
         naive_seed.write_bytes(base, &image).unwrap();
         seed.freeze();
 
-        let mut fleet: Vec<(Memory, NaiveMem)> =
-            (0..2).map(|_| (seed.clone(), naive_seed.clone())).collect();
+        let mut fleet: Vec<(Inst, NaiveMem)> =
+            (0..2).map(|_| (Inst::new(seed.clone()), naive_seed.clone())).collect();
         for op in &ops {
             match op {
                 FleetOp::Spawn { from } => {
@@ -363,23 +382,23 @@ proptest! {
                 }
                 FleetOp::Mem { inst, op } => {
                     let idx = inst % fleet.len();
-                    let (mem, naive) = &mut fleet[idx];
-                    apply(mem, naive, base, op);
+                    let (inst, naive) = &mut fleet[idx];
+                    apply(inst, naive, base, op);
                 }
             }
         }
 
         // Per instance: bytes, mapping, spill bits, and errors all agree
         // with the deep-clone twin.
-        for (mem, naive) in &mut fleet {
-            assert_equivalent(mem, naive, base);
+        for (inst, naive) in &mut fleet {
+            assert_equivalent(&mut inst.mem, naive, base);
         }
         // Across instances: digests discriminate exactly the states the
         // references distinguish. Sharing state never leaks into a digest,
         // and divergent instances never alias.
         let observations: Vec<_> =
             fleet.iter_mut().map(|(_, naive)| naive_observation(naive, base)).collect();
-        let digests: Vec<u64> = fleet.iter().map(|(mem, _)| mem.digest()).collect();
+        let digests: Vec<u64> = fleet.iter().map(|(inst, _)| inst.mem.digest()).collect();
         for i in 0..fleet.len() {
             for j in i + 1..fleet.len() {
                 prop_assert_eq!(

@@ -2,12 +2,12 @@
 //! width-invariant merge and dep-free Perfetto/Chrome export.
 //!
 //! Every layer of the serving stack emits [`TraceEvent`]s into a per-worker
-//! [`TraceRing`]: the machine records superblock flushes and injection
-//! firings, the runtime records checkpoints, recoveries, violations, request
-//! windows and syscall I/O, and the fleet wraps each connection in a
-//! lifetime span. Events are stamped with *modelled* cycle time plus an
-//! emission sequence number; host wall-clock nanoseconds ride along for
-//! profiling but are excluded from the deterministic contract.
+//! [`TraceRing`]: the machine records injection firings, the runtime
+//! records checkpoints, recoveries, violations, request windows and syscall
+//! I/O, and the fleet wraps each connection in a lifetime span. Events are
+//! stamped with *modelled* cycle time plus an emission sequence number;
+//! host wall-clock nanoseconds ride along for profiling but are excluded
+//! from the deterministic contract.
 //!
 //! The contract mirrors [`crate::Registry::merge`]: merging per-worker rings
 //! by `(cycle, worker, seq)` yields a timeline that is bit-identical at any
@@ -18,9 +18,9 @@
 //!
 //! Recording is zero-perturbation by construction: hooks only *read*
 //! modelled state and append to a host-side ring, and none of them sit on
-//! the per-instruction path — events originate at syscall boundaries, block
-//! flushes, and recovery points, so the superblock dispatch tier stays
-//! armed while recording (see DESIGN.md §14).
+//! the per-instruction path — events originate at syscall boundaries,
+//! injection firings, and recovery points, so the superblock dispatch tier
+//! stays armed while recording (see DESIGN.md §14).
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -70,11 +70,6 @@ pub enum TraceKind {
         name: &'static str,
         /// Bytes moved (0 for pure control operations).
         bytes: u64,
-    },
-    /// The superblock dispatch tables were flushed and rebuilt (instant).
-    SuperblockFlush {
-        /// Superblocks in the rebuilt program.
-        blocks: u64,
     },
     /// A scheduled fault injection fired (instant).
     InjectionFired {
@@ -132,7 +127,6 @@ impl TraceKind {
             TraceKind::Recovery { .. } => "recovery",
             TraceKind::Violation { .. } => "violation",
             TraceKind::SyscallIo { name, .. } => name,
-            TraceKind::SuperblockFlush { .. } => "superblock_flush",
             TraceKind::InjectionFired { .. } => "injection",
             TraceKind::Admitted { .. } => "admitted",
             TraceKind::Shed { .. } => "shed",
@@ -154,7 +148,6 @@ impl TraceKind {
                 vec![("policy", Json::Str(policy.clone())), ("action", Json::Str(action.clone()))]
             }
             TraceKind::SyscallIo { bytes, .. } => vec![("bytes", Json::U64(*bytes))],
-            TraceKind::SuperblockFlush { blocks } => vec![("blocks", Json::U64(*blocks))],
             TraceKind::InjectionFired { what } => vec![("what", Json::Str((*what).to_string()))],
             TraceKind::Admitted { connection, slot } => {
                 vec![("connection", Json::U64(*connection)), ("slot", Json::U64(*slot))]

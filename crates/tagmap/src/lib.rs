@@ -311,13 +311,12 @@ pub fn tag_range(vaddr: u64, len: u64, gran: Granularity) -> Result<TagRange, Ta
 /// bitmap against it to detect tag drift (false positives / negatives in the
 /// sense of §5.2).
 ///
-/// Range operations (`set_range`, `any_tainted`, `all_tainted`,
-/// `copy_taint`) run 64 bits at a time over the page words rather than
-/// looping per byte; `copy_taint` gathers/scatters unaligned 64-bit windows
-/// with edge masks instead of collecting into a heap `Vec`. The transition
-/// counters (`marks`/`clears`) are computed from `popcount(new & !old)` /
-/// `popcount(old & !new)` per word, which counts exactly the transitions the
-/// per-byte loop would have.
+/// The runtime uses three operations: `set_range` marks a source's bytes
+/// and clears overwritten ones, and `any_tainted`/`is_tainted` answer its
+/// sink checks. Range operations run 64 bits at a time over the page words
+/// rather than looping per byte. The transition counters (`marks`/`clears`)
+/// are computed from `popcount(new & !old)` / `popcount(old & !new)` per
+/// word, which counts exactly the transitions a per-byte loop would have.
 ///
 /// Pages are shared copy-on-write, mirroring the guest memory's scheme
 /// (DESIGN.md §15): each 512-byte bit page sits behind an `Arc`, so cloning
@@ -380,13 +379,6 @@ impl HostShadow {
     /// count.
     pub fn clears(&self) -> u64 {
         self.clears
-    }
-
-    /// Resident bit pages (host diagnostic). All-clean pages are pruned, so
-    /// this tracks pages with at least one tainted byte — the shadow's real
-    /// footprint under copy-on-write sharing.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
     }
 
     /// Drops `page_no`'s backing if every bit is clear — the canonical
@@ -506,134 +498,6 @@ impl HostShadow {
             done += span;
         }
     }
-
-    /// Marks or clears taint for a single byte.
-    pub fn set(&mut self, addr: u64, tainted: bool) {
-        let off = (addr % SPAN) as usize;
-        let (idx, mask) = (off / 8, 1u8 << (off % 8));
-        if tainted {
-            let entry = self.pages.entry(addr / SPAN).or_insert_with(|| Arc::new([0u8; 512]));
-            if entry[idx] & mask == 0 {
-                Arc::make_mut(entry)[idx] |= mask;
-                self.tainted_bytes += 1;
-                self.marks += 1;
-            }
-        } else if let Some(entry) = self.pages.get_mut(&(addr / SPAN)) {
-            if entry[idx] & mask != 0 {
-                Arc::make_mut(entry)[idx] &= !mask;
-                self.tainted_bytes -= 1;
-                self.clears += 1;
-                self.prune_if_clean(addr / SPAN);
-            }
-        }
-    }
-
-    /// The 64-aligned page word holding the taint bits of bytes
-    /// `[64*wi, 64*wi + 64)` (zero when the page is absent).
-    #[inline]
-    fn aligned_word(&self, wi: u64) -> u64 {
-        let base = wi.wrapping_shl(6);
-        match self.pages.get(&(base / SPAN)) {
-            Some(page) => word_get(page, ((base % SPAN) / 64) as usize),
-            None => 0,
-        }
-    }
-
-    /// Read-modify-writes the masked bits of one 64-aligned page word,
-    /// updating the transition counters. Clearing bits of an absent page is
-    /// a no-op (matching per-byte `set(_, false)`), so no page is allocated
-    /// unless a bit is actually set.
-    fn rmw_aligned_word(&mut self, wi: u64, mask: u64, value: u64) {
-        if mask == 0 {
-            return;
-        }
-        let base = wi.wrapping_shl(6);
-        let page_no = base / SPAN;
-        let w = ((base % SPAN) / 64) as usize;
-        // Probe read-only first: a no-change RMW must not un-share (or
-        // allocate) a page — clearing bits of an absent page stays a no-op.
-        let old = match self.pages.get(&page_no) {
-            Some(page) => word_get(page, w),
-            None => 0,
-        };
-        let new = (old & !mask) | (value & mask);
-        if new == old {
-            return;
-        }
-        let marks = u64::from((new & !old).count_ones());
-        let clears = u64::from((old & !new).count_ones());
-        self.tainted_bytes = self.tainted_bytes + marks - clears;
-        self.marks += marks;
-        self.clears += clears;
-        let page = Arc::make_mut(self.pages.entry(page_no).or_insert_with(|| Arc::new([0u8; 512])));
-        word_set(page, w, new);
-        if new == 0 && clears > 0 {
-            self.prune_if_clean(page_no);
-        }
-    }
-
-    /// Gathers the taint bits of the `n ≤ 64` bytes starting at `addr`
-    /// (bit `i` = byte `addr + i`) from at most two aligned page words.
-    #[inline]
-    fn get_bits(&self, addr: u64, n: u32) -> u64 {
-        let wi = addr >> 6;
-        let sh = (addr & 63) as u32;
-        let mut v = self.aligned_word(wi) >> sh;
-        if sh != 0 {
-            v |= self.aligned_word(wi.wrapping_add(1)) << (64 - sh);
-        }
-        if n < 64 {
-            v &= (1u64 << n) - 1;
-        }
-        v
-    }
-
-    /// Scatters `n ≤ 64` taint bits to the bytes starting at `addr`,
-    /// touching at most two aligned page words with edge masks.
-    fn put_bits(&mut self, addr: u64, n: u32, bits: u64) {
-        let wi = addr >> 6;
-        let sh = (addr & 63) as u32;
-        let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let bits = bits & mask;
-        // `mask << sh` drops the bits that spill into the next word.
-        self.rmw_aligned_word(wi, mask << sh, bits << sh);
-        if sh + n > 64 {
-            let spill = sh + n - 64;
-            self.rmw_aligned_word(wi.wrapping_add(1), (1u64 << spill) - 1, bits >> (64 - sh));
-        }
-    }
-
-    /// Propagates taint for a memory-to-memory copy of `len` bytes
-    /// (used by wrap functions that summarize host-implemented helpers).
-    ///
-    /// Runs 64-byte chunks through `HostShadow::get_bits` /
-    /// `HostShadow::put_bits` with no heap allocation. Overlap is handled
-    /// memmove-style: when `dst` lands inside the source range the chunks
-    /// run back to front, so every source word is read before any
-    /// overlapping destination word is written — byte-for-byte (and
-    /// counter-for-counter) equivalent to collecting all source bits first.
-    pub fn copy_taint(&mut self, dst: u64, src: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let chunks = len.div_ceil(64);
-        let backward = dst.wrapping_sub(src) < len && dst != src;
-        for i in 0..chunks {
-            let k = if backward { chunks - 1 - i } else { i };
-            let off = k * 64;
-            let n = (len - off).min(64) as u32;
-            let bits = self.get_bits(src.wrapping_add(off), n);
-            self.put_bits(dst.wrapping_add(off), n, bits);
-        }
-    }
-
-    /// Clears the entire map. The wiped bytes count toward
-    /// [`HostShadow::clears`].
-    pub fn clear(&mut self) {
-        self.pages.clear();
-        self.clears += self.tainted_bytes;
-        self.tainted_bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -736,7 +600,7 @@ mod tests {
         assert!(!s.is_tainted(99));
         assert!(!s.is_tainted(110));
         assert_eq!(s.tainted_bytes(), 10);
-        s.set(105, false);
+        s.set_range(105, 1, false);
         assert!(!s.is_tainted(105));
         assert!(s.any_tainted(100, 10));
         assert!(!s.all_tainted(100, 10));
@@ -744,51 +608,43 @@ mod tests {
     }
 
     #[test]
-    fn shadow_copy_taint_handles_overlap() {
-        let mut s = HostShadow::new();
-        s.set_range(0x1000, 4, true); // bytes 0x1000..0x1004 tainted
-                                      // Overlapping forward copy: dst = src + 2.
-        s.copy_taint(0x1002, 0x1000, 4);
-        // Source bits were [1,1,1,1]; after copy dst 0x1002..0x1006 = [1,1,1,1].
-        assert!(s.all_tainted(0x1000, 6));
-        assert_eq!(s.tainted_bytes(), 6);
-    }
-
-    #[test]
     fn shadow_idempotent_set() {
         let mut s = HostShadow::new();
-        s.set(42, true);
-        s.set(42, true);
+        s.set_range(42, 1, true);
+        s.set_range(42, 1, true);
         assert_eq!(s.tainted_bytes(), 1);
-        s.set(42, false);
-        s.set(42, false);
+        s.set_range(42, 1, false);
+        s.set_range(42, 1, false);
         assert_eq!(s.tainted_bytes(), 0);
     }
 
     #[test]
     fn shadow_clear() {
+        // Clearing a tainted run that spans three bit pages leaves nothing
+        // tainted and no page resident.
         let mut s = HostShadow::new();
-        s.set_range(0, 100, true);
-        s.clear();
+        let len = 2 * SPAN + 100;
+        s.set_range(SPAN - 50, len, true);
+        s.set_range(SPAN - 50, len, false);
         assert_eq!(s.tainted_bytes(), 0);
-        assert!(!s.any_tainted(0, 100));
+        assert!(!s.any_tainted(0, 4 * SPAN));
+        assert!(s.pages.is_empty());
     }
 
     #[test]
     fn shadow_prunes_all_clean_pages() {
         let mut s = HostShadow::new();
         s.set_range(0x1000, 64, true);
-        assert_eq!(s.resident_pages(), 1);
+        assert_eq!(s.pages.len(), 1);
         s.set_range(0x1000, 64, false);
         // All-clean page is dropped: absent and all-clean are identical.
-        assert_eq!(s.resident_pages(), 0);
+        assert_eq!(s.pages.len(), 0);
         assert!(!s.any_tainted(0x1000, 64));
-        // Same via the single-byte and word-RMW paths.
-        s.set(0x2000, true);
-        s.set(0x2000, false);
-        assert_eq!(s.resident_pages(), 0);
-        s.copy_taint(0x3000, 0x5000, 64); // copying clean bits allocates nothing
-        assert_eq!(s.resident_pages(), 0);
+        // Same for a single byte; clearing an absent page allocates nothing.
+        s.set_range(0x2000, 1, true);
+        s.set_range(0x2000, 1, false);
+        s.set_range(0x3000, 64, false);
+        assert_eq!(s.pages.len(), 0);
     }
 
     #[test]
@@ -802,7 +658,7 @@ mod tests {
         assert_eq!(s.tainted_bytes(), 32, "original must keep its taint");
         assert!(s.all_tainted(0, 32));
         // …and vice versa.
-        s.set(100, true);
+        s.set_range(100, 1, true);
         assert!(!c.is_tainted(100));
     }
 
@@ -816,8 +672,8 @@ mod tests {
         s.set_range(0, 4, false);
         s.set_range(0, 4, false); // idempotent: no new clears
         assert_eq!(s.clears(), 4);
-        s.clear(); // remaining 6 tainted bytes count as clears
+        s.set_range(0, 10, false); // only the remaining 6 count as clears
         assert_eq!(s.clears(), 10);
-        assert_eq!(s.marks(), 10, "marks are cumulative across clear()");
+        assert_eq!(s.marks(), 10, "marks are cumulative across clears");
     }
 }

@@ -96,7 +96,7 @@ fn build() -> Program {
             let d = f.sub(a, b);
             let dm = f.andi(d, 63); // clean: a,b derive from the sanitized RNG
             let tp = f.add(table, dm);
-            let base_cost = f.load1(tp, 0);
+            let wire_cost = f.load1(tp, 0);
             let ap = f.add(widths, a);
             let wa = f.load1(ap, 0);
             let bp = f.add(widths, b);
@@ -108,7 +108,7 @@ fn build() -> Program {
                 // baseline hardware.
                 f.store1(wb, ap, 0);
                 f.store1(wa, bp, 0);
-                let gain = f.add(base_cost, wa);
+                let gain = f.add(wire_cost, wa);
                 let i1 = f.add(improved, gain);
                 let i2 = f.andi(i1, 0x3fff_ffff);
                 f.assign(improved, i2);
@@ -190,11 +190,11 @@ mod tests {
                 continue;
             }
             let dm = ((a as u64).wrapping_sub(b as u64) & 63) as usize;
-            let base_cost = u64::from(table[dm]);
+            let wire_cost = u64::from(table[dm]);
             let (wa, wb) = (widths[a], widths[b]);
             if wa > wb {
                 widths.swap(a, b);
-                let gain = base_cost + u64::from(wa);
+                let gain = wire_cost + u64::from(wa);
                 improved = (improved + gain) & 0x3fff_ffff;
             }
         }
