@@ -270,3 +270,46 @@ fn closed_and_open_loop_merges_agree() {
     let closed_export = closed.registry.to_prometheus();
     assert_eq!(open_lines, closed_export.lines().collect::<Vec<_>>());
 }
+
+/// FNV-1a over the little-endian bytes of `values`: a compact pin for a
+/// list of modelled cycle counts.
+fn fnv(values: &[u64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// A small twin of CI's open-loop smoke (`shift serve --mode byte --arrivals
+/// poisson:30000 --requests 2 --workers 8 --accept-cap 1024 --max-resident
+/// 256 --seed 42`, at 256 connections): the smoke's deterministic checks,
+/// plus the modelled makespan, busy time and sorted sojourn list pinned to
+/// their values, so any change to how segment traces are captured or
+/// replayed shows here.
+#[test]
+fn open_loop_smoke_twin_is_pinned() {
+    let fleet = fleet();
+    let conns = fleet_connections(ApacheStream::Mixed, 256, 2);
+    let world = fleet_world(ApacheStream::Mixed);
+    let process = ArrivalProcess::parse("poisson:30000").expect("valid spec");
+    let arrivals = process.schedule(conns.len(), chaos::derive(42, "arrivals"));
+    let cfg = OpenLoopConfig { workers: 8, accept_cap: 1024, max_resident: 256, quantum: 100_000 };
+    let report = fleet.serve_open_loop(&world, &conns, &[], &arrivals, &cfg, 2);
+
+    assert_eq!(report.offered, 256);
+    assert_eq!(report.completed + report.shed, report.offered);
+    assert_eq!(report.shed, 0, "below saturation nothing is shed");
+    let p = |q| report.sojourn_percentile(q).expect("completions exist");
+    let max = *report.sojourns.last().expect("completions exist");
+    assert!(0 < p(50.0) && p(50.0) <= p(99.0) && p(99.0) <= p(99.9) && p(99.9) <= max);
+    assert!(report.peak_resident <= 256);
+    assert!(report.registry.counter("machine.blocks.hits") > 0);
+    assert_eq!(report.registry.counter("machine.blocks.misses"), 0);
+
+    let pinned = (report.wall_cycles, report.busy_cycles, fnv(&report.sojourns));
+    assert_eq!(
+        pinned,
+        (14_145_796, 3_515_904, 15_095_728_039_535_834_533),
+        "open-loop outputs moved"
+    );
+}
