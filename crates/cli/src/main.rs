@@ -34,12 +34,13 @@
 //! drawn from an arrival process — `poisson:RATE`, `bursty:RATE[:BURST]`,
 //! or `diurnal:RATE[:AMPLITUDE]` (RATE in connections per modelled
 //! second) — and are multiplexed over `--workers` modelled workers by the
-//! discrete-event scheduler. Guests park at I/O points, so thousands of
-//! in-flight connections share a handful of workers. Admission control is
-//! explicit: `--accept-cap` bounds the accept queue (beyond it, arrivals
-//! are shed and counted), `--max-resident` caps simultaneously-live
-//! guests, `--quantum` sets the round-robin slice in cycles (0 = run each
-//! CPU burst to its park point). The report adds sojourn latency
+//! discrete-event scheduler. Each connection runs once, and the scheduler
+//! replays its alternating CPU and I/O legs, so thousands of in-flight
+//! connections share a handful of workers: a connection waiting on I/O
+//! holds no worker. Admission control is explicit: `--accept-cap` bounds
+//! the accept queue (beyond it, arrivals are shed and counted),
+//! `--max-resident` caps simultaneously-live guests, `--quantum` sets the
+//! round-robin slice in cycles (0 = run each CPU leg to its I/O wait). The report adds sojourn latency
 //! (completion − arrival) at p50/p99/p999, saturation throughput, queue
 //! depth, and peak resident pages. `--host-workers` sizes the host
 //! simulation pool only — every modelled number is bit-identical at any
@@ -204,9 +205,7 @@ fn exit_code_for(exit: &Exit) -> ExitCode {
         Exit::Fault(_) => ExitCode::Fault,
         Exit::FuelExhausted => ExitCode::Fuel,
         Exit::InsnLimit => ExitCode::InsnLimit,
-        // Sessions drain parks internally (a parked guest is resumed until
-        // it reaches a real exit), so a Parked can only surface through a
-        // misuse of the session API — treat it as a usage error.
+        // No runtime produces a park; the match stays total over `Exit`.
         Exit::Parked => ExitCode::Usage,
     }
 }

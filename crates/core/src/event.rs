@@ -14,12 +14,13 @@
 //! the shared image), so the simulation splits exactly:
 //!
 //! 1. **Trace capture** (parallel, host-side): every connection is
-//!    pre-simulated once with yield-on-I/O parking armed
-//!    ([`crate::ServeSession`]), producing its [`Segment`] trace — the
-//!    alternating `(cpu, io)` legs of its execution. The park/resume
-//!    differential tests pin that this run is bit-identical to a
-//!    straight-through serve, so the trace is *the* connection's behaviour,
-//!    not an approximation of it.
+//!    served straight through once ([`crate::Fleet::serve_one_traced`]),
+//!    and the runtime's leg log splits that run into its [`Segment`] trace
+//!    — the alternating `(cpu, io)` legs of its execution, one closed at
+//!    every syscall that charged I/O wait. The trace is read off the very
+//!    run the closed loop makes, so it is *the* connection's behaviour,
+//!    not an approximation of it, and its legs sum to the run's cycle
+//!    totals by construction.
 //! 2. **Event loop** (sequential, cheap): a binary-heap run queue keyed on
 //!    modelled cycles replays the traces against the arrival schedule:
 //!    workers execute cpu legs (sliced by the round-robin quantum), parked
@@ -39,14 +40,15 @@ use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use shift_obs::TraceKind;
 
-/// One leg of a parked connection's execution trace: occupy a worker for
-/// `cpu` cycles, then wait `io` cycles with the worker free (the modelled
-/// I/O is in flight).
+/// One leg of a connection's execution trace: occupy a worker for `cpu`
+/// cycles, then wait `io` cycles with the worker free (the modelled I/O is
+/// in flight).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Segment {
-    /// CPU cycles executed before the park.
+    /// CPU cycles executed before the leg's I/O wait.
     pub cpu: u64,
-    /// I/O wait cycles charged at the park.
+    /// I/O wait cycles charged by the syscall that ended the leg (and by
+    /// any recovery redelivery inside it).
     pub io: u64,
 }
 

@@ -41,7 +41,7 @@ use crate::event::{self, Disposition, OpenLoopConfig, Segment};
 use crate::metrics::serve_metrics;
 use crate::pool;
 use crate::replay::Expected;
-use crate::{CompileError, FlightConfig, ProgramImage, ServeReport, SessionStep, Shift, World};
+use crate::{CompileError, FlightConfig, ProgramImage, ServeReport, Shift, World};
 
 /// A per-connection fault-injection schedule for [`Fleet::serve_chaos`]:
 /// entry `c` is the `(countdown, injection)` list armed on connection `c`'s
@@ -311,17 +311,16 @@ impl Fleet {
         c: usize,
         width: usize,
     ) -> ConnectionReport {
-        let world = requests.iter().fold(base.clone(), |w, msg| w.net(msg.clone()));
-        let report = self.shift.serve_image(&self.image, world, injections);
-        self.connection_report(report, c, width)
+        self.serve_one_traced(base, requests, injections, c, width).0
     }
 
-    /// [`Fleet::serve_one`] with yield-on-I/O parking armed: the session
-    /// parks at every I/O point and is resumed immediately, capturing its
-    /// [`Segment`] trace — the `(cpu, io)` legs the open-loop event loop
-    /// schedules. The park/resume differential contract
-    /// (`tests/open_loop.rs`) guarantees the report is bit-identical to
-    /// [`Fleet::serve_one`]'s.
+    /// [`Fleet::serve_one`] plus the connection's [`Segment`] trace — the
+    /// `(cpu, io)` legs the open-loop event loop schedules. The runtime's
+    /// leg log closes a leg at every syscall that charged I/O wait; the
+    /// terminal leg is whatever ran after the last one (including any I/O
+    /// charged by recovery redeliveries, which close no leg). The legs
+    /// partition the session's `cycles` and `io_cycles` by construction,
+    /// and the report is the same run's.
     pub fn serve_one_traced(
         &self,
         base: &World,
@@ -331,21 +330,16 @@ impl Fleet {
         width: usize,
     ) -> (ConnectionReport, Vec<Segment>) {
         let world = requests.iter().fold(base.clone(), |w, msg| w.net(msg.clone()));
-        let mut session = self.shift.serve_session(&self.image, world, injections, true);
-        let mut segments = Vec::new();
-        let (mut cpu_seen, mut io_seen) = (0u64, 0u64);
-        while let SessionStep::Parked { cpu, io } = session.advance() {
-            segments.push(Segment { cpu, io });
-            cpu_seen += cpu;
-            io_seen += io;
-        }
-        let report = session.finish();
-        // The terminal leg: whatever ran after the last park (including any
-        // I/O charged by recovery redeliveries, which never park).
-        segments.push(Segment {
-            cpu: report.stats.cycles - cpu_seen,
-            io: report.stats.io_cycles - io_seen,
-        });
+        let report = self.shift.serve_image(&self.image, world, injections);
+        let totals = (report.stats.cycles, report.stats.io_cycles);
+        let mut seen = (0, 0);
+        let segments = (report.runtime.leg_ends().iter().copied().chain([totals]))
+            .map(|(cpu, io)| {
+                let leg = Segment { cpu: cpu - seen.0, io: io - seen.1 };
+                seen = (cpu, io);
+                leg
+            })
+            .collect();
         (self.connection_report(report, c, width), segments)
     }
 
@@ -635,9 +629,9 @@ pub struct OpenConnection {
     pub trace: Option<TraceRing>,
     /// The connection's replayable expectation (exit signature, digest,
     /// exact counters), `None` when shed. [`crate::ReplayLog::capture_open_loop`]
-    /// copies this into the log so a straight-through replay of the
-    /// connection — valid because park/resume is bit-identical — can verify
-    /// against it.
+    /// copies this into the log so a replay of the connection through
+    /// [`Fleet::serve_one`] — the same straight-through run the trace
+    /// capture made — can verify against it.
     pub outcome: Option<Expected>,
 }
 

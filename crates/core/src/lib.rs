@@ -363,27 +363,21 @@ impl Shift {
     /// is part of the run's deterministic identity — the chaos harness
     /// perturbs fleet instances through it, and the replay log re-arms the
     /// recorded schedule to reproduce the perturbed run bit-identically.
+    ///
+    /// The session loop is the outermost layer of the user-level handler.
+    /// It catches what the in-syscall handler cannot — NaT-consumption
+    /// faults (detections raised by the machine, disposed per their
+    /// L-policy's action), other architectural faults (crash containment:
+    /// always rolled back), and watchdog exhaustion (runaway requests) —
+    /// rolls the transaction back, and keeps serving. It stops on a clean
+    /// halt, the instruction ceiling, fail-stop (`Terminate`) detections,
+    /// and whenever no checkpoint is armed to recover to.
     pub fn serve_image(
         &self,
         image: &ProgramImage,
         world: World,
         injections: &[(u64, Injection)],
     ) -> ServeReport {
-        self.serve_session(image, world, injections, false).finish()
-    }
-
-    /// Opens a [`ServeSession`] on an instance spawned from `image` — the
-    /// resumable form of [`Shift::serve_image`]. With
-    /// `yield_on_io = true` the session parks at every I/O point (see
-    /// [`ServeSession::advance`]); with `false` it behaves exactly like the
-    /// one-shot serve path.
-    pub fn serve_session(
-        &self,
-        image: &ProgramImage,
-        world: World,
-        injections: &[(u64, Injection)],
-        yield_on_io: bool,
-    ) -> ServeSession {
         let mut machine = self.spawn(image, injections);
         if let Some(cfg) = self.flight {
             machine.enable_flight_recorder(cfg.cap, cfg.sample_cycles);
@@ -392,107 +386,19 @@ impl Shift {
         let mut runtime = Runtime::new(self.config.clone(), world, self.granularity())
             .with_io(self.io)
             .with_transactions();
-        if yield_on_io {
-            runtime = runtime.with_io_yield();
-        }
-        let leg_base = machine.stats.instructions;
-        ServeSession {
-            machine,
-            runtime,
-            insn_limit: self.insn_limit,
-            leg_base,
-            empty_recovery_at: None,
-            done: None,
-        }
-    }
-}
-
-/// One step of a [`ServeSession`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SessionStep {
-    /// The guest parked at an I/O point. `cpu` is the CPU cycles it executed
-    /// and `io` the I/O wait it charged since the previous step — the
-    /// execution segment an event-driven scheduler replays onto a modelled
-    /// worker (run `cpu`, then sleep `io` with the worker free).
-    Parked {
-        /// CPU cycles executed since the previous step.
-        cpu: u64,
-        /// I/O wait cycles charged since the previous step.
-        io: u64,
-    },
-    /// The session reached a terminal exit: collect it with
-    /// [`ServeSession::finish`].
-    Done,
-}
-
-/// A resilient serving session split at its yield points: the serve loop of
-/// [`Shift::serve`] as a resumable continuation. Calling
-/// [`ServeSession::advance`] runs the guest until it either parks at an I/O
-/// point (yield mode only) or reaches a terminal exit; recoveries — the
-/// rollback-and-redeliver resilience of the one-shot path — happen inside
-/// `advance`, invisible to the caller. Thanks to the copy-on-write image
-/// pages a parked session is a cheap continuation: the paper's "thousands of
-/// concurrent connections" become a heap of these, scheduled by
-/// [`fleet::Fleet::serve_open_loop`].
-///
-/// The session preserves the one-shot path's exits bit-for-bit: the
-/// instruction budget spans parks (a resume continues the same budget leg
-/// rather than restarting it), so a guest that would hit [`Exit::InsnLimit`]
-/// straight through hits it at the same instruction when parked at every
-/// I/O point.
-#[derive(Clone, Debug)]
-pub struct ServeSession {
-    machine: Machine,
-    runtime: Runtime,
-    insn_limit: u64,
-    /// Retired-instruction count at the start of the current budget leg
-    /// (session start or last recovery): parks inside a leg share its
-    /// budget, recoveries start a fresh one — exactly the one-shot loop's
-    /// behaviour, where each `Machine::run` call had a fresh relative
-    /// budget.
-    leg_base: u64,
-    /// A rollback that redelivers nothing (queue drained) re-runs the
-    /// guest on bit-identical state, so a second fault at the same
-    /// delivery count would recur forever: allow one attempt per
-    /// delivery point, then let the fault stand.
-    empty_recovery_at: Option<u64>,
-    done: Option<Exit>,
-}
-
-impl ServeSession {
-    /// The resilient session loop — the outermost layer of the user-level
-    /// handler: it catches what the in-syscall handler cannot —
-    /// NaT-consumption faults (detections raised by the machine, disposed
-    /// per their L-policy's action), other architectural faults (crash
-    /// containment: always rolled back), and watchdog exhaustion (runaway
-    /// requests) — rolls the transaction back, and keeps serving. It
-    /// returns [`SessionStep::Parked`] when the guest yields at an I/O
-    /// point, and [`SessionStep::Done`] on a clean halt, the session
-    /// instruction ceiling, fail-stop (`Terminate`) detections, and
-    /// whenever no checkpoint is armed to recover to.
-    pub fn advance(&mut self) -> SessionStep {
-        if self.done.is_some() {
-            return SessionStep::Done;
-        }
-        let cpu0 = self.machine.stats.cycles;
-        let io0 = self.machine.stats.io_cycles;
-        let machine = &mut self.machine;
-        let runtime = &mut self.runtime;
+        // A rollback that redelivers nothing (queue drained) re-runs the
+        // guest on bit-identical state, so a second fault at the same
+        // delivery count would recur forever: allow one attempt per
+        // delivery point, then let the fault stand.
+        let mut empty_recovery_at = None;
         let exit = loop {
-            let used = machine.stats.instructions - self.leg_base;
-            let exit = machine.run(runtime, self.insn_limit.saturating_sub(used));
-            if matches!(exit, Exit::Parked) {
-                return SessionStep::Parked {
-                    cpu: machine.stats.cycles - cpu0,
-                    io: machine.stats.io_cycles - io0,
-                };
-            }
+            // The session start and every recovery get a fresh budget.
+            let exit = machine.run(&mut runtime, self.insn_limit);
             let recoverable = match &exit {
-                // Handled above: a park returns to the caller.
-                Exit::Parked => unreachable!("parks return before classification"),
                 // Clean finish, session ceiling, or a violation the
-                // in-syscall handler already chose to fail-stop on.
-                Exit::Halted(_) | Exit::InsnLimit | Exit::Violation(_) => false,
+                // in-syscall handler already chose to fail-stop on. The
+                // runtime never parks, so `Parked` cannot occur.
+                Exit::Halted(_) | Exit::InsnLimit | Exit::Violation(_) | Exit::Parked => false,
                 // Runaway request: abort it.
                 Exit::FuelExhausted => true,
                 Exit::Fault(f) => match f {
@@ -533,34 +439,17 @@ impl ServeSession {
                     _ => true,
                 },
             };
-            if recoverable && self.empty_recovery_at != Some(runtime.requests_delivered) {
+            if recoverable && empty_recovery_at != Some(runtime.requests_delivered) {
                 let delivered_before = runtime.requests_delivered;
-                if runtime.recover(machine) {
+                if runtime.recover(&mut machine) {
                     if runtime.requests_delivered == delivered_before {
-                        self.empty_recovery_at = Some(delivered_before);
+                        empty_recovery_at = Some(delivered_before);
                     }
-                    self.leg_base = machine.stats.instructions;
                     continue;
                 }
             }
             break exit;
         };
-        self.done = Some(exit);
-        SessionStep::Done
-    }
-
-    /// Drains every remaining park: advances until the session reaches its
-    /// terminal exit. The one-shot serve path is exactly this.
-    fn run_to_completion(&mut self) {
-        while self.advance() != SessionStep::Done {}
-    }
-
-    /// Closes the session and builds its [`ServeReport`], first draining
-    /// any remaining parks so the report is always terminal.
-    pub fn finish(mut self) -> ServeReport {
-        self.run_to_completion();
-        let exit = self.done.take().expect("run_to_completion leaves a terminal exit");
-        let ServeSession { mut machine, mut runtime, .. } = self;
         // Close the final request's latency window, mirroring it into the
         // flight recorder like the in-stream windows.
         let session_end = machine.stats.total_time();

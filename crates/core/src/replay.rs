@@ -88,8 +88,7 @@ pub fn exit_signature(exit: &Exit) -> String {
         Exit::Fault(f) => format!("fault:{f}"),
         Exit::FuelExhausted => "fuel-exhausted".to_string(),
         Exit::InsnLimit => "insn-limit".to_string(),
-        // Sessions drain parks before reporting: a `Parked` exit is never a
-        // final exit, but the signature stays total over `Exit`.
+        // No runtime produces a park; the signature stays total over `Exit`.
         Exit::Parked => "parked".to_string(),
     }
 }
@@ -176,8 +175,8 @@ impl Expected {
 /// schedule synthesis uses host floating point (`ln`, `sin`), and storing
 /// the realized schedule makes replay exact even across hosts that round
 /// transcendentals differently. Per-connection outcomes need no open-loop
-/// replay path at all — park/resume is bit-identical to straight-through
-/// execution (pinned by the park differential tests), so
+/// replay path at all — trace capture runs each connection straight
+/// through once, the same run as [`crate::Fleet::serve_one`], so
 /// [`ReplayLog::replay_connection`] validates open-loop connections as-is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpenLoopLog {
@@ -192,7 +191,7 @@ pub struct OpenLoopLog {
     pub accept_cap: usize,
     /// Resident-guest cap (admitted connections beyond it queue).
     pub max_resident: usize,
-    /// Round-robin quantum in cycles (0 = run each CPU leg to its park).
+    /// Round-robin quantum in cycles (0 = run each CPU leg to its I/O wait).
     pub quantum: u64,
     /// Connections completed in the recorded run.
     pub completed: u64,

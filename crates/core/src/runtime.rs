@@ -196,13 +196,12 @@ pub struct Runtime {
     request_start: Option<u64>,
     /// Keyboard lines delivered (labels taint births).
     kbd_reads: u64,
-    /// When `true`, every syscall that charges I/O wait time completes in
-    /// full (delivery, return value, latency) and then stops the machine
-    /// with [`Exit::Parked`] instead of continuing — the yield points of the
-    /// event-driven fleet scheduler. Redeliveries inside
-    /// [`Runtime::recover`] never park: the rollback path must leave the
-    /// guest runnable.
-    yield_on_io: bool,
+    /// The leg log: `(cycles, io_cycles)` as they stood after every syscall
+    /// that charged I/O wait. Each entry ends one `(cpu, io)` leg of the
+    /// open-loop segment trace ([`crate::Segment`]). A redelivery inside
+    /// [`Runtime::recover`] closes no leg: its I/O lands in the leg that
+    /// ends at the next I/O charge. Timing state, never rolled back.
+    legs: Vec<(u64, u64)>,
 }
 
 impl Runtime {
@@ -236,7 +235,7 @@ impl Runtime {
             request_latencies: Vec::new(),
             request_start: None,
             kbd_reads: 0,
-            yield_on_io: false,
+            legs: Vec::new(),
         }
     }
 
@@ -259,24 +258,21 @@ impl Runtime {
         self
     }
 
-    /// Turns every I/O-charging syscall into a yield point (builder style):
-    /// the syscall completes in full and the machine stops with
-    /// [`Exit::Parked`], resumable with another [`Machine::run`]. With the
-    /// [`IoCostModel::FREE`] model nothing charges, so nothing parks.
-    pub fn with_io_yield(mut self) -> Runtime {
-        self.yield_on_io = true;
-        self
+    /// The result of a syscall that just charged `charged` cycles of I/O
+    /// wait: it closes a leg of the leg log when the operation actually
+    /// cost something (with [`IoCostModel::FREE`] nothing does), and the
+    /// guest continues.
+    fn io_done(&mut self, m: &Machine, charged: u64) -> SysResult {
+        if charged > 0 {
+            self.legs.push((m.stats.cycles, m.stats.io_cycles));
+        }
+        SysResult::Continue
     }
 
-    /// The result of a syscall that just charged `charged` cycles of I/O
-    /// wait: a park when yield-on-I/O is armed and the operation actually
-    /// cost something, otherwise plain continuation.
-    fn io_done(&self, charged: u64) -> SysResult {
-        if self.yield_on_io && charged > 0 {
-            SysResult::Stop(Exit::Parked)
-        } else {
-            SysResult::Continue
-        }
+    /// The leg log (see [`Runtime::io_done`]): where each closed leg ended,
+    /// as cumulative `(cycles, io_cycles)`.
+    pub(crate) fn leg_ends(&self) -> &[(u64, u64)] {
+        &self.legs
     }
 
     /// Network requests still queued for delivery.
@@ -360,14 +356,27 @@ impl Runtime {
         }
     }
 
+    /// Refuses a guest source buffer in region 0 — the tag space, which
+    /// reads as lazily zero-backed memory without any mapping — with an
+    /// unmapped fault before a byte is read, in every mode, the way
+    /// [`Runtime::write_guest`] refuses a region-0 destination. Every
+    /// runtime read of a guest buffer starts here; the guest's own tag
+    /// loads never pass through the runtime.
+    fn source(addr: u64) -> Result<u64, MemError> {
+        if region_of(addr) == 0 {
+            return Err(MemError::Unmapped { addr });
+        }
+        Ok(addr)
+    }
+
     /// Reads guest bytes plus their taint **as the guest's bitmap records
     /// it** — this is what policy checks must use. Bytes without tags
-    /// (uninstrumented guest, region 0) read as clean. The buffers grow as
-    /// the reads succeed, so a guest-supplied length past mapped memory
-    /// faults at the first unmapped byte without allocating it first.
+    /// (uninstrumented guest) read as clean. The buffers grow as the reads
+    /// succeed, so a guest-supplied length past mapped memory faults at the
+    /// first unmapped byte without allocating it first.
     fn read_tainted(&self, m: &mut Machine, addr: u64, len: u64) -> Result<TaintedBytes, MemError> {
         let mut bytes = Vec::new();
-        m.mem.append_bytes(addr, len as usize, &mut bytes)?;
+        m.mem.append_bytes(Self::source(addr)?, len as usize, &mut bytes)?;
         let taint = match self.gran.and_then(|gran| tag_range(addr, len, gran).ok()) {
             Some(r) => {
                 let mut span = Vec::new();
@@ -385,7 +394,7 @@ impl Runtime {
         addr: u64,
         max: usize,
     ) -> Result<TaintedBytes, MemError> {
-        let bytes = m.mem.read_cstr(addr, max)?;
+        let bytes = m.mem.read_cstr(Self::source(addr)?, max)?;
         let len = bytes.len() as u64;
         self.read_tainted(m, addr, len)
     }
@@ -468,13 +477,9 @@ impl Runtime {
         let (b, p) = (self.io.net_base, self.io.net_per_byte);
         // Delivery into the restored buffer cannot fault: the same pages
         // accepted the original request before the rollback. The redelivery
-        // must not park either — recovery leaves the guest runnable, and its
-        // I/O charge folds into the current execution segment (a documented
-        // coarseness of the event model).
-        let saved_yield = self.yield_on_io;
-        self.yield_on_io = false;
+        // closes no leg: its I/O charge folds into the current execution
+        // segment (a documented coarseness of the event model).
         let _ = self.do_stream_read(m, msg, buf, max, Source::Network, b, p);
-        self.yield_on_io = saved_yield;
         true
     }
 
@@ -581,6 +586,7 @@ impl Runtime {
         m.cpu.set_gpr_val(Gpr::RET, v as u64);
     }
 
+    /// Delivers `data` (a stream read) and returns the I/O wait it charged.
     #[allow(clippy::too_many_arguments)] // private helper mirroring the syscall shape
     fn do_stream_read(
         &mut self,
@@ -591,7 +597,7 @@ impl Runtime {
         source: Source,
         base: u64,
         per_byte: u64,
-    ) -> Result<SysResult, MemError> {
+    ) -> Result<u64, MemError> {
         let tainted = self.cfg.source_on(source);
         let delivered = data.is_some();
         let label = Self::source_label(m, || match source {
@@ -612,7 +618,8 @@ impl Runtime {
         if delivered && matches!(source, Source::Keyboard) {
             self.kbd_reads += 1;
         }
-        m.stats.charge_io(base + per_byte * n);
+        let charged = base + per_byte * n;
+        m.stats.charge_io(charged);
         let now = m.stats.total_time();
         if matches!(source, Source::Network) {
             // Per-request latency: the window for request k runs from its
@@ -634,7 +641,7 @@ impl Runtime {
         };
         Self::trace_io(m, io_name, n);
         Self::ret(m, n as i64);
-        Ok(self.io_done(base + per_byte * n))
+        Ok(charged)
     }
 
     /// Mirrors a completed syscall I/O leg into the flight recorder (no-op
@@ -703,7 +710,7 @@ impl Runtime {
             sys::EXIT => Ok(SysResult::Stop(Exit::Halted(a0 as i64))),
             sys::PRINT => {
                 let mut bytes = Vec::new();
-                m.mem.append_bytes(a0, a1 as usize, &mut bytes)?;
+                m.mem.append_bytes(Self::source(a0)?, a1 as usize, &mut bytes)?;
                 self.log.push(bytes);
                 Self::ret(m, 0);
                 Ok(SysResult::Continue)
@@ -728,19 +735,21 @@ impl Runtime {
                     self.open_request = true;
                 }
                 let (b, p) = (self.io.net_base, self.io.net_per_byte);
-                self.do_stream_read(m, msg, a0, a1, Source::Network, b, p)
+                let charged = self.do_stream_read(m, msg, a0, a1, Source::Network, b, p)?;
+                Ok(self.io_done(m, charged))
             }
             sys::KBD_READ => {
                 let msg = self.world.kbd_input.pop_front();
-                self.do_stream_read(m, msg, a0, a1, Source::Keyboard, 0, 0)
+                let charged = self.do_stream_read(m, msg, a0, a1, Source::Keyboard, 0, 0)?;
+                Ok(self.io_done(m, charged))
             }
             sys::NET_WRITE => {
                 // Append in place; a faulting read leaves the output as it was.
-                m.mem.append_bytes(a0, a1 as usize, &mut self.net_output)?;
+                m.mem.append_bytes(Self::source(a0)?, a1 as usize, &mut self.net_output)?;
                 m.stats.charge_io(self.io.net_base + self.io.net_per_byte * a1);
                 Self::trace_io(m, "net_write", a1);
                 Self::ret(m, a1 as i64);
-                Ok(self.io_done(self.io.net_base + self.io.net_per_byte * a1))
+                Ok(self.io_done(m, self.io.net_base + self.io.net_per_byte * a1))
             }
             sys::FILE_OPEN => {
                 let path = self.read_tainted_cstr(m, a0, 4096)?;
@@ -770,7 +779,7 @@ impl Runtime {
                 m.stats.charge_io(self.io.disk_base);
                 Self::trace_io(m, "file_open", 0);
                 Self::ret(m, fd);
-                Ok(self.io_done(self.io.disk_base))
+                Ok(self.io_done(m, self.io.disk_base))
             }
             sys::FILE_READ => {
                 let Some(Some(f)) = self.fds.get_mut(a0 as usize) else {
@@ -791,7 +800,7 @@ impl Runtime {
                 m.stats.charge_io(charged);
                 Self::trace_io(m, "file_read", chunk.len() as u64);
                 Self::ret(m, chunk.len() as i64);
-                Ok(self.io_done(charged))
+                Ok(self.io_done(m, charged))
             }
             sys::FILE_WRITE => {
                 let Some(Some(f)) = self.fds.get(a0 as usize) else {
@@ -803,7 +812,7 @@ impl Runtime {
                     return Ok(SysResult::Continue);
                 }
                 let mut bytes = Vec::new();
-                m.mem.append_bytes(a1, a2 as usize, &mut bytes)?;
+                m.mem.append_bytes(Self::source(a1)?, a2 as usize, &mut bytes)?;
                 let n = bytes.len() as u64;
                 Arc::make_mut(&mut self.world.files)
                     .entry(f.name.clone())
@@ -812,7 +821,7 @@ impl Runtime {
                 m.stats.charge_io(self.io.disk_base + self.io.disk_per_byte * n);
                 Self::trace_io(m, "file_write", n);
                 Self::ret(m, n as i64);
-                Ok(self.io_done(self.io.disk_base + self.io.disk_per_byte * n))
+                Ok(self.io_done(m, self.io.disk_base + self.io.disk_per_byte * n))
             }
             sys::FILE_CLOSE => {
                 if let Some(slot) = self.fds.get_mut(a0 as usize) {
@@ -822,12 +831,12 @@ impl Runtime {
                 Ok(SysResult::Continue)
             }
             sys::FILE_STAT => {
-                let path = m.mem.read_cstr(a0, 4096)?;
+                let path = m.mem.read_cstr(Self::source(a0)?, 4096)?;
                 let name = String::from_utf8_lossy(&path).into_owned();
                 let size = self.world.files.get(&name).map(|c| c.len() as i64).unwrap_or(-1);
                 m.stats.charge_io(self.io.disk_base / 2);
                 Self::ret(m, size);
-                Ok(self.io_done(self.io.disk_base / 2))
+                Ok(self.io_done(m, self.io.disk_base / 2))
             }
             sys::SQL_EXEC => {
                 let q = self.read_tainted(m, a0, a1)?;
@@ -859,7 +868,7 @@ impl Runtime {
                 let charged = self.io.net_base / 4 + self.io.net_per_byte * a1;
                 m.stats.charge_io(charged);
                 Self::ret(m, a1 as i64);
-                Ok(self.io_done(charged))
+                Ok(self.io_done(m, charged))
             }
             sys::BRK => {
                 // Grants round up to 16 bytes (at least 16). A break that
@@ -1148,6 +1157,47 @@ mod tests {
     }
 
     #[test]
+    fn brk_maps_half_the_heap_region_in_constant_host_memory() {
+        let mut m = machine();
+        let mut r = rt(World::new());
+        let pages = (m.mem.resident_pages(), m.mem.owned_pages());
+        assert_eq!(call(&mut r, &mut m, sys::BRK, &[1 << 39]), SysResult::Continue);
+        assert_eq!(m.cpu.gpr(Gpr::RET).value, layout::HEAP_BASE);
+        assert_eq!((m.mem.resident_pages(), m.mem.owned_pages()), pages, "the grant is lazy");
+        // Both ends of the grant are usable.
+        for addr in [layout::HEAP_BASE, layout::HEAP_BASE + (1 << 39) - 8] {
+            m.mem.write_int(addr, 8, 42).unwrap();
+            assert_eq!(m.mem.read_int(addr, 8).unwrap(), 42);
+        }
+        assert_eq!(call(&mut r, &mut m, sys::BRK, &[16]), SysResult::Continue);
+        assert_eq!(m.cpu.gpr(Gpr::RET).value, layout::HEAP_BASE + (1 << 39));
+    }
+
+    /// A recovery's redelivery charges I/O but closes no leg of the leg
+    /// log: its I/O lands in the leg that ends at the next I/O charge.
+    #[test]
+    fn recovery_redelivery_closes_no_leg() {
+        let mut m = machine();
+        let mut r = rt(World::new().net("GET /a").net("GET /b"))
+            .with_io(IoCostModel::SERVER)
+            .with_transactions();
+        let buf = layout::GLOBALS_BASE;
+        assert_eq!(call(&mut r, &mut m, sys::NET_READ, &[buf, 64]), SysResult::Continue);
+        assert_eq!(r.leg_ends(), [(m.stats.cycles, m.stats.io_cycles)]);
+        let io_at_read = m.stats.io_cycles;
+        assert!(r.recover(&mut m));
+        let redelivery = m.stats.io_cycles - io_at_read;
+        assert!(redelivery > 0, "the redelivery charges I/O");
+        assert_eq!(r.leg_ends().len(), 1, "a redelivery closes no leg");
+        assert_eq!(call(&mut r, &mut m, sys::NET_WRITE, &[buf, 6]), SysResult::Continue);
+        let write = IoCostModel::SERVER.net_base + IoCostModel::SERVER.net_per_byte * 6;
+        let &[(_, first), (_, second)] = r.leg_ends() else {
+            panic!("expected two legs: {:?}", r.leg_ends())
+        };
+        assert_eq!(second - first, redelivery + write);
+    }
+
+    #[test]
     fn oversized_lengths_fault_at_the_first_unmapped_byte() {
         const TIB: u64 = 1 << 40;
         let (buf, end) = (layout::GLOBALS_BASE, layout::DATA_BASE + 0x10000);
@@ -1265,6 +1315,43 @@ mod tests {
         let (mut m, mut r) = (machine(), rt(World::new().file("data.txt", b"hello".to_vec())));
         let fd = open(&mut r, &mut m, "data.txt", false);
         assert_tag_space_delivery_faults(&mut r, &mut m, sys::FILE_READ, &[fd, TAG_SPACE_BUF, 64]);
+    }
+
+    /// Every runtime read of a guest buffer refuses a region-0 source
+    /// before reading a byte, instrumented or not: a 1 TiB `print` (or
+    /// write, or sink argument) from tag space faults without touching a
+    /// page.
+    #[test]
+    fn reads_from_tag_space_fault_before_reading() {
+        const TIB: u64 = 1 << 40;
+        for gran in [Some(Granularity::Byte), None] {
+            let mut m = machine();
+            let mut r = Runtime::new(TaintConfig::default_secure(), World::new(), gran);
+            let fd = open(&mut r, &mut m, "out.txt", true);
+            let pages = (m.mem.resident_pages(), m.mem.owned_pages());
+            for (num, args) in [
+                (sys::PRINT, [TAG_SPACE_BUF, TIB, 0]),
+                (sys::NET_WRITE, [TAG_SPACE_BUF, TIB, 0]),
+                (sys::FILE_WRITE, [fd, TAG_SPACE_BUF, TIB]),
+                (sys::FILE_STAT, [TAG_SPACE_BUF, 0, 0]),
+                (sys::FILE_OPEN, [TAG_SPACE_BUF, 0, 0]),
+                (sys::SQL_EXEC, [TAG_SPACE_BUF, TIB, 0]),
+                (sys::SYSTEM, [TAG_SPACE_BUF, TIB, 0]),
+                (sys::HTML_OUT, [TAG_SPACE_BUF, TIB, 0]),
+            ] {
+                match call(&mut r, &mut m, num, &args) {
+                    SysResult::Stop(Exit::Fault(Fault::Unmapped {
+                        addr: TAG_SPACE_BUF, ..
+                    })) => {}
+                    other => {
+                        panic!("{gran:?} syscall {num}: expected an unmapped fault: {other:?}")
+                    }
+                }
+                let now = (m.mem.resident_pages(), m.mem.owned_pages());
+                assert_eq!(now, pages, "{gran:?} syscall {num} touched pages");
+            }
+            assert!(r.log.is_empty() && r.net_output.is_empty() && r.sql_log.is_empty());
+        }
     }
 
     #[test]

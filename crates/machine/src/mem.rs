@@ -25,7 +25,9 @@
 //!   (frame *headers* copy; page *contents* stay shared until individually
 //!   COW-faulted).
 //! * Page frames live in an arena (`frames`) indexed by a `page_idx` map, so
-//!   a frame is reachable from a plain integer slot without hashing.
+//!   a frame is reachable from a plain integer slot without hashing. The
+//!   mappings are a sorted list of coalesced page ranges, searched by
+//!   bisection, so a mapping of any size costs one entry.
 //! * A small direct-mapped software TLB caches `page → slot` translations.
 //!   An entry is only installed after a *successful* access, so a hit
 //!   implies the page is implemented and mapped — the fast path needs only
@@ -55,7 +57,7 @@
 //! model and cache simulator, never from host data-structure choices, and
 //! `state_digest` hashes page *contents*, which sharing never changes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use shift_isa::{is_implemented, region_of};
@@ -192,13 +194,33 @@ const EMPTY_TLB: [TlbEntry; TLB_SIZE] =
 struct Table {
     frames: Vec<Frame>,
     page_idx: HashMap<u64, u32>,
-    mapped: HashSet<u64>,
+    /// The mapped pages as half-open `(first, end)` page-number ranges,
+    /// sorted, disjoint and never adjacent — so a mapping costs host memory
+    /// by the number of ranges, not by its size.
+    mapped: Vec<(u64, u64)>,
 }
 
 impl Table {
     /// The bytes of `page`'s frame, if the page is resident.
     fn page<'a>(&'a self, page: u64, owned: &'a [Box<Page>]) -> Option<&'a Page> {
         self.page_idx.get(&page).map(|&slot| self.frames[slot as usize].data.bytes(owned))
+    }
+
+    /// Is `page` inside a mapped range?
+    fn is_mapped(&self, page: u64) -> bool {
+        let i = self.mapped.partition_point(|&(first, _)| first <= page);
+        i > 0 && page < self.mapped[i - 1].1
+    }
+
+    /// Maps pages `first..end`, coalescing every range the new one overlaps
+    /// or touches into one.
+    fn map_pages(&mut self, first: u64, end: u64) {
+        let lo = self.mapped.partition_point(|&(_, e)| e < first);
+        let hi = self.mapped.partition_point(|&(f, _)| f <= end);
+        let joined = &self.mapped[lo..hi];
+        let first = joined.first().map_or(first, |&(f, _)| f.min(first));
+        let end = joined.last().map_or(end, |&(_, e)| e.max(end));
+        self.mapped.splice(lo..hi, [(first, end)]);
     }
 }
 
@@ -370,7 +392,7 @@ impl Memory {
             return Err(MemError::Unimplemented { addr });
         }
         let page = addr / PAGE_SIZE;
-        if !self.table.mapped.contains(&page) && region_of(addr) != 0 {
+        if !self.table.is_mapped(page) && region_of(addr) != 0 {
             return Err(MemError::Unmapped { addr });
         }
         let slot = match self.table.page_idx.get(&page) {
@@ -467,12 +489,7 @@ impl Memory {
             is_implemented(addr) && is_implemented(end),
             "mapping {addr:#x}+{len:#x} touches unimplemented bits"
         );
-        let first = addr / PAGE_SIZE;
-        let last = end / PAGE_SIZE;
-        let table = Arc::make_mut(&mut self.table);
-        for page in first..=last {
-            table.mapped.insert(page);
-        }
+        Arc::make_mut(&mut self.table).map_pages(addr / PAGE_SIZE, end / PAGE_SIZE + 1);
         self.tlb_flush();
     }
 
@@ -484,7 +501,7 @@ impl Memory {
         if e.page == page {
             return true;
         }
-        is_implemented(addr) && (self.table.mapped.contains(&page) || region_of(addr) == 0)
+        is_implemented(addr) && (self.table.is_mapped(page) || region_of(addr) == 0)
     }
 
     /// Takes a checkpoint: the page table by reference, and copies of the
@@ -816,10 +833,10 @@ impl Memory {
         }
         // Domain separators keep the variable-length sections unambiguous.
         h.word(u64::MAX);
-        let mut mapped: Vec<u64> = self.table.mapped.iter().copied().collect();
-        mapped.sort_unstable();
-        for m in mapped {
-            h.word(m);
+        for &(first, end) in &self.table.mapped {
+            for page in first..end {
+                h.word(page);
+            }
         }
         h.word(u64::MAX);
         for &n in &self.spill_nat {
@@ -926,6 +943,27 @@ mod tests {
         // Whole containing page becomes mapped.
         assert!(m.is_mapped(base));
         assert!(!m.is_mapped(base + PAGE_SIZE));
+    }
+
+    #[test]
+    fn map_range_keeps_coalesced_ranges_and_allocates_nothing() {
+        let mut m = Memory::new();
+        let heap = crate::layout::HEAP_BASE;
+        m.map_range(heap, 1 << 39);
+        let (first, end) = (heap / PAGE_SIZE, (heap + (1 << 39)) / PAGE_SIZE);
+        assert_eq!(m.table.mapped, [(first, end)]);
+        assert_eq!((m.resident_pages(), m.owned_pages()), (0, 0));
+        assert!(m.is_mapped(heap + (1 << 39) - 1) && !m.is_mapped(heap + (1 << 39)));
+        // A gap keeps ranges apart; touching or overlapping ones merge.
+        let page = |n: u64| heap + (1 << 39) + n * PAGE_SIZE;
+        m.map_range(page(2), PAGE_SIZE);
+        assert_eq!(m.table.mapped, [(first, end), (end + 2, end + 3)]);
+        assert!(!m.is_mapped(page(1)) && m.is_mapped(page(2)));
+        m.map_range(page(0), PAGE_SIZE + 1);
+        assert_eq!(m.table.mapped, [(first, end + 3)]);
+        m.map_range(heap + PAGE_SIZE, 8);
+        assert_eq!(m.table.mapped, [(first, end + 3)]);
+        assert_eq!((m.resident_pages(), m.owned_pages()), (0, 0));
     }
 
     #[test]

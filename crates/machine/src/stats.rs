@@ -44,13 +44,13 @@ pub enum Exit {
     /// watchdog is a recoverable, per-request budget the runtime re-arms,
     /// while `InsnLimit` is the whole run's ceiling.
     FuelExhausted,
-    /// The guest parked at an I/O point: the runtime completed the syscall
-    /// in full (data delivered, return value set, latency charged) and then
-    /// yielded instead of continuing, so an event-driven scheduler can run
-    /// another guest while this one's modelled I/O is in flight. Not a
-    /// terminal exit — `ip` already points past the syscall, so calling
-    /// [`crate::Machine::run`] again resumes the guest exactly where it
-    /// parked.
+    /// An [`crate::Os`] stopped the guest at an I/O point after completing
+    /// the syscall; `ip` already points past it, so [`crate::Machine::run`]
+    /// resumes the guest where it stopped. No path in this workspace
+    /// produces it: the open-loop scheduler reads its I/O legs off the
+    /// runtime's leg log instead. The variant stays only because the
+    /// host-time benchmark matches on it; its removal waits for a change to
+    /// that benchmark.
     Parked,
 }
 

@@ -1,23 +1,22 @@
-//! Open-loop fleet scheduling: park/resume identity, host invariance,
-//! bounded memory, and record/replay of arrival schedules.
+//! Open-loop fleet scheduling: segment traces, host invariance, bounded
+//! memory, and record/replay of arrival schedules.
 //!
 //! The event-driven scheduler multiplexes thousands of connections over a
-//! handful of modelled workers by parking guests at their I/O points
-//! (DESIGN.md §16). Its whole correctness story rests on one differential
-//! contract: **parking a session at every I/O point and resuming it is
-//! bit-identical to running it straight through**. This file pins that
-//! contract — deterministically on the nastiest inputs (exploits, fault
-//! injections, recovery redeliveries) and property-tested on arbitrary
-//! request streams — and then the scheduler-level invariants that ride on
-//! it: the merged open-loop report is identical at any host worker count,
-//! peak guest memory tracks residency rather than offered load, and an
-//! open-loop run round-trips through the replay-log schema with its
-//! materialized arrival schedule intact.
+//! handful of modelled workers by replaying each connection's segment trace
+//! — the `(cpu, io)` legs the runtime's leg log records while the
+//! connection runs straight through once (DESIGN.md §16). This file checks
+//! that those legs partition the session exactly — deterministically on the
+//! nastiest inputs (exploits, fault injections, recovery redeliveries) and
+//! property-tested on arbitrary request streams — and then the
+//! scheduler-level invariants: the merged open-loop report is identical at
+//! any host worker count, peak guest memory tracks residency rather than
+//! offered load, an open-loop run round-trips through the replay-log schema
+//! with its materialized arrival schedule intact, and a small twin of CI's
+//! open-loop smoke keeps its pinned outputs.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use shift_core::replay::Expected;
 use shift_core::{Fleet, OpenLoopConfig, ReplayLog};
 use shift_workloads::apache::{
     apache_fleet, exploit_request, fleet_connections, fleet_world, ApacheStream, SECRET_BYTES,
@@ -37,7 +36,7 @@ fn fleet() -> &'static Fleet {
 }
 
 /// The mixed production stream with a planted exploit and the secret file
-/// it exfiltrates, so the differential runs cover violations and recovery.
+/// it exfiltrates, so the runs cover violations and recovery.
 fn hostile_setup(connections: usize, requests: usize) -> (shift_core::World, Vec<Vec<Vec<u8>>>) {
     let mut conns = fleet_connections(ApacheStream::Mixed, connections, requests);
     conns[1 % connections][0] = exploit_request();
@@ -45,47 +44,33 @@ fn hostile_setup(connections: usize, requests: usize) -> (shift_core::World, Vec
     (world, conns)
 }
 
-/// The park/resume differential on the hostile deterministic stream, with
-/// chaos fault injections armed so recovery redeliveries (which suppress
-/// parking) are on the covered path.
+/// The segment trace partitions the session on the hostile deterministic
+/// stream, with chaos fault injections armed so recovery redeliveries
+/// (whose I/O closes no leg) are on the covered path: cpu and io legs sum
+/// exactly to the session totals the scheduler will replay.
 #[test]
-fn parked_sessions_are_bit_identical_to_straight_through() {
+fn segment_traces_partition_hostile_sessions() {
     let fleet = fleet();
     let (world, conns) = hostile_setup(6, 4);
     let mut rng = Rng::new(chaos::derive(0xD1FF, "park-differential"));
     for (c, requests) in conns.iter().enumerate() {
         let injections: Vec<_> =
             (0..rng.below(3)).map(|_| chaos::random_fleet_injection(&mut rng)).collect();
-        let straight = fleet.serve_one(&world, requests, &injections, c, 8);
-        let (parked, segments) = fleet.serve_one_traced(&world, requests, &injections, c, 8);
-        assert_eq!(
-            Expected::of(&straight),
-            Expected::of(&parked),
-            "connection {c}: park/resume changed the outcome"
-        );
-        assert_eq!(straight.stats, parked.stats, "connection {c}: stats diverged");
-        assert_eq!(
-            straight.registry.to_json().render(),
-            parked.registry.to_json().render(),
-            "connection {c}: metrics diverged"
-        );
-        // The segment trace is a partition of the session: cpu and io legs
-        // sum exactly to the session totals the scheduler will replay.
+        let (report, segments) = fleet.serve_one_traced(&world, requests, &injections, c, 8);
         let cpu: u64 = segments.iter().map(|s| s.cpu).sum();
         let io: u64 = segments.iter().map(|s| s.io).sum();
-        assert_eq!(cpu, parked.stats.cycles, "connection {c}: cpu legs don't partition");
-        assert_eq!(io, parked.stats.io_cycles, "connection {c}: io legs don't partition");
+        assert_eq!(cpu, report.stats.cycles, "connection {c}: cpu legs don't partition");
+        assert_eq!(io, report.stats.io_cycles, "connection {c}: io legs don't partition");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Satellite contract: for *arbitrary* request streams — malformed
-    /// bytes, empty requests, anything — parking at every I/O point is
-    /// invisible in the modelled outcome.
+    /// For *arbitrary* request streams — malformed bytes, empty requests,
+    /// anything — the segment trace partitions the session exactly.
     #[test]
-    fn park_differential_holds_on_arbitrary_streams(
+    fn segment_traces_partition_arbitrary_streams(
         requests in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..3),
         inject_seed in any::<u64>(),
     ) {
@@ -94,14 +79,11 @@ proptest! {
         let mut rng = Rng::new(inject_seed);
         let injections: Vec<_> =
             (0..rng.below(2)).map(|_| chaos::random_fleet_injection(&mut rng)).collect();
-        let straight = fleet.serve_one(&world, &requests, &injections, 0, 1);
-        let (parked, segments) = fleet.serve_one_traced(&world, &requests, &injections, 0, 1);
-        prop_assert_eq!(Expected::of(&straight), Expected::of(&parked));
-        prop_assert_eq!(&straight.stats, &parked.stats);
+        let (report, segments) = fleet.serve_one_traced(&world, &requests, &injections, 0, 1);
         let cpu: u64 = segments.iter().map(|s| s.cpu).sum();
         let io: u64 = segments.iter().map(|s| s.io).sum();
-        prop_assert_eq!(cpu, parked.stats.cycles);
-        prop_assert_eq!(io, parked.stats.io_cycles);
+        prop_assert_eq!(cpu, report.stats.cycles);
+        prop_assert_eq!(io, report.stats.io_cycles);
     }
 }
 
@@ -221,8 +203,8 @@ fn open_loop_runs_record_and_replay() {
     assert_eq!((ol.completed, ol.shed), (report.completed, report.shed));
 
     // Shed rows carry the placeholder outcome; completed rows replay
-    // bit-identically via the straight-through path (valid because of the
-    // park differential above).
+    // bit-identically through `serve_one`, the same run the trace capture
+    // made.
     let shed_rows = parsed.expected.iter().filter(|e| e.is_shed()).count();
     assert_eq!(shed_rows as u64, report.shed);
     let rebuilt = parsed
