@@ -21,8 +21,9 @@
 //!
 //! `serve` runs the fleet engine: the Apache guest is compiled once, then
 //! `--connections` connections of `--requests` requests each are served
-//! across a `--workers`-wide modelled fleet (default: one instance per host
-//! core). Without `--size-kb` the connections carry the mixed
+//! across a `--workers`-wide modelled fleet (default 8, in both loops, so
+//! the modelled numbers do not depend on the host). Without `--size-kb`
+//! the connections carry the mixed
 //! production-traffic stream; with it, every request fetches one file of
 //! that size. `--workers` on `bench` instead caps the *host* thread pool
 //! the experiment sweeps run on (`--workers 1` for fully serial,
@@ -55,7 +56,9 @@
 //! reconstructs and re-runs every recorded connection (or one, with
 //! `--connection N`) and verifies bit-identical digests, cycles, and
 //! violations — open-loop logs carry their materialized arrival schedule,
-//! and connections recorded as shed are skipped (they never ran);
+//! and connections recorded as shed are skipped (they never ran); a full
+//! open-loop replay also re-drives the event loop from the replayed legs
+//! and checks the recorded `completed`, `shed` and `wall_cycles`;
 //! `--debug` opens the postmortem debugger on the connection instead. On a
 //! terminal the debugger is an interactive REPL (`step`, `run`, `regs`,
 //! `mem`, `taint`, `bt`, `dis`, `report`, `quit`); with stdin closed or
@@ -67,7 +70,7 @@
 //! bench summary and the fault-injection schedules, and defaults to the
 //! `SHIFT_SEED` environment variable.
 //!
-//! Observability flags: `--trace-taint` records taint births, propagations,
+//! Observability flags: `--trace-taint` counts taint births, propagations,
 //! and sink hits, and prints the provenance chain behind a detection
 //! (`net_read msg#0 bytes 4..12 → r9 → store @0x6000f8 → file_open arg`);
 //! `--metrics <path>` writes a schema-stable JSON metrics snapshot;
@@ -573,13 +576,11 @@ impl ServeOpts {
 /// left over once every flag is taken, or a scheduler flag given without
 /// `--arrivals`, is an error naming it.
 fn parse_serve(args: &mut Vec<String>) -> Result<ServeOpts, String> {
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let arrivals = take_opt(args, "--arrivals")?;
-    // Closed-loop `--workers` is the modelled fleet width and defaults to
-    // one instance per host core; open-loop workers are the event
-    // scheduler's modelled cores and default to the paper-scale width of 8.
-    let workers =
-        take_num(args, "--workers")?.unwrap_or(if arrivals.is_some() { 8 } else { host_cores });
+    // `--workers` is a modelled width in both loops (the closed loop's
+    // fleet, the event scheduler's cores), so it defaults to the
+    // paper-scale 8 rather than to anything about the host.
+    let workers = take_num(args, "--workers")?.unwrap_or(8);
     let mut opts = ServeOpts {
         workers,
         connections: take_num(args, "--connections")?.unwrap_or(8),
@@ -619,7 +620,8 @@ fn parse_serve(args: &mut Vec<String>) -> Result<ServeOpts, String> {
             max_resident: max_resident.unwrap_or(256),
             quantum: quantum.unwrap_or(100_000),
         },
-        host_workers: host_workers.unwrap_or(host_cores),
+        host_workers: host_workers
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get())),
     });
     Ok(opts)
 }
@@ -1151,6 +1153,7 @@ fn cmd_replay(
         None => (0..log.connections.len()).collect(),
     };
     let mut diverged = false;
+    let mut outcomes = Vec::new();
     for c in targets {
         if log.expected.get(c).is_some_and(shift_core::replay::Expected::is_shed) {
             println!("connection {c:>2}: shed by admission control (not replayed)");
@@ -1169,6 +1172,18 @@ fn cmd_replay(
             for m in &outcome.mismatches {
                 println!("    {m}");
             }
+        }
+        if log.open_loop.is_some() {
+            outcomes.push(outcome);
+        }
+    }
+    // The open-loop schedule needs every connection's legs.
+    if let (None, Some(_)) = (connection, &log.open_loop) {
+        let mismatches = log.verify_schedule(&outcomes);
+        diverged |= !mismatches.is_empty();
+        println!("schedule   : {}", if mismatches.is_empty() { "ok" } else { "DIVERGED" });
+        for m in &mismatches {
+            println!("    {m}");
         }
     }
     if diverged {
@@ -1626,6 +1641,15 @@ mod tests {
             let want = format!("unrecognised {} argument `--referense`", line[0]);
             assert_eq!(parse(extra).err(), Some(want), "{line:?}");
         }
+    }
+
+    #[test]
+    fn serve_workers_default_to_eight_in_both_loops() {
+        let closed = parse_serve(&mut args(&[])).unwrap();
+        assert_eq!(closed.workers, 8);
+        let open = parse_serve(&mut args(&["--arrivals", "poisson:1000"])).unwrap();
+        assert_eq!(open.workers, 8);
+        assert_eq!(open.open_loop.map(|ol| ol.cfg.workers), Some(8));
     }
 
     #[test]

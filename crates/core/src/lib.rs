@@ -80,10 +80,10 @@ pub use runtime::{IoCostModel, Runtime, World};
 // Re-export the pieces callers need to drive a session without extra deps.
 pub use shift_compiler::{CompileError, CompiledProgram, Compiler, Mode, ShiftOptions};
 pub use shift_machine::{Exit, Fault, Injection, NatFaultKind, Stats, Violation};
-pub use shift_machine::{FuncSpan, Profiler, TaintEvent, TaintJournal, TaintObserver};
+pub use shift_machine::{FuncSpan, Profiler, TaintObserver};
 pub use shift_obs::{
-    chrome_trace_json, merge_events, merge_samples, timeline_digest, total_dropped, Json, Registry,
-    Sample, TraceEvent, TraceKind, TraceRing, CYCLES_PER_US, DEFAULT_TRACE_CAP, SCHEMA_VERSION,
+    chrome_trace_json, merge_events, merge_samples, timeline_digest, Json, Registry, Sample,
+    TraceEvent, TraceKind, TraceRing, CYCLES_PER_US, DEFAULT_TRACE_CAP, SCHEMA_VERSION,
 };
 pub use shift_tagmap::Granularity;
 
@@ -183,10 +183,10 @@ impl Shift {
         }
     }
 
-    /// Enables taint-flow tracing: the machine records taint births,
-    /// propagations, and sink hits in a journal, and violations carry a
-    /// provenance chain from source channel to sink. Diagnostic-only: the
-    /// modelled cycle counts are unchanged.
+    /// Enables taint-flow tracing: the machine counts taint births,
+    /// propagations, and sink hits (the `journal.*` metrics), and
+    /// violations carry a provenance chain from source channel to sink.
+    /// Diagnostic-only: the modelled cycle counts are unchanged.
     pub fn with_taint_trace(mut self) -> Shift {
         self.trace_taint = true;
         self

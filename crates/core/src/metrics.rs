@@ -22,7 +22,6 @@ fn common_metrics(reg: &mut Registry, stats: &Stats, machine: &Machine, runtime:
     reg.counter_add("stats.instructions", stats.instructions);
     reg.counter_add("stats.cycles", stats.cycles);
     reg.counter_add("stats.io_cycles", stats.io_cycles);
-    reg.counter_add("stats.runtime_cycles", stats.runtime_cycles);
     reg.counter_add("stats.total_time", stats.total_time());
     reg.counter_add("stats.instrumentation_cycles", stats.instrumentation_cycles());
     reg.counter_add("stats.loads", stats.loads);
@@ -72,15 +71,9 @@ fn common_metrics(reg: &mut Registry, stats: &Stats, machine: &Machine, runtime:
     reg.counter_add("tagmap.shadow.clears", runtime.shadow.clears());
 
     if let Some(o) = machine.taint_observer() {
-        let j = o.journal();
-        reg.counter_add("journal.events", j.len() as u64);
-        reg.counter_add("journal.dropped", j.dropped());
-        reg.counter_add("journal.births", j.births());
-        reg.counter_add("journal.propagations", j.propagations());
-        reg.counter_add("journal.sinks", j.sinks());
-        // Silent-truncation tripwire: ring drops surface in every metrics
-        // export under one `obs.*` umbrella (alongside obs.trace.dropped).
-        reg.counter_add("obs.journal.dropped", j.dropped());
+        reg.counter_add("journal.births", o.births());
+        reg.counter_add("journal.propagations", o.propagations());
+        reg.counter_add("journal.sinks", o.sinks());
     }
 
     if let Some(fr) = machine.flight_recorder() {
@@ -162,7 +155,6 @@ mod tests {
     fn obs_drop_counters_surface_in_metrics() {
         use crate::FlightConfig;
         let shift = Shift::new(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)))
-            .with_taint_trace()
             .with_flight_recorder(FlightConfig { cap: 1, sample_cycles: 100 });
         let report = shift.serve(&tiny_app(), World::new().net(&b"hello"[..])).unwrap();
         let reg = serve_metrics(&report);
@@ -172,10 +164,6 @@ mod tests {
         assert!(fr.dropped() > 0, "cap-1 ring should have dropped events");
         assert_eq!(reg.counter("obs.trace.dropped"), fr.dropped());
         assert_eq!(reg.counter("obs.trace.events"), fr.len() as u64);
-        assert_eq!(
-            reg.counter("obs.journal.dropped"),
-            report.machine.taint_observer().unwrap().journal().dropped()
-        );
     }
 
     #[test]

@@ -35,6 +35,7 @@ use shift_isa::Gpr;
 use shift_machine::{Exit, Fault, Injection, NatFaultKind};
 use shift_obs::Json;
 
+use crate::event::{self, Disposition, OpenLoopConfig, Segment};
 use crate::fleet::{ConnectionReport, FaultPlan, Fleet, FleetReport};
 use crate::{Granularity, IoCostModel, Mode, Shift, ShiftOptions, TaintConfig, World};
 
@@ -178,6 +179,8 @@ impl Expected {
 /// replay path at all — trace capture runs each connection straight
 /// through once, the same run as [`crate::Fleet::serve_one`], so
 /// [`ReplayLog::replay_connection`] validates open-loop connections as-is.
+/// [`ReplayLog::verify_schedule`] then re-drives the event loop from the
+/// replayed legs and checks `completed`, `shed` and `wall_cycles`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpenLoopLog {
     /// Canonical arrival-process spec the schedule was synthesized from
@@ -245,6 +248,9 @@ pub struct ReplayOutcome {
     pub connection: usize,
     /// The live re-run's report.
     pub live: ConnectionReport,
+    /// The live re-run's `(cpu, io)` legs, which
+    /// [`ReplayLog::verify_schedule`] feeds to the open-loop event loop.
+    pub segments: Vec<Segment>,
     /// Human-readable `field: recorded X, live Y` lines; empty on a
     /// bit-identical replay.
     pub mismatches: Vec<String>,
@@ -417,7 +423,8 @@ impl ReplayLog {
     /// Panics if `c` is out of range of the recorded connections.
     pub fn replay_connection(&self, fleet: &Fleet, c: usize) -> ReplayOutcome {
         let conn = &self.connections[c];
-        let live = fleet.serve_one(&self.base, &conn.requests, &conn.injections, c, self.workers);
+        let (live, segments) =
+            fleet.serve_one_traced(&self.base, &conn.requests, &conn.injections, c, self.workers);
         let mut mismatches = Vec::new();
         if let Some(exp) = self.expected.get(c) {
             let got = Expected::of(&live);
@@ -442,7 +449,7 @@ impl ReplayLog {
         } else {
             mismatches.push(format!("connection {c} has no recorded outcome"));
         }
-        ReplayOutcome { connection: c, live, mismatches }
+        ReplayOutcome { connection: c, live, segments, mismatches }
     }
 
     /// Replays every recorded connection (see [`ReplayLog::replay_connection`]),
@@ -455,14 +462,53 @@ impl ReplayLog {
             .collect()
     }
 
+    /// Re-drives the recorded open-loop schedule through [`event::simulate`]
+    /// with the live legs of `outcomes` (every connection
+    /// [`ReplayLog::verify`] replays) and one empty leg per connection
+    /// recorded as shed, so a wrongly admitted one would count as
+    /// completed. Returns `field: recorded X, live Y` lines for
+    /// `completed`, `shed` and `wall_cycles`; empty when they match or the
+    /// log has no open-loop section.
+    pub fn verify_schedule(&self, outcomes: &[ReplayOutcome]) -> Vec<String> {
+        let Some(ol) = &self.open_loop else { return Vec::new() };
+        let n = self.connections.len();
+        if ol.arrivals.len() != n {
+            return vec![format!("arrivals: recorded {} for {n} connections", ol.arrivals.len())];
+        }
+        let mut traces = vec![vec![Segment::default()]; n];
+        for o in outcomes {
+            traces[o.connection] = o.segments.clone();
+        }
+        let cfg = OpenLoopConfig {
+            workers: ol.workers,
+            accept_cap: ol.accept_cap,
+            max_resident: ol.max_resident,
+            quantum: ol.quantum,
+        };
+        let des = event::simulate(&ol.arrivals, &traces, &cfg, false);
+        let completed =
+            des.dispositions.iter().filter(|d| matches!(d, Disposition::Done { .. })).count();
+        [
+            ("completed", ol.completed, completed as u64),
+            ("shed", ol.shed, des.shed),
+            ("wall_cycles", ol.wall_cycles, des.wall_cycles),
+        ]
+        .into_iter()
+        .filter(|(_, recorded, live)| recorded != live)
+        .map(|(field, recorded, live)| format!("{field}: recorded {recorded}, live {live}"))
+        .collect()
+    }
+
     /// A copy of this log containing only connection `c` (as its sole
-    /// connection, at the recorded width).
+    /// connection, at the recorded width). A one-connection log has no
+    /// arrival schedule, so the open-loop section is dropped.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of range.
     pub fn single(&self, c: usize) -> ReplayLog {
         let mut log = self.clone();
+        log.open_loop = None;
         log.connections = vec![self.connections[c].clone()];
         log.expected =
             if c < self.expected.len() { vec![self.expected[c].clone()] } else { Vec::new() };
@@ -527,8 +573,6 @@ impl ReplayLog {
         let final_report = run(&requests, &injections);
         let mut log = self.single(c);
         log.workers = 1;
-        // A one-connection reproducer has no meaningful arrival schedule.
-        log.open_loop = None;
         log.connections =
             vec![ConnectionLog { requests: requests.clone(), injections: injections.clone() }];
         log.expected = vec![Expected::of(&final_report)];

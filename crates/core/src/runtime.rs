@@ -135,7 +135,7 @@ pub struct Runtime {
     /// runs (no bitmap exists, sinks cannot check anything — the paper's
     /// "without SHIFT protection, all attacks succeed").
     gran: Option<Granularity>,
-    /// Host-side ground truth, used by `debug_taint` and the test suite.
+    /// Host-side ground truth, used by the test suite.
     pub shadow: HostShadow,
     /// I/O latency model.
     pub io: IoCostModel,
@@ -490,10 +490,8 @@ impl Runtime {
         message: String,
         chain: Option<String>,
     ) -> SysResult {
-        if let Some(c) = &chain {
-            if let Some(o) = m.taint_observer_mut() {
-                o.record_sink_event(policy.name(), c);
-            }
+        if let (Some(_), Some(o)) = (&chain, m.taint_observer_mut()) {
+            o.record_sink_event();
         }
         let v = Violation {
             policy: policy.name().to_string(),
@@ -902,16 +900,11 @@ impl Runtime {
                 }
                 Ok(SysResult::Continue)
             }
-            sys::DEBUG_TAINT => {
-                let any = self.shadow.any_tainted(a0, a1);
-                Self::ret(m, i64::from(any));
-                Ok(SysResult::Continue)
-            }
             sys::ALERT => {
                 let provenance = m.taint_observer_mut().and_then(|o| {
                     let chain = o.guard_chain().map(|c| format!("{c} → alert"));
-                    if let Some(c) = &chain {
-                        o.record_sink_event("GUARD", c);
+                    if chain.is_some() {
+                        o.record_sink_event();
                     }
                     chain
                 });

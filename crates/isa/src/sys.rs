@@ -48,10 +48,6 @@ pub const BRK: u32 = 13;
 /// length, or -1 if there is no such argument. Taintedness is configurable
 /// per program (GNU tar's attack arrives through `argv`).
 pub const GET_ARG: u32 = 14;
-/// Debug/testing only: returns 1 if any of the `arg1` bytes at `arg0` are
-/// tainted in the host's reference shadow map, else 0. Never used by
-/// instrumented application logic.
-pub const DEBUG_TAINT: u32 = 15;
 /// Returns the current simulated cycle count (diagnostics only).
 pub const CLOCK: u32 = 16;
 /// Raised from compiler-inserted `chk.s` recovery stubs when a guarded
@@ -77,7 +73,6 @@ pub fn name(num: u32) -> &'static str {
         FILE_STAT => "file_stat",
         BRK => "brk",
         GET_ARG => "get_arg",
-        DEBUG_TAINT => "debug_taint",
         CLOCK => "clock",
         ALERT => "alert",
         _ => "unknown",
@@ -91,24 +86,8 @@ mod tests {
     #[test]
     fn numbers_are_unique() {
         let nums = [
-            EXIT,
-            PRINT,
-            NET_READ,
-            NET_WRITE,
-            FILE_OPEN,
-            FILE_READ,
-            FILE_WRITE,
-            FILE_CLOSE,
-            KBD_READ,
-            SQL_EXEC,
-            SYSTEM,
-            HTML_OUT,
-            FILE_STAT,
-            BRK,
-            GET_ARG,
-            DEBUG_TAINT,
-            CLOCK,
-            ALERT,
+            EXIT, PRINT, NET_READ, NET_WRITE, FILE_OPEN, FILE_READ, FILE_WRITE, FILE_CLOSE,
+            KBD_READ, SQL_EXEC, SYSTEM, HTML_OUT, FILE_STAT, BRK, GET_ARG, CLOCK, ALERT,
         ];
         let mut sorted = nums;
         sorted.sort_unstable();

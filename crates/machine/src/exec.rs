@@ -1258,7 +1258,7 @@ impl Machine {
                                 // tag-bitmap reads and relax reloads are
                                 // instrumentation plumbing.
                                 if insn.prov == Provenance::Original {
-                                    o.on_load(dst, a.value, size.bytes(), ip);
+                                    o.on_load(dst, a.value, size.bytes());
                                 }
                             }
                         }
@@ -1301,7 +1301,7 @@ impl Machine {
                             // Tag-bitmap stores must not consume the Tnat
                             // staged for the data store that follows them.
                             if insn.prov == Provenance::Original {
-                                o.on_store(a.value, size.bytes(), ip);
+                                o.on_store(a.value, size.bytes());
                             }
                         }
                     }
@@ -1326,7 +1326,7 @@ impl Machine {
                         }
                         if let Some(o) = self.taint_observer_mut() {
                             if insn.prov == Provenance::Original {
-                                o.on_spill(src, a.value, v.nat, ip);
+                                o.on_spill(src, a.value, v.nat);
                             }
                         }
                     }
@@ -1348,7 +1348,7 @@ impl Machine {
                         }
                         if let Some(o) = self.taint_observer_mut() {
                             if insn.prov == Provenance::Original {
-                                o.on_load(dst, a.value, 8, ip);
+                                o.on_load(dst, a.value, 8);
                             }
                         }
                     }

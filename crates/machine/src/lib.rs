@@ -75,7 +75,4 @@ pub use stats::{Exit, Stats, Violation};
 // Observability types surface through the machine's enable/accessor
 // methods; re-export them so downstream crates need not depend on
 // `shift-obs` directly for the common paths.
-pub use shift_obs::{
-    FuncSpan, Profiler, Sample, TaintEvent, TaintJournal, TaintObserver, TraceEvent, TraceKind,
-    TraceRing,
-};
+pub use shift_obs::{FuncSpan, Profiler, Sample, TaintObserver, TraceEvent, TraceKind, TraceRing};

@@ -127,12 +127,6 @@ pub struct Stats {
     pub chk_taken: u64,
     /// Runtime calls executed.
     pub syscalls: u64,
-    /// CPU cycles spent inside the runtime (kernel copy loops, intrinsic
-    /// bodies). A *subset* of `cycles`: [`Stats::charge_runtime`] adds to
-    /// both, attributing the time to [`Provenance::Original`] — the
-    /// uninstrumented baseline pays it too. Kept separately so reports can
-    /// split pipeline time from runtime time.
-    pub runtime_cycles: u64,
     /// Fault-injection events applied (see [`crate::Machine::inject_after`]).
     pub injected_events: u64,
 }
@@ -158,17 +152,6 @@ impl Stats {
         self.io_cycles += cycles;
     }
 
-    /// Adds CPU time spent inside the runtime (kernel copy loops, intrinsic
-    /// bodies). Attributed to [`Provenance::Original`] — the uninstrumented
-    /// baseline pays it too — and tracked in [`Stats::runtime_cycles`] so
-    /// [`Stats::provenance_report`] can show it as its own row.
-    #[inline]
-    pub fn charge_runtime(&mut self, cycles: u64) {
-        self.cycles += cycles;
-        self.cycles_by_prov[Provenance::Original.index()] += cycles;
-        self.runtime_cycles += cycles;
-    }
-
     /// Folds another run's counters into this one, element-wise. Every field
     /// is an exact `u64` sum, so merging is associative and order-independent
     /// — a fleet aggregate built in any order equals the sequential total
@@ -186,7 +169,6 @@ impl Stats {
         self.deferred_loads += other.deferred_loads;
         self.chk_taken += other.chk_taken;
         self.syscalls += other.syscalls;
-        self.runtime_cycles += other.runtime_cycles;
         self.injected_events += other.injected_events;
     }
 
@@ -209,34 +191,6 @@ impl Stats {
     /// Instruction count for one provenance label.
     pub fn insns_for(&self, prov: Provenance) -> u64 {
         self.insns_by_prov[prov.index()]
-    }
-
-    /// Formats a per-provenance cycle table (diagnostics).
-    ///
-    /// Runtime CPU time is charged to the `original` row (the baseline pays
-    /// it too); the `(runtime)` row breaks out how much of `original` that
-    /// is, and `(io-wait)` / `(total)` reconcile the table against
-    /// [`Stats::total_time`]. Parenthesised rows are informational, not
-    /// additional provenance labels.
-    pub fn provenance_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{:<12} {:>14} {:>14}", "provenance", "insns", "cycles");
-        for p in Provenance::ALL {
-            let (i, c) = (self.insns_for(p), self.cycles_for(p));
-            if i > 0 {
-                let _ = writeln!(out, "{:<12} {:>14} {:>14}", p.name(), i, c);
-            }
-        }
-        if self.runtime_cycles > 0 {
-            let _ = writeln!(out, "{:<12} {:>14} {:>14}", "(runtime)", "-", self.runtime_cycles);
-        }
-        if self.io_cycles > 0 {
-            let _ = writeln!(out, "{:<12} {:>14} {:>14}", "(io-wait)", "-", self.io_cycles);
-        }
-        let _ =
-            writeln!(out, "{:<12} {:>14} {:>14}", "(total)", self.instructions, self.total_time());
-        out
     }
 }
 
@@ -272,7 +226,6 @@ mod tests {
         let mut a = Stats::new();
         a.retire(Provenance::Original, 3);
         a.charge_io(10);
-        a.charge_runtime(5);
         a.loads = 2;
         let mut b = Stats::new();
         b.retire(Provenance::LdTagCompute, 4);
@@ -288,7 +241,6 @@ mod tests {
         assert_eq!(merged.loads, 2);
         assert_eq!(merged.stores, 1);
         assert_eq!(merged.syscalls, a.syscalls + 7);
-        assert_eq!(merged.runtime_cycles, 5);
         // Order independence: b.merge(a) gives the same totals.
         let mut swapped = b.clone();
         swapped.merge(&a);
@@ -310,47 +262,5 @@ mod tests {
         assert!(!Exit::Fault(Fault::BadIp { ip: 0 }).is_detection());
         assert!(Exit::Halted(0).is_clean());
         assert!(!Exit::Halted(1).is_clean());
-    }
-
-    #[test]
-    fn provenance_report_lists_nonzero_rows() {
-        let mut s = Stats::new();
-        s.retire(Provenance::Relax, 5);
-        let rep = s.provenance_report();
-        assert!(rep.contains("relax"));
-        assert!(!rep.contains("st-mem"));
-    }
-
-    /// Regression test for the `charge_runtime`/`charge_io` asymmetry:
-    /// runtime CPU time must be visible in the report (its own row) *and*
-    /// the report's total must reconcile with `total_time()`.
-    #[test]
-    fn runtime_time_is_attributed_and_reconciles() {
-        let mut s = Stats::new();
-        s.retire(Provenance::Original, 10);
-        s.charge_runtime(25);
-        s.charge_io(100);
-        // charge_runtime adds to cycles (under `original`) and is tracked.
-        assert_eq!(s.cycles, 35);
-        assert_eq!(s.runtime_cycles, 25);
-        assert_eq!(s.cycles_for(Provenance::Original), 35);
-        assert_eq!(s.total_time(), 135);
-        // Runtime time is not instrumentation overhead.
-        assert_eq!(s.instrumentation_cycles(), 0);
-        let rep = s.provenance_report();
-        assert!(rep.contains("(runtime)"), "runtime row missing:\n{rep}");
-        assert!(rep.contains("25"), "runtime cycles missing:\n{rep}");
-        assert!(rep.contains("(io-wait)"), "io row missing:\n{rep}");
-        assert!(rep.contains("135"), "total must equal total_time():\n{rep}");
-    }
-
-    #[test]
-    fn report_omits_runtime_and_io_rows_when_zero() {
-        let mut s = Stats::new();
-        s.retire(Provenance::Original, 1);
-        let rep = s.provenance_report();
-        assert!(!rep.contains("(runtime)"));
-        assert!(!rep.contains("(io-wait)"));
-        assert!(rep.contains("(total)"));
     }
 }

@@ -1,4 +1,4 @@
-//! Counter/gauge/histogram registry with a schema-stable JSON export.
+//! Counter and histogram registry with a schema-stable JSON export.
 //!
 //! Names are dotted paths (`"stats.cycles"`, `"cache.l1.hits"`); the JSON
 //! export nests them into objects, so the on-disk schema mirrors the metric
@@ -157,11 +157,10 @@ fn bucket_of(value: u64) -> usize {
     (64 - value.leading_zeros()) as usize
 }
 
-/// A named collection of counters, gauges, and histograms.
+/// A named collection of counters and histograms.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -181,11 +180,6 @@ impl Registry {
         self.counters.get(path).copied().unwrap_or(0)
     }
 
-    /// Sets the gauge at `path`.
-    pub fn set_gauge(&mut self, path: &str, value: f64) {
-        self.gauges.insert(path.to_string(), value);
-    }
-
     /// Records one sample into the histogram at `path`.
     pub fn record(&mut self, path: &str, value: u64) {
         self.histograms.entry(path.to_string()).or_default().record(value);
@@ -196,40 +190,20 @@ impl Registry {
         self.histograms.get(path)
     }
 
-    /// Folds `other` into this registry: counters add, gauges take the
-    /// other's value, histograms merge.
+    /// Folds `other` into this registry: counters add, histograms merge.
     ///
-    /// Counter and histogram merging is exact and associative — merging N
-    /// per-worker registries yields the same result in any grouping, and in
-    /// any *order* too (sums commute; histogram buckets are counts). Fleet
-    /// aggregation leans on this: a parallel merge tree must equal the
-    /// sequential fold bit-for-bit. Gauges are last-writer-wins, so
-    /// order-sensitive by design — aggregate them only in a fixed order.
+    /// Merging is exact and associative — merging N per-worker registries
+    /// yields the same result in any grouping, and in any *order* too (sums
+    /// commute; histogram buckets are counts). Fleet aggregation leans on
+    /// this: a parallel merge tree must equal the sequential fold
+    /// bit-for-bit.
     pub fn merge(&mut self, other: &Registry) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(h);
         }
-    }
-
-    /// Iterates counters as `(path, value)`, sorted by path.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates gauges as `(path, value)`, sorted by path.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates histograms as `(path, histogram)`, sorted by path.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Exports the registry in the Prometheus text exposition format
@@ -247,10 +221,6 @@ impl Registry {
         for (path, v) in &self.counters {
             let name = prom_name(path);
             out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        for (path, v) in &self.gauges {
-            let name = prom_name(path);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
         }
         for (path, h) in &self.histograms {
             let name = prom_name(path);
@@ -277,9 +247,6 @@ impl Registry {
         let mut root = Json::Obj(vec![("schema_version".to_string(), Json::U64(SCHEMA_VERSION))]);
         for (path, v) in &self.counters {
             insert_path(&mut root, path, Json::U64(*v));
-        }
-        for (path, v) in &self.gauges {
-            insert_path(&mut root, path, Json::F64(*v));
         }
         for (path, h) in &self.histograms {
             insert_path(&mut root, path, h.to_json());
@@ -398,16 +365,11 @@ mod tests {
         r.counter_add("cache.l1.hits", 10);
         r.counter_add("cache.l1.misses", 2);
         r.counter_add("stats.cycles", 99);
-        r.set_gauge("fig7.byte_unsafe", 2.5);
         r.record("serve.latency_cycles", 400);
         let json = r.to_json();
         assert_eq!(json.get("schema_version").and_then(Json::as_u64), Some(SCHEMA_VERSION));
         let l1 = json.get("cache").and_then(|c| c.get("l1")).unwrap();
         assert_eq!(l1.get("hits").and_then(Json::as_u64), Some(10));
-        assert_eq!(
-            json.get("fig7").and_then(|f| f.get("byte_unsafe")).and_then(Json::as_f64),
-            Some(2.5)
-        );
         let lat = json.get("serve").and_then(|s| s.get("latency_cycles")).unwrap();
         assert_eq!(lat.get("count").and_then(Json::as_u64), Some(1));
     }
@@ -500,14 +462,11 @@ mod tests {
     fn prometheus_export_emits_typed_series_and_cumulative_buckets() {
         let mut r = Registry::new();
         r.counter_add("cache.l1.hits", 10);
-        r.set_gauge("fig7.byte_unsafe", 2.5);
         r.record("serve.latency_cycles", 3); // bucket upper 3
         r.record("serve.latency_cycles", 400); // bucket upper 511
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE shift_cache_l1_hits counter\n"));
         assert!(text.contains("shift_cache_l1_hits 10\n"));
-        assert!(text.contains("# TYPE shift_fig7_byte_unsafe gauge\n"));
-        assert!(text.contains("shift_fig7_byte_unsafe 2.5\n"));
         assert!(text.contains("# TYPE shift_serve_latency_cycles histogram\n"));
         assert!(text.contains("shift_serve_latency_cycles_bucket{le=\"3\"} 1\n"));
         assert!(text.contains("shift_serve_latency_cycles_bucket{le=\"511\"} 2\n"));

@@ -6,7 +6,8 @@
 //! last stored. The machine calls the `on_*` hooks from its execute stage
 //! (behind an `Option` guard, so the disabled cost is one branch); the
 //! runtime reports births at syscall sites and renders provenance chains at
-//! policy sinks.
+//! policy sinks. Births, propagations and sink hits are counted, not
+//! stored: the counters feed the `journal.*` metrics.
 //!
 //! The observer is diagnostic state only: it never influences execution,
 //! costs no modelled cycles, and is excluded from `state_digest()`.
@@ -24,8 +25,6 @@
 use std::collections::HashMap;
 
 use shift_isa::Gpr;
-
-use crate::journal::{TaintEvent, TaintJournal};
 
 /// Origin of one tainted byte in guest memory.
 #[derive(Clone, Copy, Debug)]
@@ -62,8 +61,12 @@ pub struct TaintObserver {
     reg: [Option<RegTaint>; Gpr::COUNT],
     /// Origin staged by the most recent `tnat`, consumed by the next store.
     pending: Option<Pending>,
-    /// Event journal.
-    journal: TaintJournal,
+    /// Tainted runtime writes (taint births from a source channel).
+    births: u64,
+    /// Loads, stores and spills that carried a known origin.
+    propagations: u64,
+    /// Policy sinks that rendered a provenance chain.
+    sinks: u64,
     /// Chain captured at the last taken `chk.s` (for GUARD alerts).
     guard: Option<String>,
     /// Chain captured at a NaT-consumption fault (for L1/L2 detections).
@@ -73,14 +76,25 @@ pub struct TaintObserver {
 }
 
 impl TaintObserver {
-    /// A fresh observer with the default journal capacity.
+    /// A fresh observer.
     pub fn new() -> TaintObserver {
         TaintObserver::default()
     }
 
-    /// The event journal.
-    pub fn journal(&self) -> &TaintJournal {
-        &self.journal
+    /// Taint births seen: tainted runtime writes into guest memory.
+    pub fn births(&self) -> u64 {
+        self.births
+    }
+
+    /// Propagations seen: loads, stores and spills that moved a known origin
+    /// into a register or memory.
+    pub fn propagations(&self) -> u64 {
+        self.propagations
+    }
+
+    /// Sink hits seen: policy sinks that rendered a provenance chain.
+    pub fn sinks(&self) -> u64 {
+        self.sinks
     }
 
     /// Chain captured when a NaT-consumption fault fired, if any.
@@ -114,7 +128,7 @@ impl TaintObserver {
                 ByteTaint { origin, src_off: i as u32, via_reg: None, store_addr: None },
             );
         }
-        self.journal.push(TaintEvent::Birth { label: label.to_string(), addr, len });
+        self.births += 1;
     }
 
     /// Renders the provenance chain for a policy sink inspecting `len`
@@ -148,24 +162,18 @@ impl TaintObserver {
         Some(chain)
     }
 
-    /// Journals a sink event whose chain was already rendered.
-    pub fn record_sink_event(&mut self, sink: &str, chain: &str) {
-        self.journal.push(TaintEvent::Sink { sink: sink.to_string(), chain: chain.to_string() });
+    /// Counts a sink hit whose chain was already rendered.
+    pub fn record_sink_event(&mut self) {
+        self.sinks += 1;
     }
 
     // ---- machine-facing hooks -------------------------------------------
 
     /// A load (or register fill) completed into `dst` from `addr`.
-    pub fn on_load(&mut self, dst: Gpr, addr: u64, size: u64, ip: usize) {
+    pub fn on_load(&mut self, dst: Gpr, addr: u64, size: u64) {
         let hit = (0..size).find_map(|i| self.mem.get(&(addr + i)).copied());
-        match hit {
-            Some(bt) => {
-                self.reg[dst.index()] = Some(RegTaint { origin: bt.origin, src_off: bt.src_off });
-                let label = self.origins[bt.origin as usize].clone();
-                self.journal.push(TaintEvent::RegTaint { reg: dst.index() as u8, label, ip });
-            }
-            None => self.reg[dst.index()] = None,
-        }
+        self.reg[dst.index()] = hit.map(|bt| RegTaint { origin: bt.origin, src_off: bt.src_off });
+        self.propagations += u64::from(hit.is_some());
     }
 
     /// A speculative load deferred (manufactured NaT, no data read).
@@ -240,7 +248,7 @@ impl TaintObserver {
 
     /// A data store of `size` bytes at `addr` completed: consume the staged
     /// `tnat` origin, mirroring the tag write the instrumentation performs.
-    pub fn on_store(&mut self, addr: u64, size: u64, ip: usize) {
+    pub fn on_store(&mut self, addr: u64, size: u64) {
         let pending = self.pending.take();
         match pending {
             Some(p) if p.nat => {
@@ -256,8 +264,7 @@ impl TaintObserver {
                             },
                         );
                     }
-                    let label = self.origins[rt.origin as usize].clone();
-                    self.journal.push(TaintEvent::MemTaint { addr, len: size, label, ip });
+                    self.propagations += 1;
                 }
                 // Without a recorded origin the tag still says tainted:
                 // leave any prior byte origins in place rather than
@@ -274,7 +281,7 @@ impl TaintObserver {
     /// A register spill (`st8.spill`) banked `src` at `addr`; `nat` is the
     /// spilled NaT bit. Spills write taint straight from the register, with
     /// no preceding `tnat`.
-    pub fn on_spill(&mut self, src: Gpr, addr: u64, nat: bool, ip: usize) {
+    pub fn on_spill(&mut self, src: Gpr, addr: u64, nat: bool) {
         self.pending = None;
         if !nat {
             for i in 0..8 {
@@ -294,8 +301,7 @@ impl TaintObserver {
                     },
                 );
             }
-            let label = self.origins[rt.origin as usize].clone();
-            self.journal.push(TaintEvent::MemTaint { addr, len: 8, label, ip });
+            self.propagations += 1;
         }
     }
 
@@ -359,14 +365,30 @@ mod tests {
         let mut o = TaintObserver::new();
         o.record_runtime_write("net_read msg#0", 0x1000, 16, true);
         // Guest loads byte 4, stores it at 0x6000f8 (tnat precedes store).
-        o.on_load(R9, 0x1004, 1, 10);
+        o.on_load(R9, 0x1004, 1);
         o.on_tnat(R9, true);
-        o.on_store(0x6000f8, 1, 12);
+        o.on_store(0x6000f8, 1);
         let chain = o.sink_chain("file_open", 0x6000f8, &[true]).unwrap();
         assert_eq!(
             chain,
             "net_read msg#0 bytes 4..5 \u{2192} r9 \u{2192} store @0x6000f8 \u{2192} file_open arg"
         );
+    }
+
+    #[test]
+    fn class_counters_split_by_event_kind() {
+        let mut o = TaintObserver::new();
+        o.record_runtime_write("net_read msg#0", 0x1000, 8, true);
+        o.record_runtime_write("file_read data", 0x2000, 8, false);
+        o.on_load(R9, 0x1000, 1);
+        o.on_load(R10, 0x2000, 1);
+        o.on_tnat(R9, true);
+        o.on_store(0x6000, 1);
+        o.on_spill(R9, 0x8000, true);
+        o.record_sink_event();
+        // One tainted write, a load/store/spill that moved its origin (the
+        // clean load moves none), and one sink.
+        assert_eq!((o.births(), o.propagations(), o.sinks()), (1, 3, 1));
     }
 
     #[test]
@@ -382,7 +404,7 @@ mod tests {
         let mut o = TaintObserver::new();
         o.record_runtime_write("kbd_read line#0", 0x3000, 1, true);
         // A clean store (no tnat staged) overwrites the byte.
-        o.on_store(0x3000, 1, 20);
+        o.on_store(0x3000, 1);
         assert!(o.sink_chain("html_out", 0x3000, &[true]).is_none());
     }
 
@@ -398,12 +420,12 @@ mod tests {
     fn alu_keeps_origin_through_retaint() {
         let mut o = TaintObserver::new();
         o.record_runtime_write("net_read msg#0", 0x1000, 8, true);
-        o.on_load(R9, 0x1000, 1, 5);
+        o.on_load(R9, 0x1000, 1);
         // Baseline laundering: plain reload leaves the stash, re-taint adds
         // a manufactured NaT register with no origin of its own.
         o.on_alu2(R9, true, (R9, false), (Gpr::R31, true));
         o.on_tnat(R9, true);
-        o.on_store(0x5000, 1, 9);
+        o.on_store(0x5000, 1);
         assert!(o.sink_chain("sql_exec", 0x5000, &[true]).is_some());
     }
 
@@ -411,7 +433,7 @@ mod tests {
     fn nat_fault_chain_names_the_source() {
         let mut o = TaintObserver::new();
         o.record_runtime_write("net_read msg#3", 0x1000, 8, true);
-        o.on_load(R10, 0x1002, 1, 7);
+        o.on_load(R10, 0x1002, 1);
         o.on_nat_fault(R10, "store value", 42);
         let chain = o.fault_chain().unwrap();
         assert!(chain.contains("net_read msg#3"));
@@ -423,12 +445,12 @@ mod tests {
     fn cmp_drops_a_stale_tnat_stage() {
         let mut o = TaintObserver::new();
         o.record_runtime_write("net_read msg#0", 0x1000, 1, true);
-        o.on_load(R9, 0x1000, 1, 3);
+        o.on_load(R9, 0x1000, 1);
         // Comparison relaxation: tnat, then the cmp — no store consumes it.
         o.on_tnat(R9, true);
         o.on_cmp();
         // A later clean store must not inherit the stale stage.
-        o.on_store(0x7000, 1, 9);
+        o.on_store(0x7000, 1);
         assert!(o.sink_chain("html_out", 0x7000, &[true]).is_none());
     }
 
@@ -436,12 +458,12 @@ mod tests {
     fn spill_and_fill_round_trip_keeps_the_origin() {
         let mut o = TaintObserver::new();
         o.record_runtime_write("file_read cfg", 0x1000, 8, true);
-        o.on_load(R9, 0x1000, 8, 2);
-        o.on_spill(R9, 0x8000, true, 3);
+        o.on_load(R9, 0x1000, 8);
+        o.on_spill(R9, 0x8000, true);
         o.on_movi(R9);
-        o.on_load(R10, 0x8000, 8, 5);
+        o.on_load(R10, 0x8000, 8);
         o.on_tnat(R10, true);
-        o.on_store(0x9000, 8, 7);
+        o.on_store(0x9000, 8);
         let chain = o.sink_chain("system", 0x9000, &[true; 8]).unwrap();
         assert!(chain.contains("file_read cfg"));
         assert!(chain.contains("r10"));

@@ -216,7 +216,7 @@ pub struct Sample {
 /// Capacity is fixed at arming time; when full, the oldest event is evicted
 /// and counted in [`TraceRing::dropped`] (surfaced as the
 /// `obs.trace.dropped` metric). A zero capacity records nothing but still
-/// counts, mirroring [`crate::TaintJournal`]. Storage grows with the events
+/// counts. Storage grows with the events
 /// actually recorded rather than being reserved up front: a connection
 /// records a few dozen events, far below the cap, and reserving the whole
 /// ring per connection cost more host time than recording into it.
@@ -278,11 +278,6 @@ impl TraceRing {
         for s in &mut self.samples {
             s.worker = worker;
         }
-    }
-
-    /// The ring's track id.
-    pub fn worker(&self) -> u64 {
-        self.worker
     }
 
     /// Shifts every recorded cycle stamp forward by `delta` modelled cycles.
@@ -385,11 +380,6 @@ pub fn merge_samples(rings: &[&TraceRing]) -> Vec<Sample> {
     let mut all: Vec<Sample> = rings.iter().flat_map(|r| r.samples().iter().copied()).collect();
     all.sort_by_key(|s| (s.cycle, s.worker));
     all
-}
-
-/// Total events dropped across a set of rings.
-pub fn total_dropped(rings: &[&TraceRing]) -> u64 {
-    rings.iter().map(|r| r.dropped()).sum()
 }
 
 /// FNV-1a digest of a merged timeline's deterministic content: every field

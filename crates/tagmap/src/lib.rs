@@ -18,9 +18,8 @@
 //!   sources and policy sinks use to touch the bitmap in bulk;
 //! * [`HostShadow`] — a host-side, byte-granularity reference taint map.
 //!   The *instrumented guest code* maintains the real bitmap in simulated
-//!   memory; the shadow is the oracle the test-suite (and the `debug_taint`
-//!   runtime call) uses to check that guest-maintained tags never drift from
-//!   ground truth.
+//!   memory; the shadow is the oracle the test-suite uses to check that
+//!   guest-maintained tags never drift from ground truth.
 //!
 //! ## Example
 //!

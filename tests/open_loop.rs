@@ -215,6 +215,21 @@ fn open_loop_runs_record_and_replay() {
     for o in &outcomes {
         assert!(o.matches(), "connection {} diverged: {:?}", o.connection, o.mismatches);
     }
+
+    // The replayed legs re-drive the recorded schedule to the recorded
+    // completed/shed/makespan; a log that disagrees with them diverges.
+    assert_eq!(parsed.verify_schedule(&outcomes), Vec::<String>::new());
+    let tamper = |edit: &dyn Fn(&mut shift_core::OpenLoopLog)| {
+        let mut log = parsed.clone();
+        edit(log.open_loop.as_mut().unwrap());
+        log.verify_schedule(&outcomes)
+    };
+    let wall = tamper(&|ol| ol.wall_cycles += 1);
+    assert_eq!(wall.len(), 1, "{wall:?}");
+    assert!(wall[0].starts_with("wall_cycles: recorded"), "{wall:?}");
+    let shed = tamper(&|ol| ol.shed += 1);
+    assert_eq!(shed.len(), 1, "{shed:?}");
+    assert!(shed[0].starts_with("shed: recorded"), "{shed:?}");
 }
 
 /// The closed and the open loop merge connections the same way: on the

@@ -15,13 +15,15 @@
 //! cargo test --release --test perf_invariance -- --ignored regenerate
 //! ```
 
-use shift_bench::{fig6_apache, fig7_spec_slowdowns, fig8_enhancements};
+use shift_bench::{fig6_apache, fig7_spec_slowdowns, fig8_enhancements, geomean, serve_sweep};
 use shift_core::{Granularity, Mode, Shift, ShiftOptions};
 use shift_obs::Json;
 use shift_workloads::Scale;
 
 const GOLDEN_PATH: &str = "tests/data/golden_model.json";
 const GOLDEN: &str = include_str!("data/golden_model.json");
+/// The reference CI's bench smoke compares `shift bench --json` against.
+const BENCH_REFERENCE: &str = include_str!("data/bench_reference.json");
 
 /// Apache sweep matching the CLI's test-scale `bench` configuration.
 const FILE_SIZES: [usize; 2] = [1 << 10, 8 << 10];
@@ -144,6 +146,60 @@ fn modelled_results_are_bit_identical_to_golden() {
             got.get(section).expect("section collected"),
             want.get(section).unwrap_or_else(|| panic!("golden missing {section}")),
         );
+    }
+}
+
+/// Relative tolerance of the bench-reference comparisons, as in CI.
+fn assert_close(what: &str, got: f64, want: f64) {
+    assert!((got - want).abs() <= 1e-9 * want.abs(), "{what} drifted: {got} != {want}");
+}
+
+/// The object at `key` of the bench reference, as `(column, value)` pairs.
+fn reference_section(reference: &Json, key: &str) -> Vec<(String, f64)> {
+    let Some(Json::Obj(pairs)) = reference.get(key) else {
+        panic!("bench reference missing {key}");
+    };
+    pairs.iter().map(|(k, v)| (k.clone(), v.as_f64().expect("numeric reference"))).collect()
+}
+
+/// `tests/data/bench_reference.json` agrees with the pinned model: the
+/// geomeans of the golden fig7/fig8/fig6 rows (which the test above pins
+/// to the live model) are its three geomean blocks, and a one-wide serve
+/// sweep at `shift bench`'s test scale reproduces its `serve_rps_workers1`.
+#[test]
+fn bench_reference_matches_the_golden_model() {
+    let reference = Json::parse(BENCH_REFERENCE).expect("bench reference parses");
+    let golden = golden();
+    for (block, section) in [
+        ("fig7_spec_geomean", "fig7"),
+        ("fig8_spec_geomean", "fig8"),
+        ("fig6_apache_geomean", "fig6"),
+    ] {
+        let Some(Json::Arr(rows)) = golden.get(section) else {
+            panic!("golden missing {section}");
+        };
+        for (col, want) in reference_section(&reference, block) {
+            let xs: Vec<f64> = rows
+                .iter()
+                .map(|r| {
+                    let bits = r.get(&col).and_then(|c| c.get("bits")).and_then(Json::as_u64);
+                    f64::from_bits(bits.unwrap_or_else(|| panic!("{section} row lacks {col}")))
+                })
+                .collect();
+            assert_close(&format!("{block}.{col}"), geomean(&xs), want);
+        }
+    }
+
+    let want = reference_section(&reference, "serve_rps_workers1");
+    let points = serve_sweep(&[1], &FILE_SIZES, 8, 4);
+    assert_eq!(points.len(), want.len(), "serve_rps_workers1 row count");
+    for p in &points {
+        let key = match p.stream {
+            "uniform" => format!("{}/uniform_{}", p.mode, p.file_size),
+            stream => format!("{}/{stream}", p.mode),
+        };
+        let rps = want.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+        assert_close(&key, p.requests_per_sec, rps.unwrap_or_else(|| panic!("no {key}")));
     }
 }
 
