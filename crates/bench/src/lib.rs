@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use shift_core::{Granularity, Mode, ShiftOptions};
 use shift_isa::Provenance;
+use shift_obs::Json;
 use shift_workloads::{
     all_benches, compile_spec, run_spec, run_spec_precompiled, ArrivalProcess, Scale, SpecBench,
 };
@@ -22,36 +23,12 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Host worker-pool override for every sweep in this crate (`shift bench
-/// --workers N`). `0` — the default — means "one thread per host core".
-static SWEEP_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Overrides the host thread count used by the sweep pools (`parallel_map`
-/// and the figure matrices built on it). `0` restores the default
-/// (`available_parallelism`); `1` makes every sweep run serially — the
-/// deterministic-CI setting, though the *modelled* numbers never depend on
-/// this either way.
-pub fn set_sweep_workers(workers: usize) {
-    SWEEP_WORKERS.store(workers, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The host worker count a sweep over `jobs` jobs should use: the
-/// [`set_sweep_workers`] override if set, else one per host core, always
-/// capped by the job count and at least 1.
-fn sweep_workers(jobs: usize) -> usize {
-    let configured = match SWEEP_WORKERS.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(4, |p| p.get()),
-        n => n,
-    };
-    configured.min(jobs).max(1)
-}
-
 /// Runs `f` over `items` on the shared host pool ([`shift_core::pool`]),
-/// sized by [`sweep_workers`], preserving input order in the output. Every
+/// one thread per host core, preserving input order in the output. Every
 /// simulated Machine is independent, so the modelled numbers are identical
 /// to a serial sweep — only host wall-clock changes.
 fn parallel_map<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
-    shift_core::pool::map(items.len(), sweep_workers(items.len()), |i| f(&items[i]))
+    shift_core::pool::map(items.len(), shift_core::pool::host_threads(), |i| f(&items[i]))
 }
 
 /// The mode groups behind Figures 7 and 8, in one canonical order:
@@ -362,53 +339,24 @@ pub fn fig6_apache(file_sizes: &[usize], requests: usize) -> Vec<ApacheRow> {
         .collect()
 }
 
-/// One cell of the fleet-serving sweep: one worker width × request stream ×
-/// taint mode.
-#[derive(Clone, Debug)]
-pub struct ServePoint {
-    /// Modelled fleet width this point served at.
-    pub workers: usize,
-    /// `"uniform"` (one file size, Figure-6 shape) or `"mixed"` (three file
-    /// sizes plus 404s, the production-traffic mix).
-    pub stream: &'static str,
-    /// Requested file size in bytes for `"uniform"` streams; 0 for
-    /// `"mixed"`.
-    pub file_size: usize,
-    /// Taint mode: `"byte"` or `"word"`.
-    pub mode: &'static str,
-    /// Connections in the stream.
-    pub connections: u64,
-    /// Requests delivered across the fleet.
-    pub requests: u64,
-    /// Requests served to completion.
-    pub served: u64,
-    /// Modelled fleet makespan in cycles (the busiest instance's total).
-    pub wall_cycles: u64,
-    /// Modelled throughput at this width: served requests per second at the
-    /// fleet clock ([`shift_core::CLOCK_HZ`]).
-    pub requests_per_sec: f64,
-    /// Median per-request latency in modelled cycles.
-    pub p50_latency: u64,
-    /// 99th-percentile per-request latency in modelled cycles.
-    pub p99_latency: u64,
-    /// Host wall-clock spent simulating this point, in nanoseconds.
-    pub host_ns: u64,
-}
-
-impl ServePoint {
-    /// A stable row key — `mode/stream[_size]` — identifying this point's
-    /// (mode, stream) group across worker widths.
-    pub fn group(&self) -> String {
-        if self.stream == "uniform" {
-            format!("{}/{}_{}", self.mode, self.stream, self.file_size)
-        } else {
-            format!("{}/{}", self.mode, self.stream)
-        }
-    }
-}
-
 /// The fleet-serving sweep: `workers_list` widths × (`file_sizes` uniform
-/// streams + the mixed stream) × byte/word taint modes.
+/// streams + the mixed stream) × byte/word taint modes, one
+/// `serve_rows` object per point:
+///
+/// - `workers`: modelled fleet width this point served at;
+/// - `stream`: `"uniform"` (one file size, Figure-6 shape) or `"mixed"`
+///   (three file sizes plus 404s, the production-traffic mix);
+/// - `file_size`: requested file size in bytes, 0 for `"mixed"`;
+/// - `mode`: taint mode, `"byte"` or `"word"`;
+/// - `connections`: connections in the stream;
+/// - `requests`: requests delivered across the fleet;
+/// - `served`: requests served to completion;
+/// - `wall_cycles`: modelled fleet makespan (the busiest instance's total);
+/// - `requests_per_sec`: served requests per second at the fleet clock
+///   ([`shift_core::CLOCK_HZ`]);
+/// - `p50_latency_cycles`, `p99_latency_cycles`: per-request latency
+///   percentiles in modelled cycles;
+/// - `host_ns`: host wall-clock spent simulating this point.
 ///
 /// Each taint mode compiles its Apache guest exactly once (the
 /// [`shift_core::Fleet`] fast path under measurement); every (stream,
@@ -425,7 +373,7 @@ pub fn serve_sweep(
     file_sizes: &[usize],
     connections: usize,
     requests_per_conn: usize,
-) -> Vec<ServePoint> {
+) -> Vec<Json> {
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     let modes: [(&'static str, Mode); 2] = [
         ("byte", Mode::Shift(ShiftOptions::baseline(Granularity::Byte))),
@@ -435,76 +383,61 @@ pub fn serve_sweep(
         file_sizes.iter().map(|&s| ApacheStream::Uniform(s)).collect();
     streams.push(ApacheStream::Mixed);
 
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for (mode_name, mode) in modes {
         let fleet = apache_fleet(mode);
         for &stream in &streams {
             let world = fleet_world(stream);
             let conns = fleet_connections(stream, connections, requests_per_conn);
+            let (stream_name, file_size) = match stream {
+                ApacheStream::Uniform(size) => ("uniform", size),
+                ApacheStream::Mixed => ("mixed", 0),
+            };
             for &workers in workers_list {
                 let report = fleet.serve(&world, &conns, workers);
-                let (stream_name, file_size) = match stream {
-                    ApacheStream::Uniform(size) => ("uniform", size),
-                    ApacheStream::Mixed => ("mixed", 0),
-                };
-                points.push(ServePoint {
-                    workers,
-                    stream: stream_name,
-                    file_size,
-                    mode: mode_name,
-                    connections: conns.len() as u64,
-                    requests: report.requests,
-                    served: report.served,
-                    wall_cycles: report.wall_cycles,
-                    requests_per_sec: report.requests_per_sec(),
-                    p50_latency: report.latency_percentile(50.0).unwrap_or(0),
-                    p99_latency: report.latency_percentile(99.0).unwrap_or(0),
-                    host_ns: report.host_ns.max(1),
-                });
+                rows.push(Json::obj(vec![
+                    ("workers", Json::U64(workers as u64)),
+                    ("stream", Json::Str(stream_name.to_string())),
+                    ("file_size", Json::U64(file_size as u64)),
+                    ("mode", Json::Str(mode_name.to_string())),
+                    ("connections", Json::U64(conns.len() as u64)),
+                    ("requests", Json::U64(report.requests)),
+                    ("served", Json::U64(report.served)),
+                    ("wall_cycles", Json::U64(report.wall_cycles)),
+                    ("requests_per_sec", Json::F64(report.requests_per_sec())),
+                    ("p50_latency_cycles", Json::U64(report.latency_percentile(50.0).unwrap_or(0))),
+                    ("p99_latency_cycles", Json::U64(report.latency_percentile(99.0).unwrap_or(0))),
+                    ("host_ns", Json::U64(report.host_ns.max(1))),
+                ]));
             }
         }
     }
-    points
+    rows
 }
 
-/// The flight-recorder overhead experiment (DESIGN.md §14): one
-/// mixed-stream byte-mode fleet serve, run with the recorder disarmed and
-/// then armed (ring at the default cap, time-series sampling on).
-#[derive(Clone, Debug)]
-pub struct TraceOverhead {
-    /// Best host time with the recorder disarmed, in ns.
-    pub disarmed_host_ns: u64,
-    /// Best host time with the recorder armed, in ns.
-    pub armed_host_ns: u64,
-    /// `armed / disarmed − 1` (negative means the armed run measured
-    /// faster — pure host noise).
-    pub overhead_frac: f64,
-    /// Merged trace events the armed run recorded.
-    pub trace_events: u64,
-    /// Time-series samples the armed run recorded.
-    pub trace_samples: u64,
-    /// Whether the armed run's modelled outcome was bit-identical to the
-    /// disarmed run's: per-connection exits, state digests, stats,
-    /// latencies, violations, and the fleet makespan.
-    pub modelled_identical: bool,
-}
-
-/// Measures what arming the flight recorder costs the *host* and proves it
-/// costs the *model* nothing.
+/// The flight-recorder overhead experiment (DESIGN.md §14): measures what
+/// arming the flight recorder costs the *host* and proves it costs the
+/// *model* nothing. Returns the `trace_overhead` object:
 ///
-/// The same mixed-stream connections are served serially (width 1, so host
-/// scheduling noise stays out of the measurement) with the recorder off and
+/// - `disarmed_host_ns`, `armed_host_ns`: best host time with the recorder
+///   disarmed and armed;
+/// - `overhead_frac`: `armed / disarmed − 1` (negative means the armed run
+///   measured faster — pure host noise);
+/// - `trace_events`, `trace_samples`: merged trace events and time-series
+///   samples the armed run recorded;
+/// - `modelled_identical`: whether the armed run's modelled outcome was
+///   bit-identical to the disarmed run's — per-connection exits, state
+///   digests, stats, latencies, violations, and the fleet makespan.
+///
+/// The same mixed-stream connections are served on one host thread
+/// ([`shift_core::Fleet::serve_sequential`], so host scheduling noise stays
+/// out of the measurement) at modelled width 1, with the recorder off and
 /// on; each arm takes the best of nine repetitions, interleaved so a host
-/// slowdown hits both arms alike — the modelled
-/// outcome is identical across repetitions by construction, so min() is a
-/// pure noise filter. The armed ring uses the default cap with `sample_cycles`
-/// time-series sampling, i.e. the `serve --trace-out --sample-cycles`
-/// configuration.
-pub fn trace_overhead(
-    connections: usize,
-    requests_per_conn: usize,
-    sample_cycles: u64,
-) -> TraceOverhead {
+/// slowdown hits both arms alike — the modelled outcome is identical across
+/// repetitions by construction, so min() is a pure noise filter. The armed
+/// ring uses the default cap with `sample_cycles` time-series sampling,
+/// i.e. the `serve --trace-out --sample-cycles` configuration.
+pub fn trace_overhead(connections: usize, requests_per_conn: usize, sample_cycles: u64) -> Json {
     use shift_core::{Fleet, FleetReport, FlightConfig, DEFAULT_TRACE_CAP};
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     let stream = ApacheStream::Mixed;
@@ -515,7 +448,7 @@ pub fn trace_overhead(
     let armed = apache_fleet(mode)
         .with_flight_recorder(FlightConfig { cap: DEFAULT_TRACE_CAP, sample_cycles });
     let keep_best = |best: &mut Option<(FleetReport, u64)>, fleet: &Fleet| {
-        let r = fleet.serve(&world, &conns, 1);
+        let r = fleet.serve_sequential(&world, &conns, 1);
         let ns = r.host_ns.max(1);
         if best.as_ref().is_none_or(|&(_, b)| ns < b) {
             *best = Some((r, ns));
@@ -539,48 +472,39 @@ pub fn trace_overhead(
                 && a.latencies == b.latencies
                 && a.violations == b.violations
         });
-    TraceOverhead {
-        disarmed_host_ns,
-        armed_host_ns,
-        overhead_frac: armed_host_ns as f64 / disarmed_host_ns as f64 - 1.0,
-        trace_events: traced.merged_trace_events().len() as u64,
-        trace_samples: traced.merged_samples().len() as u64,
-        modelled_identical,
-    }
+    Json::obj(vec![
+        ("disarmed_host_ns", Json::U64(disarmed_host_ns)),
+        ("armed_host_ns", Json::U64(armed_host_ns)),
+        ("overhead_frac", Json::F64(armed_host_ns as f64 / disarmed_host_ns as f64 - 1.0)),
+        ("trace_events", Json::U64(traced.merged_trace_events().len() as u64)),
+        ("trace_samples", Json::U64(traced.merged_samples().len() as u64)),
+        ("modelled_identical", Json::Bool(modelled_identical)),
+    ])
 }
 
-/// The spawn-latency experiment (DESIGN.md §15): is `MachineSeed::spawn`
-/// really O(1) in the image size?
-#[derive(Clone, Debug)]
-pub struct SpawnLatency {
-    /// Resident pages of the small synthetic image.
-    pub small_pages: u64,
-    /// Resident pages of the large image (4× the small one's data).
-    pub large_pages: u64,
-    /// Best-of-three per-spawn host cost from the small image, in ns.
-    pub small_spawn_ns: u64,
-    /// Best-of-three per-spawn host cost from the large image, in ns.
-    pub large_spawn_ns: u64,
-    /// `large_spawn_ns / small_spawn_ns`. O(1) spawning keeps this near
-    /// 1.0 regardless of the 4× size gap; the deep-clone implementation
-    /// this replaced scaled it with the page count.
-    pub o1_ratio: f64,
-    /// Private pages a fresh spawn starts with — 0 under copy-on-write
-    /// sharing (every pristine page is shared or canonical-zero).
-    pub spawn_owned_pages: u64,
-}
-
-/// Measures the host cost of [`shift_machine::MachineSeed::spawn`] from a
-/// small and a 4×-larger synthetic image (256 vs 1024 resident data pages)
-/// and reports the ratio.
+/// The spawn-latency experiment (DESIGN.md §15): is
+/// [`shift_machine::MachineSeed::spawn`] really O(1) in the image size?
+/// Measures the host cost of a spawn from a small and a 4×-larger synthetic
+/// image (256 vs 1024 resident data pages) and returns the `spawn_latency`
+/// object:
+///
+/// - `small_pages`, `large_pages`: resident pages of the two images;
+/// - `small_spawn_ns`, `large_spawn_ns`: best-of-three per-spawn host cost
+///   from each image;
+/// - `o1_ratio`: `large_spawn_ns / small_spawn_ns` — O(1) spawning keeps
+///   it near 1.0 regardless of the 4× size gap; the deep-clone
+///   implementation this replaced scaled it with the page count;
+/// - `spawn_owned_pages`: private pages a fresh spawn starts with — 0 under
+///   copy-on-write sharing (every pristine page is shared or
+///   canonical-zero).
 ///
 /// Each image is loaded once; spawns are timed in batches (the per-spawn
 /// cost is far below timer granularity) with the best of three batches kept
-/// as a noise filter, mirroring [`trace_overhead`]'s best-of-three shape.
-/// Under page sharing both images spawn by bumping the same number of
-/// reference counts, so the ratio stays near 1.0; CI asserts it under 1.5,
-/// a bound the old deep-clone spawn (~4× here, by construction) fails.
-pub fn spawn_latency() -> SpawnLatency {
+/// as a noise filter. Under page sharing both images spawn by bumping the
+/// same number of reference counts, so the ratio stays near 1.0; CI asserts
+/// it under 1.5, a bound the old deep-clone spawn (~4× here, by
+/// construction) fails.
+pub fn spawn_latency() -> Json {
     use shift_isa::{make_vaddr, Gpr, Insn, Op};
     use shift_machine::{Image, MachineSeed, PAGE_SIZE};
 
@@ -610,49 +534,35 @@ pub fn spawn_latency() -> SpawnLatency {
     let large = build(1024); // 4 MiB
     let small_spawn_ns = measure(&small);
     let large_spawn_ns = measure(&large);
-    SpawnLatency {
-        small_pages: small.resident_pages() as u64,
-        large_pages: large.resident_pages() as u64,
-        small_spawn_ns,
-        large_spawn_ns,
-        o1_ratio: large_spawn_ns as f64 / small_spawn_ns as f64,
-        spawn_owned_pages: large.spawn().mem.owned_pages() as u64,
-    }
-}
-
-/// One point of the connection-count sweep: the mixed Apache stream at a
-/// fixed fleet width, scaled from a handful of connections to serving-farm
-/// counts.
-#[derive(Clone, Debug)]
-pub struct ConnPoint {
-    /// Connections served at this point.
-    pub connections: u64,
-    /// Modelled fleet width (fixed across the sweep).
-    pub workers: usize,
-    /// Requests delivered across the fleet.
-    pub requests: u64,
-    /// Requests served to completion.
-    pub served: u64,
-    /// Modelled fleet makespan in cycles.
-    pub wall_cycles: u64,
-    /// Modelled throughput: served requests per second at the fleet clock.
-    pub requests_per_sec: f64,
-    /// 99th-percentile per-request latency in modelled cycles.
-    pub p99_latency: u64,
-    /// Private (COW-owned) pages summed over every connection's instance.
-    pub owned_pages_total: u64,
-    /// The largest private page count any single instance reached.
-    pub peak_owned_pages: u64,
-    /// Mean private bytes per instance — the memory-diet figure that makes
-    /// thousand-connection fleets affordable (DESIGN.md §15).
-    pub private_bytes_per_instance: f64,
-    /// Host wall-clock spent simulating this point, in nanoseconds.
-    pub host_ns: u64,
+    Json::obj(vec![
+        ("small_pages", Json::U64(small.resident_pages() as u64)),
+        ("large_pages", Json::U64(large.resident_pages() as u64)),
+        ("small_spawn_ns", Json::U64(small_spawn_ns)),
+        ("large_spawn_ns", Json::U64(large_spawn_ns)),
+        ("o1_ratio", Json::F64(large_spawn_ns as f64 / small_spawn_ns as f64)),
+        ("spawn_owned_pages", Json::U64(large.spawn().mem.owned_pages() as u64)),
+    ])
 }
 
 /// Sweeps the mixed byte-mode Apache fleet over connection counts at a
 /// fixed width ({8, 256, 1024} in `BENCH_shift.json`) — the fleet-scale
-/// counterpart of [`serve_sweep`]'s width axis.
+/// counterpart of [`serve_sweep`]'s width axis — one `conn_sweep_rows`
+/// object per point:
+///
+/// - `connections`: connections served at this point;
+/// - `workers`: modelled fleet width (fixed across the sweep);
+/// - `requests`, `served`: requests delivered, and served to completion;
+/// - `wall_cycles`: modelled fleet makespan;
+/// - `requests_per_sec`: served requests per second at the fleet clock;
+/// - `p99_latency_cycles`: 99th-percentile per-request latency;
+/// - `owned_pages_total`: private (COW-owned) pages summed over every
+///   connection's instance;
+/// - `peak_owned_pages`: the largest private page count any single
+///   instance reached;
+/// - `private_bytes_per_instance`: mean private bytes per instance — the
+///   memory-diet figure that makes thousand-connection fleets affordable
+///   (DESIGN.md §15);
+/// - `host_ns`: host wall-clock spent simulating this point.
 ///
 /// The guest compiles once; every point re-serves its own connection list
 /// from the shared image. Modelled throughput is monotone non-degrading in
@@ -665,7 +575,7 @@ pub fn connection_sweep(
     connections_list: &[usize],
     workers: usize,
     requests_per_conn: usize,
-) -> Vec<ConnPoint> {
+) -> Vec<Json> {
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     let stream = ApacheStream::Mixed;
     let world = fleet_world(stream);
@@ -675,69 +585,47 @@ pub fn connection_sweep(
         .map(|&n| {
             let conns = fleet_connections(stream, n, requests_per_conn);
             let report = fleet.serve(&world, &conns, workers);
-            ConnPoint {
-                connections: conns.len() as u64,
-                workers,
-                requests: report.requests,
-                served: report.served,
-                wall_cycles: report.wall_cycles,
-                requests_per_sec: report.requests_per_sec(),
-                p99_latency: report.latency_percentile(99.0).unwrap_or(0),
-                owned_pages_total: report.owned_pages_total,
-                peak_owned_pages: report.peak_owned_pages,
-                private_bytes_per_instance: report.private_bytes_per_instance(),
-                host_ns: report.host_ns.max(1),
-            }
+            Json::obj(vec![
+                ("connections", Json::U64(conns.len() as u64)),
+                ("workers", Json::U64(workers as u64)),
+                ("requests", Json::U64(report.requests)),
+                ("served", Json::U64(report.served)),
+                ("wall_cycles", Json::U64(report.wall_cycles)),
+                ("requests_per_sec", Json::F64(report.requests_per_sec())),
+                ("p99_latency_cycles", Json::U64(report.latency_percentile(99.0).unwrap_or(0))),
+                ("owned_pages_total", Json::U64(report.owned_pages_total)),
+                ("peak_owned_pages", Json::U64(report.peak_owned_pages)),
+                ("private_bytes_per_instance", Json::F64(report.private_bytes_per_instance())),
+                ("host_ns", Json::U64(report.host_ns.max(1))),
+            ])
         })
         .collect()
 }
 
-/// One point of the open-loop offered-load sweep: a Poisson arrival stream
-/// at a fixed rate driven through the event-driven scheduler
-/// ([`shift_core::Fleet::serve_open_loop`]), reporting tail sojourn latency
-/// and admission-control outcomes.
-#[derive(Clone, Debug)]
-pub struct OpenLoopPoint {
-    /// Canonical arrival-process spec (e.g. `poisson:1000`).
-    pub arrivals: String,
-    /// Offered arrival rate in connections per modelled second.
-    pub rate_rps: f64,
-    /// Connections offered at this point.
-    pub connections: u64,
-    /// Modelled worker count of the event scheduler.
-    pub workers: usize,
-    /// Connections completed.
-    pub completed: u64,
-    /// Connections shed by admission control.
-    pub shed: u64,
-    /// `true` when the offered rate exceeded saturation throughput.
-    pub saturated: bool,
-    /// Modelled makespan in cycles.
-    pub wall_cycles: u64,
-    /// Served requests per modelled second.
-    pub requests_per_sec: f64,
-    /// Modelled worker utilization in [0, 1].
-    pub utilization: f64,
-    /// Median sojourn latency (completion − arrival) in cycles.
-    pub sojourn_p50: u64,
-    /// 99th-percentile sojourn latency in cycles.
-    pub sojourn_p99: u64,
-    /// 99.9th-percentile sojourn latency in cycles.
-    pub sojourn_p999: u64,
-    /// Deepest the ready queue got.
-    pub peak_queue_depth: u64,
-    /// Most guests simultaneously resident.
-    pub peak_resident: u64,
-    /// The largest private page count any single guest reached — bounded by
-    /// residency, not by the offered connection count.
-    pub peak_owned_pages: u64,
-    /// Host wall-clock spent simulating this point, in nanoseconds.
-    pub host_ns: u64,
-}
-
 /// Sweeps the open-loop byte-mode Apache fleet over offered Poisson rates
 /// at a fixed modelled width — the tail-latency experiment behind
-/// `open_loop_rows` in `BENCH_shift.json`.
+/// `open_loop_rows` in `BENCH_shift.json` — one object per rate, driven
+/// through the event-driven scheduler
+/// ([`shift_core::Fleet::serve_open_loop`]):
+///
+/// - `arrivals`: canonical arrival-process spec (e.g. `poisson:1000`);
+/// - `rate_rps`: offered arrival rate in connections per modelled second;
+/// - `connections`: connections offered;
+/// - `workers`: modelled worker count of the event scheduler;
+/// - `completed`, `shed`: connections completed, and shed by admission
+///   control;
+/// - `saturated`: `true` when the offered rate exceeded saturation
+///   throughput;
+/// - `wall_cycles`: modelled makespan;
+/// - `requests_per_sec`: served requests per modelled second;
+/// - `utilization`: modelled worker utilization in [0, 1];
+/// - `sojourn_p50`, `sojourn_p99`, `sojourn_p999`: sojourn latency
+///   (completion − arrival) percentiles in cycles;
+/// - `peak_queue_depth`: deepest the ready queue got;
+/// - `peak_resident`: most guests simultaneously resident;
+/// - `peak_owned_pages`: the largest private page count any single guest
+///   reached — bounded by residency, not by the offered connection count;
+/// - `host_ns`: host wall-clock spent simulating this point.
 ///
 /// The sweep is run with a deliberately tight admission controller
 /// (accept-cap 16, max-resident 8) so the rate axis crosses saturation
@@ -752,7 +640,7 @@ pub fn open_loop_sweep(
     workers: usize,
     requests_per_conn: usize,
     seed: u64,
-) -> Vec<OpenLoopPoint> {
+) -> Vec<Json> {
     use shift_core::OpenLoopConfig;
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     use shift_workloads::chaos;
@@ -761,32 +649,33 @@ pub fn open_loop_sweep(
     let fleet = apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
     let conns = fleet_connections(stream, connections, requests_per_conn);
     let cfg = OpenLoopConfig { workers, accept_cap: 16, max_resident: 8, quantum: 100_000 };
+    let host = shift_core::pool::host_threads();
     rates_rps
         .iter()
         .map(|&rate| {
             let process = ArrivalProcess::Poisson { rate_rps: rate };
             let arrivals = process.schedule(conns.len(), chaos::derive(seed, &process.spec()));
-            let host = sweep_workers(conns.len());
             let report = fleet.serve_open_loop(&world, &conns, &[], &arrivals, &cfg, host);
-            OpenLoopPoint {
-                arrivals: process.spec(),
-                rate_rps: rate,
-                connections: report.offered,
-                workers,
-                completed: report.completed,
-                shed: report.shed,
-                saturated: report.saturated(),
-                wall_cycles: report.wall_cycles,
-                requests_per_sec: report.requests_per_sec(),
-                utilization: report.utilization(),
-                sojourn_p50: report.sojourn_percentile(50.0).unwrap_or(0),
-                sojourn_p99: report.sojourn_percentile(99.0).unwrap_or(0),
-                sojourn_p999: report.sojourn_percentile(99.9).unwrap_or(0),
-                peak_queue_depth: report.peak_queue_depth,
-                peak_resident: report.peak_resident,
-                peak_owned_pages: report.peak_owned_pages,
-                host_ns: report.host_ns.max(1),
-            }
+            let sojourn = |p| Json::U64(report.sojourn_percentile(p).unwrap_or(0));
+            Json::obj(vec![
+                ("arrivals", Json::Str(process.spec())),
+                ("rate_rps", Json::F64(rate)),
+                ("connections", Json::U64(report.offered)),
+                ("workers", Json::U64(workers as u64)),
+                ("completed", Json::U64(report.completed)),
+                ("shed", Json::U64(report.shed)),
+                ("saturated", Json::Bool(report.saturated())),
+                ("wall_cycles", Json::U64(report.wall_cycles)),
+                ("requests_per_sec", Json::F64(report.requests_per_sec())),
+                ("utilization", Json::F64(report.utilization())),
+                ("sojourn_p50", sojourn(50.0)),
+                ("sojourn_p99", sojourn(99.0)),
+                ("sojourn_p999", sojourn(99.9)),
+                ("peak_queue_depth", Json::U64(report.peak_queue_depth)),
+                ("peak_resident", Json::U64(report.peak_resident)),
+                ("peak_owned_pages", Json::U64(report.peak_owned_pages)),
+                ("host_ns", Json::U64(report.host_ns.max(1))),
+            ])
         })
         .collect()
 }
@@ -966,13 +855,7 @@ pub fn ablation_design_choices(scale: Scale) -> Vec<AblationRow> {
 /// randomized harness seeded from the same integer (the chaos trials, the
 /// injection sweeps) is reproducible from the artifact alone — the
 /// experiments themselves are deterministic and ignore it.
-pub fn bench_summary(
-    scale: Scale,
-    file_sizes: &[usize],
-    requests: usize,
-    seed: u64,
-) -> shift_obs::Json {
-    use shift_obs::Json;
+pub fn bench_summary(scale: Scale, file_sizes: &[usize], requests: usize, seed: u64) -> Json {
     let t_total = Instant::now();
 
     let matrix = spec_matrix(scale, &spec_groups(&[true, false]));
@@ -1049,67 +932,6 @@ pub fn bench_summary(
             ])
         })
         .collect();
-    let serve_rows = serve
-        .iter()
-        .map(|p| {
-            Json::obj(vec![
-                ("workers", Json::U64(p.workers as u64)),
-                ("stream", Json::Str(p.stream.to_string())),
-                ("file_size", Json::U64(p.file_size as u64)),
-                ("mode", Json::Str(p.mode.to_string())),
-                ("connections", Json::U64(p.connections)),
-                ("requests", Json::U64(p.requests)),
-                ("served", Json::U64(p.served)),
-                ("wall_cycles", Json::U64(p.wall_cycles)),
-                ("requests_per_sec", Json::F64(p.requests_per_sec)),
-                ("p50_latency_cycles", Json::U64(p.p50_latency)),
-                ("p99_latency_cycles", Json::U64(p.p99_latency)),
-                ("host_ns", Json::U64(p.host_ns)),
-            ])
-        })
-        .collect();
-    let conn_sweep_rows = conn_sweep
-        .iter()
-        .map(|p| {
-            Json::obj(vec![
-                ("connections", Json::U64(p.connections)),
-                ("workers", Json::U64(p.workers as u64)),
-                ("requests", Json::U64(p.requests)),
-                ("served", Json::U64(p.served)),
-                ("wall_cycles", Json::U64(p.wall_cycles)),
-                ("requests_per_sec", Json::F64(p.requests_per_sec)),
-                ("p99_latency_cycles", Json::U64(p.p99_latency)),
-                ("owned_pages_total", Json::U64(p.owned_pages_total)),
-                ("peak_owned_pages", Json::U64(p.peak_owned_pages)),
-                ("private_bytes_per_instance", Json::F64(p.private_bytes_per_instance)),
-                ("host_ns", Json::U64(p.host_ns)),
-            ])
-        })
-        .collect();
-    let open_loop_rows = open_loop
-        .iter()
-        .map(|p| {
-            Json::obj(vec![
-                ("arrivals", Json::Str(p.arrivals.clone())),
-                ("rate_rps", Json::F64(p.rate_rps)),
-                ("connections", Json::U64(p.connections)),
-                ("workers", Json::U64(p.workers as u64)),
-                ("completed", Json::U64(p.completed)),
-                ("shed", Json::U64(p.shed)),
-                ("saturated", Json::Bool(p.saturated)),
-                ("wall_cycles", Json::U64(p.wall_cycles)),
-                ("requests_per_sec", Json::F64(p.requests_per_sec)),
-                ("utilization", Json::F64(p.utilization)),
-                ("sojourn_p50", Json::U64(p.sojourn_p50)),
-                ("sojourn_p99", Json::U64(p.sojourn_p99)),
-                ("sojourn_p999", Json::U64(p.sojourn_p999)),
-                ("peak_queue_depth", Json::U64(p.peak_queue_depth)),
-                ("peak_resident", Json::U64(p.peak_resident)),
-                ("peak_owned_pages", Json::U64(p.peak_owned_pages)),
-                ("host_ns", Json::U64(p.host_ns)),
-            ])
-        })
-        .collect();
     let fig6_rows = apache
         .iter()
         .map(|r| {
@@ -1166,31 +988,11 @@ pub fn bench_summary(
         ("fig7_rows", Json::Arr(fig7_rows)),
         ("fig8_rows", Json::Arr(fig8_rows)),
         ("fig6_rows", Json::Arr(fig6_rows)),
-        ("serve_rows", Json::Arr(serve_rows)),
-        ("conn_sweep_rows", Json::Arr(conn_sweep_rows)),
-        ("open_loop_rows", Json::Arr(open_loop_rows)),
-        (
-            "spawn_latency",
-            Json::obj(vec![
-                ("small_pages", Json::U64(spawn.small_pages)),
-                ("large_pages", Json::U64(spawn.large_pages)),
-                ("small_spawn_ns", Json::U64(spawn.small_spawn_ns)),
-                ("large_spawn_ns", Json::U64(spawn.large_spawn_ns)),
-                ("o1_ratio", Json::F64(spawn.o1_ratio)),
-                ("spawn_owned_pages", Json::U64(spawn.spawn_owned_pages)),
-            ]),
-        ),
-        (
-            "trace_overhead",
-            Json::obj(vec![
-                ("disarmed_host_ns", Json::U64(trace.disarmed_host_ns)),
-                ("armed_host_ns", Json::U64(trace.armed_host_ns)),
-                ("overhead_frac", Json::F64(trace.overhead_frac)),
-                ("trace_events", Json::U64(trace.trace_events)),
-                ("trace_samples", Json::U64(trace.trace_samples)),
-                ("modelled_identical", Json::Bool(trace.modelled_identical)),
-            ]),
-        ),
+        ("serve_rows", Json::Arr(serve)),
+        ("conn_sweep_rows", Json::Arr(conn_sweep)),
+        ("open_loop_rows", Json::Arr(open_loop)),
+        ("spawn_latency", spawn),
+        ("trace_overhead", trace),
         (
             "host_ns",
             Json::obj(vec![
@@ -1238,6 +1040,26 @@ mod tests {
         );
     }
 
+    fn u64_of(row: &Json, key: &str) -> u64 {
+        row.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("no u64 `{key}` in {row:?}"))
+    }
+
+    fn f64_of(row: &Json, key: &str) -> f64 {
+        row.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("no f64 `{key}` in {row:?}"))
+    }
+
+    /// A serve row's `mode/stream[_size]` group key, built the way CI's
+    /// bench smoke builds it.
+    fn group(row: &Json) -> String {
+        let (mode, stream) = (row.get("mode").unwrap(), row.get("stream").unwrap());
+        let (mode, stream) = (mode.as_str().unwrap(), stream.as_str().unwrap());
+        if stream == "uniform" {
+            format!("{mode}/{stream}_{}", u64_of(row, "file_size"))
+        } else {
+            format!("{mode}/{stream}")
+        }
+    }
+
     #[test]
     fn serve_sweep_scales_and_stays_deterministic() {
         // One uniform stream plus the mixed stream, byte + word, widths
@@ -1246,58 +1068,38 @@ mod tests {
         // never depend on width.
         let points = serve_sweep(&[1, 2, 8], &[4 << 10], 8, 4);
         assert_eq!(points.len(), 2 * 2 * 3);
-        for group in points.chunks(3) {
-            let one = &group[0];
-            assert_eq!(one.workers, 1);
-            assert!(one.host_ns > 0);
-            assert_eq!(one.served, one.requests, "nothing dropped at width 1: {}", one.group());
-            for p in group {
-                assert_eq!(p.group(), one.group());
-                assert_eq!(p.served, one.served, "{}: served depends on width", p.group());
-                assert_eq!(p.p99_latency, one.p99_latency, "{}", p.group());
+        for group_rows in points.chunks(3) {
+            let one = &group_rows[0];
+            let key = group(one);
+            assert_eq!(u64_of(one, "workers"), 1);
+            assert!(u64_of(one, "host_ns") > 0);
+            assert_eq!(u64_of(one, "served"), u64_of(one, "requests"), "dropped at width 1: {key}");
+            for p in group_rows {
+                assert_eq!(group(p), key);
+                assert_eq!(u64_of(p, "served"), u64_of(one, "served"), "{key}: served by width");
+                assert_eq!(u64_of(p, "p99_latency_cycles"), u64_of(one, "p99_latency_cycles"));
             }
-            for pair in group.windows(2) {
+            for pair in group_rows.windows(2) {
                 assert!(
-                    pair[1].requests_per_sec >= pair[0].requests_per_sec - 1e-9,
-                    "{}: throughput degraded {} -> {} workers",
-                    one.group(),
-                    pair[0].workers,
-                    pair[1].workers
+                    f64_of(&pair[1], "requests_per_sec")
+                        >= f64_of(&pair[0], "requests_per_sec") - 1e-9,
+                    "{key}: throughput degraded {} -> {} workers",
+                    u64_of(&pair[0], "workers"),
+                    u64_of(&pair[1], "workers")
                 );
             }
-            let eight = &group[2];
-            assert!(
-                eight.requests_per_sec >= 3.0 * one.requests_per_sec,
-                "{}: 8-wide fleet only {:.2}x over 1-wide",
-                one.group(),
-                eight.requests_per_sec / one.requests_per_sec
-            );
+            let (rps1, rps8) =
+                (f64_of(one, "requests_per_sec"), f64_of(&group_rows[2], "requests_per_sec"));
+            assert!(rps8 >= 3.0 * rps1, "{key}: 8-wide fleet only {:.2}x over 1-wide", rps8 / rps1);
         }
-    }
-
-    #[test]
-    fn sweep_workers_override_caps_the_pool() {
-        // The override changes only host scheduling; the shared pool's
-        // results stay ordered and complete.
-        set_sweep_workers(1);
-        let serial: Vec<u64> = parallel_map(&[1u64, 2, 3, 4], |&x| x * x);
-        set_sweep_workers(3);
-        let pooled: Vec<u64> = parallel_map(&[1u64, 2, 3, 4], |&x| x * x);
-        set_sweep_workers(0);
-        assert_eq!(serial, vec![1, 4, 9, 16]);
-        assert_eq!(serial, pooled);
-        assert_eq!(sweep_workers(100).max(1), sweep_workers(100));
-        set_sweep_workers(5);
-        assert_eq!(sweep_workers(100), 5);
-        assert_eq!(sweep_workers(2), 2);
-        set_sweep_workers(0);
     }
 
     #[test]
     fn spawn_latency_is_o1_in_image_size() {
         let s = spawn_latency();
-        assert_eq!(s.large_pages, 4 * s.small_pages, "images must differ 4x in size");
-        assert_eq!(s.spawn_owned_pages, 0, "a fresh spawn must own no private pages");
+        let (small, large) = (u64_of(&s, "small_pages"), u64_of(&s, "large_pages"));
+        assert_eq!(large, 4 * small, "images must differ 4x in size");
+        assert_eq!(u64_of(&s, "spawn_owned_pages"), 0, "a fresh spawn must own no private pages");
         // `o1_ratio` is host wall-clock time: the CI bench smoke gates it.
     }
 
@@ -1307,23 +1109,28 @@ mod tests {
         let points = connection_sweep(&[4, 16, 64], 4, 1);
         assert_eq!(points.len(), 3);
         for p in &points {
-            assert_eq!(p.served, p.requests, "mixed stream drops nothing: {p:?}");
-            assert!(p.owned_pages_total > 0, "serving must dirty private pages");
-            assert!(p.private_bytes_per_instance > 0.0);
-            assert!(p.peak_owned_pages * (p.connections) >= p.owned_pages_total);
+            assert_eq!(
+                u64_of(p, "served"),
+                u64_of(p, "requests"),
+                "mixed stream drops nothing: {p:?}"
+            );
+            let owned = u64_of(p, "owned_pages_total");
+            assert!(owned > 0, "serving must dirty private pages");
+            assert!(f64_of(p, "private_bytes_per_instance") > 0.0);
+            assert!(u64_of(p, "peak_owned_pages") * u64_of(p, "connections") >= owned);
         }
         for pair in points.windows(2) {
             assert!(
-                pair[1].requests_per_sec >= pair[0].requests_per_sec - 1e-9,
+                f64_of(&pair[1], "requests_per_sec") >= f64_of(&pair[0], "requests_per_sec") - 1e-9,
                 "throughput degraded {} -> {} connections",
-                pair[0].connections,
-                pair[1].connections
+                u64_of(&pair[0], "connections"),
+                u64_of(&pair[1], "connections")
             );
             // Per-instance private bytes stay flat as the fleet grows: the
             // whole point of sharing the pristine image.
+            let bytes = |p: &Json| f64_of(p, "private_bytes_per_instance");
             assert!(
-                pair[1].private_bytes_per_instance
-                    <= pair[0].private_bytes_per_instance * 1.5 + 4096.0,
+                bytes(&pair[1]) <= bytes(&pair[0]) * 1.5 + 4096.0,
                 "private bytes/instance grew with the fleet: {points:?}"
             );
         }
@@ -1337,28 +1144,31 @@ mod tests {
         let rows = open_loop_sweep(48, &[1_000.0, 1_000_000.0], 8, 1, 7);
         assert_eq!(rows.len(), 2);
         let (low, high) = (&rows[0], &rows[1]);
-        assert_eq!(low.shed, 0, "below saturation nothing sheds: {low:?}");
-        assert!(!low.saturated);
-        assert!(low.completed == low.connections);
-        assert!(
-            low.sojourn_p50 <= low.sojourn_p99 && low.sojourn_p99 <= low.sojourn_p999,
-            "{low:?}"
-        );
-        assert!(low.sojourn_p999 > 0, "completed connections must have sojourn: {low:?}");
-        assert!(high.shed > 0, "overload must shed: {high:?}");
-        assert!(high.saturated);
-        assert_eq!(high.completed + high.shed, high.connections);
+        assert_eq!(u64_of(low, "shed"), 0, "below saturation nothing sheds: {low:?}");
+        assert_eq!(low.get("saturated"), Some(&Json::Bool(false)));
+        assert!(u64_of(low, "completed") == u64_of(low, "connections"));
+        let (p50, p99, p999) =
+            (u64_of(low, "sojourn_p50"), u64_of(low, "sojourn_p99"), u64_of(low, "sojourn_p999"));
+        assert!(p50 <= p99 && p99 <= p999, "{low:?}");
+        assert!(p999 > 0, "completed connections must have sojourn: {low:?}");
+        assert!(u64_of(high, "shed") > 0, "overload must shed: {high:?}");
+        assert_eq!(high.get("saturated"), Some(&Json::Bool(true)));
+        assert_eq!(u64_of(high, "completed") + u64_of(high, "shed"), u64_of(high, "connections"));
         // Residency — not the offered count — bounds peak guest memory.
-        assert!(high.peak_resident <= 8, "{high:?}");
-        assert!(high.peak_owned_pages > 0);
+        assert!(u64_of(high, "peak_resident") <= 8, "{high:?}");
+        assert!(u64_of(high, "peak_owned_pages") > 0);
     }
 
     #[test]
     fn trace_overhead_is_zero_perturbation_and_cheap() {
         let t = trace_overhead(4, 3, 100_000);
-        assert!(t.modelled_identical, "arming the recorder perturbed the modelled outcome");
-        assert!(t.trace_events > 0, "armed run recorded no events");
-        assert!(t.trace_samples > 0, "armed run recorded no samples");
+        assert_eq!(
+            t.get("modelled_identical"),
+            Some(&Json::Bool(true)),
+            "arming the recorder perturbed the modelled outcome"
+        );
+        assert!(u64_of(&t, "trace_events") > 0, "armed run recorded no events");
+        assert!(u64_of(&t, "trace_samples") > 0, "armed run recorded no samples");
         // The < 10% armed-overhead budget is a host-time threshold: CI's
         // bench smoke checks it on `BENCH_shift.json`.
     }

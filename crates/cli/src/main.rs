@@ -10,10 +10,10 @@
 //!             [--size-kb N] [--json <path>] [--seed N] [--inject]
 //!             [--record <path>] [--trace-out <path>] [--prom-out <path>]
 //!             [--sample-cycles N] [--arrivals SPEC] [--accept-cap N]
-//!             [--max-resident N] [--quantum N] [--host-workers N]
+//!             [--max-resident N] [--quantum N]
 //! shift trace <file>                   summarize a recorded trace file
 //! shift replay <log> [--connection N] [--debug] [--shrink <path>]
-//! shift bench [--json] [--reference] [--workers N] [--seed N]
+//! shift bench [--json] [--reference] [--seed N]
 //! shift disasm [--mode M]              show the instrumentation templates
 //! shift modes                          list compilation modes
 //! shift help                           usage plus the exit-code table
@@ -25,10 +25,10 @@
 //! the modelled numbers do not depend on the host). Without `--size-kb`
 //! the connections carry the mixed
 //! production-traffic stream; with it, every request fetches one file of
-//! that size. `--workers` on `bench` instead caps the *host* thread pool
-//! the experiment sweeps run on (`--workers 1` for fully serial,
-//! deterministic-latency CI runs — the modelled numbers are identical
-//! either way).
+//! that size. Every simulation — `serve` in both loops and the `bench`
+//! sweeps — runs on one host thread per core
+//! ([`shift_core::pool::host_threads`]); no flag sizes that pool, and every
+//! modelled number is bit-identical at any host thread count.
 //!
 //! Open-loop serving (`--arrivals`, DESIGN.md §16): instead of the
 //! closed-loop round-robin fleet, connections *arrive* on a modelled clock
@@ -43,11 +43,9 @@
 //! `--max-resident` caps simultaneously-live guests, `--quantum` sets the
 //! round-robin slice in cycles (0 = run each CPU leg to its I/O wait). The report adds sojourn latency
 //! (completion − arrival) at p50/p99/p999, saturation throughput, queue
-//! depth, and peak resident pages. `--host-workers` sizes the host
-//! simulation pool only — every modelled number is bit-identical at any
-//! setting. The four scheduler flags need `--arrivals`; one given without
-//! it is a usage error, as is, for every subcommand, an argument it does
-//! not know.
+//! depth, and peak resident pages. The three scheduler flags need
+//! `--arrivals`; one given without it is a usage error, as is, for every
+//! subcommand, an argument it does not know.
 //!
 //! Record/replay: `serve --record <path>` writes a replay log of the run —
 //! every connection's request stream, the session options, the injection
@@ -452,16 +450,15 @@ fn cmd_attack(name: &str, mode: Mode, opts: AttackOpts) -> ExitCode {
 
 /// Runs the headline experiments (Figure-7 SPEC geomeans, Figure-6 Apache
 /// geomeans, the fleet-serving sweep) and prints — or with `json`, writes
-/// to `BENCH_shift.json` — a machine-readable summary. `workers` caps the
-/// host sweep pool (0 = one thread per core); the modelled results are
-/// identical at any setting. `seed` is stamped into the summary so a run
-/// can be tied back to the randomized schedules it drove.
-fn cmd_bench(json: bool, scale: Scale, workers: usize, seed: u64) -> ExitCode {
+/// to `BENCH_shift.json` — a machine-readable summary. The sweeps run on
+/// one host thread per core; the modelled results are identical at any
+/// host thread count. `seed` is stamped into the summary so a run can be
+/// tied back to the randomized schedules it drove.
+fn cmd_bench(json: bool, scale: Scale, seed: u64) -> ExitCode {
     let (sizes, requests): (&[usize], usize) = match scale {
         Scale::Test => (&[1 << 10, 8 << 10], 6),
         Scale::Reference => (&[1 << 10, 10 << 10, 100 << 10], 50),
     };
-    shift_bench::set_sweep_workers(workers);
     let started = std::time::Instant::now();
     let summary = shift_bench::bench_summary(scale, sizes, requests, seed);
     let host = started.elapsed();
@@ -560,9 +557,6 @@ struct OpenLoopOpts {
     /// cap, and round-robin quantum in cycles (0 = run each CPU leg to its
     /// park).
     cfg: shift_core::OpenLoopConfig,
-    /// Host simulation pool for open-loop phase 1 (default: one thread per
-    /// core). Modelled results are bit-identical at any setting.
-    host_workers: usize,
 }
 
 impl ServeOpts {
@@ -598,13 +592,11 @@ fn parse_serve(args: &mut Vec<String>) -> Result<ServeOpts, String> {
     let accept_cap = take_num(args, "--accept-cap")?;
     let max_resident = take_num(args, "--max-resident")?;
     let quantum = take_num(args, "--quantum")?;
-    let host_workers = take_num(args, "--host-workers")?;
     no_leftovers("serve", args)?;
     let open_only = [
         ("--accept-cap", accept_cap.is_some()),
         ("--max-resident", max_resident.is_some()),
         ("--quantum", quantum.is_some()),
-        ("--host-workers", host_workers.is_some()),
     ];
     if let (None, Some((flag, _))) = (&arrivals, open_only.iter().find(|(_, given)| *given)) {
         return Err(format!("{flag} applies only to open-loop serving (--arrivals)"));
@@ -620,8 +612,6 @@ fn parse_serve(args: &mut Vec<String>) -> Result<ServeOpts, String> {
             max_resident: max_resident.unwrap_or(256),
             quantum: quantum.unwrap_or(100_000),
         },
-        host_workers: host_workers
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get())),
     });
     Ok(opts)
 }
@@ -636,8 +626,6 @@ struct ServeRun {
     lines: Vec<String>,
     violations: usize,
     host_ns: u64,
-    /// Appended to the `host` line.
-    host_note: String,
     /// The merged timeline when `--trace-out` asked for it, plus the note
     /// appended to the `trace` line.
     trace: Option<(Vec<shift_core::TraceEvent>, Vec<shift_core::Sample>, String)>,
@@ -726,7 +714,6 @@ fn serve_run(mode: Mode, opts: &ServeOpts) -> ServeRun {
             ],
             violations: report.violations.len(),
             host_ns: report.host_ns,
-            host_note: String::new(),
             trace: opts.trace_out.as_ref().map(|_| {
                 let dropped = report.trace_dropped();
                 let note = if dropped > 0 {
@@ -758,7 +745,8 @@ fn serve_run(mode: Mode, opts: &ServeOpts) -> ServeRun {
     };
     let (cfg, spec) = (ol.cfg, ol.process.spec());
     let arrivals = ol.process.schedule(conns.len(), chaos::derive(seed, "arrivals"));
-    let report = fleet.serve_open_loop(&world, &conns, &faults, &arrivals, &cfg, ol.host_workers);
+    let host = shift_core::pool::host_threads();
+    let report = fleet.serve_open_loop(&world, &conns, &faults, &arrivals, &cfg, host);
     let sojourn = |p| report.sojourn_percentile(p).unwrap_or(0);
     ServeRun {
         seed,
@@ -804,7 +792,6 @@ fn serve_run(mode: Mode, opts: &ServeOpts) -> ServeRun {
         ],
         violations: report.violations.len(),
         host_ns: report.host_ns,
-        host_note: format!(" ({} host workers)", ol.host_workers),
         trace: opts
             .trace_out
             .as_ref()
@@ -885,7 +872,11 @@ fn cmd_serve(mode: Mode, opts: ServeOpts) -> ExitCode {
     if opts.inject {
         println!("chaos      : {} injections armed (seed {})", run.armed, run.seed);
     }
-    println!("host       : {:.2} ms{}", run.host_ns as f64 / 1e6, run.host_note);
+    println!(
+        "host       : {:.2} ms ({} host workers)",
+        run.host_ns as f64 / 1e6,
+        shift_core::pool::host_threads()
+    );
     if let (Some(path), Some((events, samples, note))) = (&opts.trace_out, &run.trace) {
         let doc = shift_core::chrome_trace_json(events, samples);
         if let Err(code) = write_artifact(path, "trace", &doc.render()) {
@@ -1356,10 +1347,10 @@ const USAGE: &str = "usage:\n  \
      \x20           [--size-kb N] [--json <path>] [--seed N] [--inject] [--record <path>]\n  \
      \x20           [--trace-out <path>] [--prom-out <path>] [--sample-cycles N]\n  \
      \x20           [--arrivals poisson:R|bursty:R[:B]|diurnal:R[:A]] [--accept-cap N]\n  \
-     \x20           [--max-resident N] [--quantum N] [--host-workers N]\n  \
+     \x20           [--max-resident N] [--quantum N]\n  \
      shift trace <file>\n  \
      shift replay <log> [--connection N] [--debug] [--shrink <path>]\n  \
-     shift bench [--json] [--reference] [--workers N] [--seed N]\n  \
+     shift bench [--json] [--reference] [--seed N]\n  \
      shift disasm [--mode M]\n  \
      shift modes\n  \
      shift help";
@@ -1380,7 +1371,7 @@ enum Command {
     Spec { name: String, scale: Scale, tainted: bool },
     Apache { size_kb: usize, requests: usize },
     Serve(ServeOpts),
-    Bench { json: bool, scale: Scale, workers: usize, seed: u64 },
+    Bench { json: bool, scale: Scale, seed: u64 },
     Replay { path: String, connection: Option<usize>, debug: bool, shrink: Option<String> },
     Trace { path: String },
     Disasm,
@@ -1456,7 +1447,6 @@ fn parse(mut args: Vec<String>) -> Result<(Command, Mode), String> {
         "bench" => Command::Bench {
             json: take_flag(args, "--json"),
             scale: reference(args),
-            workers: take_num(args, "--workers")?.unwrap_or(0),
             seed: take_num(args, "--seed")?.unwrap_or_else(shift_workloads::master_seed),
         },
         "replay" => {
@@ -1496,7 +1486,7 @@ fn run() -> ExitCode {
         Command::Spec { name, scale, tainted } => cmd_spec(&name, mode, scale, tainted),
         Command::Apache { size_kb, requests } => cmd_apache(size_kb, requests, mode),
         Command::Serve(opts) => cmd_serve(mode, opts),
-        Command::Bench { json, scale, workers, seed } => cmd_bench(json, scale, workers, seed),
+        Command::Bench { json, scale, seed } => cmd_bench(json, scale, seed),
         Command::Replay { path, connection, debug, shrink } => {
             cmd_replay(&path, connection, debug, shrink)
         }
@@ -1644,6 +1634,14 @@ mod tests {
     }
 
     #[test]
+    fn host_pool_flags_are_gone() {
+        let err = parse(args(&["serve", "--arrivals", "poisson:1000", "--host-workers", "2"]));
+        assert_eq!(err.err().as_deref(), Some("unrecognised serve argument `--host-workers`"));
+        let err = parse(args(&["bench", "--workers", "2"]));
+        assert_eq!(err.err().as_deref(), Some("unrecognised bench argument `--workers`"));
+    }
+
+    #[test]
     fn serve_workers_default_to_eight_in_both_loops() {
         let closed = parse_serve(&mut args(&[])).unwrap();
         assert_eq!(closed.workers, 8);
@@ -1654,7 +1652,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_open_loop_flags_without_arrivals() {
-        for flag in ["--quantum", "--accept-cap", "--max-resident", "--host-workers"] {
+        for flag in ["--quantum", "--accept-cap", "--max-resident"] {
             let err = parse_serve(&mut args(&[flag, "5"])).err().unwrap_or_default();
             assert!(err.starts_with(flag) && err.contains("--arrivals"), "{flag}: {err:?}");
             let mut with_arrivals = args(&["--arrivals", "poisson:1000", flag, "5"]);
@@ -1701,7 +1699,7 @@ mod tests {
                 "record_log",
             ]
         );
-        let open: Vec<String> = keys(&["--arrivals", "poisson:1000", "--host-workers", "1"]);
+        let open: Vec<String> = keys(&["--arrivals", "poisson:1000"]);
         assert_eq!(
             open,
             [

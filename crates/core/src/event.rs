@@ -110,9 +110,6 @@ pub struct DesReport {
     pub peak_queue_depth: u64,
     /// Largest resident-connection count observed (≤ `max_resident`).
     pub peak_resident: u64,
-    /// `(cycle, ready + accept depth)` recorded on change — the queue-depth
-    /// time series.
-    pub queue_depth: Vec<(u64, u64)>,
     /// Scheduler timeline events (admissions, sheds, parks, queue depths)
     /// for the flight recorder's shared scheduler track. Empty unless
     /// requested.
@@ -184,7 +181,6 @@ pub fn simulate(
         busy_cycles: 0,
         peak_queue_depth: 0,
         peak_resident: 0,
-        queue_depth: Vec::new(),
         sched_events: Vec::new(),
     };
     let mut last_depth = u64::MAX;
@@ -292,17 +288,14 @@ pub fn simulate(
             heap.push(Reverse((t + slice, seq, Ev::SliceEnd(c))));
             seq += 1;
         }
-        // Queue-depth series, recorded on change.
+        // Queue depth: the peak always, the series (on change) when traced.
         let depth = (ready.len() + accept.len()) as u64;
         report.peak_queue_depth = report.peak_queue_depth.max(depth);
-        if depth != last_depth {
+        if trace_events && depth != last_depth {
             last_depth = depth;
-            report.queue_depth.push((t, depth));
-            if trace_events {
-                report
-                    .sched_events
-                    .push((t, TraceKind::QueueDepth { depth, resident: resident as u64 }));
-            }
+            report
+                .sched_events
+                .push((t, TraceKind::QueueDepth { depth, resident: resident as u64 }));
         }
     }
     debug_assert_eq!(resident, 0, "every admitted connection must complete");
@@ -420,11 +413,19 @@ mod tests {
     fn queue_depth_series_tracks_backlog() {
         let t = trace(&[(100, 0)]);
         let cfg = OpenLoopConfig { workers: 1, accept_cap: 16, max_resident: 8, quantum: 0 };
-        let r = simulate(&[0, 0, 0, 0], &[t.clone(), t.clone(), t.clone(), t], &cfg, false);
+        let r = simulate(&[0, 0, 0, 0], &[t.clone(), t.clone(), t.clone(), t], &cfg, true);
         assert!(r.peak_queue_depth >= 3, "three connections queue behind the first");
         // Depth series is on-change and ends drained.
-        assert_eq!(r.queue_depth.last().map(|&(_, d)| d), Some(0));
-        let depths: Vec<u64> = r.queue_depth.iter().map(|&(_, d)| d).collect();
+        let depths: Vec<u64> = r
+            .sched_events
+            .iter()
+            .filter_map(|(_, k)| match *k {
+                TraceKind::QueueDepth { depth, .. } => Some(depth),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(depths.last(), Some(&0));
+        assert_eq!(depths.iter().max(), Some(&r.peak_queue_depth));
         let mut deduped = depths.clone();
         deduped.dedup();
         assert_eq!(depths, deduped, "series records changes only");
@@ -462,7 +463,7 @@ mod tests {
         let b = simulate(&arrivals, &traces, &cfg, true);
         assert_eq!(a.dispositions, b.dispositions);
         assert_eq!(a.wall_cycles, b.wall_cycles);
-        assert_eq!(a.queue_depth, b.queue_depth);
-        assert_eq!(a.sched_events.len(), b.sched_events.len());
+        // The scheduler track carries the queue-depth series too.
+        assert_eq!(a.sched_events, b.sched_events);
     }
 }

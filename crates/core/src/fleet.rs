@@ -32,6 +32,7 @@
 
 use std::sync::Arc;
 
+use shift_isa::CLOCK_HZ;
 use shift_machine::{Exit, Injection, Stats, Violation};
 use shift_obs::{merge_events, merge_samples, Registry, Sample, TraceEvent, TraceKind, TraceRing};
 
@@ -51,11 +52,6 @@ pub type FaultPlan = [Vec<(u64, Injection)>];
 
 /// An empty injection schedule, shared by the unperturbed serve paths.
 const NO_INJECTIONS: &[(u64, Injection)] = &[];
-
-/// Modelled core clock of the simulated Itanium 2: 1.5 GHz, the top shipping
-/// frequency of the paper-era part. Converts modelled cycles to seconds for
-/// throughput reporting.
-pub const CLOCK_HZ: u64 = 1_500_000_000;
 
 /// A fleet-serving session: one prepared image plus the session options
 /// (mode, policies, I/O model, fuel) every instance inherits.
@@ -109,7 +105,7 @@ pub struct ConnectionReport {
 /// Aggregate outcome of one [`Fleet::serve`] call.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
-    /// Modelled fleet width (and host worker cap) this run used.
+    /// Modelled fleet width this run used.
     pub workers: usize,
     /// Per-connection outcomes, in connection order.
     pub connections: Vec<ConnectionReport>,
@@ -243,9 +239,10 @@ impl Fleet {
     /// from; each connection's network queue is its own request list, so
     /// per-connection request ordering is preserved by construction.
     ///
-    /// Host-side, up to `workers` threads of the shared [`crate::pool`]
-    /// claim connections one at a time; results land in connection order
-    /// regardless of which thread computed them.
+    /// Host-side, [`pool::host_threads`] threads of the shared
+    /// [`crate::pool`] claim connections one at a time, whatever the
+    /// modelled width; results land in connection order regardless of which
+    /// thread computed them.
     pub fn serve(&self, base: &World, connections: &[Vec<Vec<u8>>], workers: usize) -> FleetReport {
         self.serve_chaos(base, connections, &[], workers)
     }
@@ -263,7 +260,7 @@ impl Fleet {
         faults: &FaultPlan,
         workers: usize,
     ) -> FleetReport {
-        self.serve_closed(base, connections, faults, workers, workers)
+        self.serve_closed(base, connections, faults, workers, pool::host_threads())
     }
 
     /// The reference path: serves every connection in order on this thread.
@@ -522,7 +519,6 @@ impl Fleet {
             busy_cycles: des.busy_cycles,
             peak_queue_depth: des.peak_queue_depth,
             peak_resident: des.peak_resident,
-            queue_depth: des.queue_depth,
             sojourns,
             connections: rows,
             stats: merged.stats,
@@ -665,8 +661,6 @@ pub struct OpenLoopReport {
     pub peak_queue_depth: u64,
     /// Largest resident-guest count observed (≤ `config.max_resident`).
     pub peak_resident: u64,
-    /// `(cycle, depth)` queue-depth series, recorded on change.
-    pub queue_depth: Vec<(u64, u64)>,
     /// Sojourn latencies of completed connections, sorted ascending —
     /// exact percentiles come from here, not the log2 histogram.
     pub sojourns: Vec<u64>,

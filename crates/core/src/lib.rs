@@ -70,7 +70,7 @@ mod runtime;
 pub use config::{Source, TaintConfig, ViolationAction};
 pub use debug::Postmortem;
 pub use event::{Disposition, OpenLoopConfig, Segment};
-pub use fleet::{ConnectionReport, FaultPlan, Fleet, FleetReport, OpenLoopReport, CLOCK_HZ};
+pub use fleet::{ConnectionReport, FaultPlan, Fleet, FleetReport, OpenLoopReport};
 pub use image::ProgramImage;
 pub use libc::{libc_program, LIBC_FUNCS};
 pub use policy::Policy;
@@ -79,6 +79,7 @@ pub use runtime::{IoCostModel, Runtime, World};
 
 // Re-export the pieces callers need to drive a session without extra deps.
 pub use shift_compiler::{CompileError, CompiledProgram, Compiler, Mode, ShiftOptions};
+pub use shift_isa::CLOCK_HZ;
 pub use shift_machine::{Exit, Fault, Injection, NatFaultKind, Stats, Violation};
 pub use shift_machine::{FuncSpan, Profiler, TaintObserver};
 pub use shift_obs::{

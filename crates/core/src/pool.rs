@@ -1,6 +1,7 @@
 //! The host thread pool every parallel simulation in the workspace runs on:
 //! the fleet's closed-loop serve, open-loop trace capture, and the
-//! experiment sweeps of `shift-bench`.
+//! experiment sweeps of `shift-bench`. Its size comes from the host alone
+//! ([`host_threads`]), never from a modelled width.
 //!
 //! Jobs are indices `0..n`; a bounded set of scoped workers claims them from
 //! one atomic cursor, so a slow job never holds up the others' queue. The
@@ -8,6 +9,12 @@
 //! what keeps every merged number independent of the host worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The host thread count every parallel simulation uses: one per core the
+/// host reports, or 1 when it reports none.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
 
 /// Evaluates `f(0)`, …, `f(n - 1)` on up to `workers` scoped host threads
 /// and returns the results in index order. With `workers.min(n) <= 1` every
@@ -69,6 +76,27 @@ mod tests {
                 assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>(), "n={n} w={workers}");
                 for (i, r) in runs.iter().enumerate() {
                     assert_eq!(r.load(Ordering::Relaxed), 1, "index {i} (n={n} w={workers})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn never_runs_on_more_threads_than_asked() {
+        for n in [0usize, 1, 5, 16] {
+            for workers in [0usize, 1, 2, 3, 8] {
+                let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+                map(n, workers, |_| {
+                    threads.lock().unwrap().insert(std::thread::current().id());
+                });
+                let threads = threads.into_inner().unwrap();
+                let bound = workers.min(n);
+                assert!(threads.len() <= bound.max(1), "n={n} w={workers}: {threads:?}");
+                if bound <= 1 && n > 0 {
+                    assert!(
+                        threads.len() == 1 && threads.contains(&std::thread::current().id()),
+                        "n={n} w={workers} left the calling thread"
+                    );
                 }
             }
         }

@@ -13,6 +13,11 @@
 
 use crate::insn::{AluOp, Op};
 
+/// Modelled core clock of the simulated Itanium 2: 1.5 GHz, the top shipping
+/// frequency of the paper-era part. Every conversion of modelled cycles to
+/// time — throughput in requests per second, trace timestamps — uses it.
+pub const CLOCK_HZ: u64 = 1_500_000_000;
+
 /// Base instruction latencies, in cycles.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CostModel {

@@ -52,7 +52,7 @@ mod provenance;
 mod reg;
 pub mod sys;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, CLOCK_HZ};
 pub use disasm::disasm_listing;
 pub use insn::{AluOp, CmpRel, ExtKind, Insn, MemSize, Op};
 pub use provenance::Provenance;

@@ -30,10 +30,10 @@ use crate::json::Json;
 /// Default event capacity of a [`TraceRing`].
 pub const DEFAULT_TRACE_CAP: usize = 4096;
 
-/// Modelled cycles per microsecond at the simulated 1.5 GHz clock
-/// (`shift_core::CLOCK_HZ`); converts cycle stamps to the microsecond
+/// Modelled cycles per microsecond at the simulated clock
+/// ([`shift_isa::CLOCK_HZ`]); converts cycle stamps to the microsecond
 /// timestamps the Chrome `trace_event` format expects.
-pub const CYCLES_PER_US: f64 = 1500.0;
+pub const CYCLES_PER_US: f64 = (shift_isa::CLOCK_HZ / 1_000_000) as f64;
 
 /// What one trace event records.
 #[derive(Clone, Debug, PartialEq)]

@@ -194,12 +194,16 @@ fn bench_reference_matches_the_golden_model() {
     let points = serve_sweep(&[1], &FILE_SIZES, 8, 4);
     assert_eq!(points.len(), want.len(), "serve_rps_workers1 row count");
     for p in &points {
-        let key = match p.stream {
-            "uniform" => format!("{}/uniform_{}", p.mode, p.file_size),
-            stream => format!("{}/{stream}", p.mode),
+        let field = |k: &str| p.get(k).unwrap_or_else(|| panic!("serve row lacks {k}: {p:?}"));
+        let mode = field("mode").as_str().expect("mode is a string");
+        // The group key CI's bench smoke builds: `mode/stream[_file_size]`.
+        let key = match field("stream").as_str().expect("stream is a string") {
+            "uniform" => format!("{mode}/uniform_{}", field("file_size").as_u64().unwrap()),
+            stream => format!("{mode}/{stream}"),
         };
+        let got = field("requests_per_sec").as_f64().expect("requests_per_sec is a number");
         let rps = want.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-        assert_close(&key, p.requests_per_sec, rps.unwrap_or_else(|| panic!("no {key}")));
+        assert_close(&key, got, rps.unwrap_or_else(|| panic!("no {key}")));
     }
 }
 
