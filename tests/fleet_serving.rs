@@ -257,6 +257,49 @@ fn fleet_of_256_pays_a_fraction_of_the_deep_clone_footprint() {
     assert_eq!(fleet.image().pristine_digest(), pristine, "serving leaked into the image");
 }
 
+/// FNV-1a over the little-endian bytes of `values`: a compact pin for a
+/// list of per-connection digests.
+fn fnv(values: impl IntoIterator<Item = u64>) -> u64 {
+    values
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// A small twin of CI's serve smoke (`shift serve --mode byte --requests 1
+/// --workers 8 --seed 7`, at 128 connections): the smoke's checks, plus the
+/// modelled makespan, the per-connection state digests and the host taint
+/// shadow's counters pinned to their values, so any change to how a
+/// closed-loop request is served, checkpointed or tainted shows here.
+#[test]
+fn serve_smoke_twin_is_pinned() {
+    let fleet = apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
+    let conns = fleet_connections(ApacheStream::Mixed, 128, 1);
+    let report = fleet.serve(&fleet_world(ApacheStream::Mixed), &conns, 8);
+
+    assert_eq!(report.served + report.recovered + report.dropped, report.requests);
+    assert!(report.served > 0, "the fleet served nothing");
+    let counter = |path: &str| report.registry.counter(path);
+    for path in ["mem.cow.owned", "mem.cow.faults", "mem.cow.shared"] {
+        assert!(counter(path) > 0, "{path} is dead across the fleet");
+    }
+    assert!(counter("machine.blocks.hits") > 0);
+    assert_eq!(counter("machine.blocks.misses"), 0, "serving left the superblock tier");
+
+    let pinned = (
+        report.wall_cycles,
+        fnv(report.connections.iter().map(|c| c.state_digest)),
+        counter("tagmap.shadow.tainted_bytes"),
+        counter("tagmap.shadow.marks"),
+        counter("tagmap.shadow.clears"),
+    );
+    assert_eq!(
+        pinned,
+        (24_970_560, 11_747_018_233_821_608_229, 330_624, 330_624, 0),
+        "serve outputs moved"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
