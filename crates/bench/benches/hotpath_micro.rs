@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the interpreter hot paths this crate's
 //! evaluation sweeps lean on: superblock vs. per-instruction dispatch, the
 //! software-TLB'd `Memory` accessors, the page-span bulk copies, the
-//! word-level `HostShadow` operations, loading a seed and snapshotting an
+//! range-set `HostShadow` operations, loading a seed and snapshotting an
 //! instance, and a whole apache-sim request as the end-to-end composite.
 //! These are the numbers to watch when touching `shift-machine::exec`,
 //! `shift-machine::mem`, `shift-machine::seed` or `shift-tagmap::HostShadow`
@@ -292,7 +292,7 @@ fn bench_memory(c: &mut Criterion) {
 fn bench_shadow(c: &mut Criterion) {
     let mut g = c.benchmark_group("shadow");
 
-    // Word-masked range marking across page boundaries, both directions.
+    // Marking and clearing one 8 KiB range that spans three pages.
     g.throughput(Throughput::Bytes(8192));
     g.bench_function("set_range_8k", |b| {
         let mut s = HostShadow::new();

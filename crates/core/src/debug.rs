@@ -19,7 +19,7 @@
 //! replay shrinker ([`crate::ReplayLog::shrink`]) reduces any multi-request
 //! failure to a reproducer where that first detection *is* the failure.
 
-use shift_isa::Gpr;
+use shift_isa::{Gpr, RangeSet};
 use shift_machine::{layout, Exit, Fault, Injection, Machine, RegVal, Violation};
 use shift_tagmap::tag_location;
 
@@ -206,17 +206,11 @@ impl Postmortem {
     /// Coalesces [`Postmortem::tagmap_slice`] into `(start, len)` runs of
     /// tainted bytes.
     pub fn tainted_ranges(&mut self, addr: u64, len: u64) -> Vec<(u64, u64)> {
-        let mut runs: Vec<(u64, u64)> = Vec::new();
-        for (a, tagged) in self.tagmap_slice(addr, len) {
-            if !tagged {
-                continue;
-            }
-            match runs.last_mut() {
-                Some((start, n)) if *start + *n == a => *n += 1,
-                _ => runs.push((a, 1)),
-            }
+        let mut runs = RangeSet::default();
+        for (a, _) in self.tagmap_slice(addr, len).into_iter().filter(|&(_, tagged)| tagged) {
+            runs.insert(a, a + 1);
         }
-        runs
+        runs.iter().map(|(lo, hi)| (lo, hi - lo)).collect()
     }
 
     /// Reads `len` bytes of guest memory starting at `addr`: one

@@ -258,12 +258,27 @@ impl Runtime {
         self
     }
 
-    /// The result of a syscall that just charged `charged` cycles of I/O
-    /// wait: it closes a leg of the leg log when the operation actually
-    /// cost something (with [`IoCostModel::FREE`] nothing does), and the
-    /// guest continues.
-    fn io_done(&mut self, m: &Machine, charged: u64) -> SysResult {
-        if charged > 0 {
+    /// Completes a syscall's I/O, and the guest continues: charges
+    /// `charged` cycles of I/O wait, mirrors them into the flight recorder
+    /// as a `SyscallIo` instant for `name` moving `bytes` (a no-op when
+    /// disarmed), and closes a leg of the leg log when `close_leg` is set
+    /// and the operation actually cost something (with
+    /// [`IoCostModel::FREE`] nothing does). Only [`Runtime::recover`]'s
+    /// redelivery leaves `close_leg` unset.
+    fn io_done(
+        &mut self,
+        m: &mut Machine,
+        name: &'static str,
+        bytes: u64,
+        charged: u64,
+        close_leg: bool,
+    ) -> SysResult {
+        m.stats.charge_io(charged);
+        let now = m.stats.total_time();
+        if let Some(fr) = m.flight_recorder_mut() {
+            fr.instant(now, TraceKind::SyscallIo { name, bytes });
+        }
+        if close_leg && charged > 0 {
             self.legs.push((m.stats.cycles, m.stats.io_cycles));
         }
         SysResult::Continue
@@ -474,12 +489,11 @@ impl Runtime {
             self.requests_delivered += 1;
             self.open_request = true;
         }
-        let (b, p) = (self.io.net_base, self.io.net_per_byte);
         // Delivery into the restored buffer cannot fault: the same pages
         // accepted the original request before the rollback. The redelivery
         // closes no leg: its I/O charge folds into the current execution
         // segment (a documented coarseness of the event model).
-        let _ = self.do_stream_read(m, msg, buf, max, Source::Network, b, p);
+        let _ = self.do_stream_read(m, msg, buf, max, Source::Network, false);
         true
     }
 
@@ -584,8 +598,9 @@ impl Runtime {
         m.cpu.set_gpr_val(Gpr::RET, v as u64);
     }
 
-    /// Delivers `data` (a stream read) and returns the I/O wait it charged.
-    #[allow(clippy::too_many_arguments)] // private helper mirroring the syscall shape
+    /// Delivers `data` (a `Network` or `Keyboard` stream read) and completes
+    /// its I/O ([`Runtime::io_done`]); network reads also roll the
+    /// per-request latency window over.
     fn do_stream_read(
         &mut self,
         m: &mut Machine,
@@ -593,9 +608,8 @@ impl Runtime {
         buf: u64,
         max: u64,
         source: Source,
-        base: u64,
-        per_byte: u64,
-    ) -> Result<u64, MemError> {
+        close_leg: bool,
+    ) -> Result<SysResult, MemError> {
         let tainted = self.cfg.source_on(source);
         let delivered = data.is_some();
         let label = Self::source_label(m, || match source {
@@ -616,8 +630,11 @@ impl Runtime {
         if delivered && matches!(source, Source::Keyboard) {
             self.kbd_reads += 1;
         }
-        let charged = base + per_byte * n;
-        m.stats.charge_io(charged);
+        let (name, charged) = match source {
+            Source::Network => ("net_read", self.io.net_base + self.io.net_per_byte * n),
+            _ => ("kbd_read", 0),
+        };
+        let out = self.io_done(m, name, n, charged, close_leg);
         let now = m.stats.total_time();
         if matches!(source, Source::Network) {
             // Per-request latency: the window for request k runs from its
@@ -632,23 +649,8 @@ impl Runtime {
                 self.request_start = Some(now);
             }
         }
-        let io_name = match source {
-            Source::Network => "net_read",
-            Source::Keyboard => "kbd_read",
-            _ => "stream_read",
-        };
-        Self::trace_io(m, io_name, n);
         Self::ret(m, n as i64);
-        Ok(charged)
-    }
-
-    /// Mirrors a completed syscall I/O leg into the flight recorder (no-op
-    /// when disarmed).
-    fn trace_io(m: &mut Machine, name: &'static str, bytes: u64) {
-        let now = m.stats.total_time();
-        if let Some(fr) = m.flight_recorder_mut() {
-            fr.instant(now, TraceKind::SyscallIo { name, bytes });
-        }
+        Ok(out)
     }
 }
 
@@ -732,22 +734,18 @@ impl Runtime {
                     self.requests_delivered += 1;
                     self.open_request = true;
                 }
-                let (b, p) = (self.io.net_base, self.io.net_per_byte);
-                let charged = self.do_stream_read(m, msg, a0, a1, Source::Network, b, p)?;
-                Ok(self.io_done(m, charged))
+                self.do_stream_read(m, msg, a0, a1, Source::Network, true)
             }
             sys::KBD_READ => {
                 let msg = self.world.kbd_input.pop_front();
-                let charged = self.do_stream_read(m, msg, a0, a1, Source::Keyboard, 0, 0)?;
-                Ok(self.io_done(m, charged))
+                self.do_stream_read(m, msg, a0, a1, Source::Keyboard, true)
             }
             sys::NET_WRITE => {
                 // Append in place; a faulting read leaves the output as it was.
                 m.mem.append_bytes(Self::source(a0)?, a1 as usize, &mut self.net_output)?;
-                m.stats.charge_io(self.io.net_base + self.io.net_per_byte * a1);
-                Self::trace_io(m, "net_write", a1);
                 Self::ret(m, a1 as i64);
-                Ok(self.io_done(m, self.io.net_base + self.io.net_per_byte * a1))
+                let charged = self.io.net_base + self.io.net_per_byte * a1;
+                Ok(self.io_done(m, "net_write", a1, charged, true))
             }
             sys::FILE_OPEN => {
                 let path = self.read_tainted_cstr(m, a0, 4096)?;
@@ -774,10 +772,8 @@ impl Runtime {
                 self.opened_paths.push(name.clone());
                 let fd = self.fds.len() as i64;
                 self.fds.push(Some(OpenFile { name, pos: 0, writable }));
-                m.stats.charge_io(self.io.disk_base);
-                Self::trace_io(m, "file_open", 0);
                 Self::ret(m, fd);
-                Ok(self.io_done(m, self.io.disk_base))
+                Ok(self.io_done(m, "file_open", 0, self.io.disk_base, true))
             }
             sys::FILE_READ => {
                 let Some(Some(f)) = self.fds.get_mut(a0 as usize) else {
@@ -794,11 +790,10 @@ impl Runtime {
                 let label = Self::source_label(m, || format!("file_read {}", f.name));
                 let tainted = self.cfg.source_on(Source::Disk);
                 self.write_guest(m, a1, chunk, tainted, &label)?;
-                let charged = self.io.disk_base + self.io.disk_per_byte * chunk.len() as u64;
-                m.stats.charge_io(charged);
-                Self::trace_io(m, "file_read", chunk.len() as u64);
-                Self::ret(m, chunk.len() as i64);
-                Ok(self.io_done(m, charged))
+                let n = chunk.len() as u64;
+                Self::ret(m, n as i64);
+                let charged = self.io.disk_base + self.io.disk_per_byte * n;
+                Ok(self.io_done(m, "file_read", n, charged, true))
             }
             sys::FILE_WRITE => {
                 let Some(Some(f)) = self.fds.get(a0 as usize) else {
@@ -816,10 +811,9 @@ impl Runtime {
                     .entry(f.name.clone())
                     .or_default()
                     .extend_from_slice(&bytes);
-                m.stats.charge_io(self.io.disk_base + self.io.disk_per_byte * n);
-                Self::trace_io(m, "file_write", n);
                 Self::ret(m, n as i64);
-                Ok(self.io_done(m, self.io.disk_base + self.io.disk_per_byte * n))
+                let charged = self.io.disk_base + self.io.disk_per_byte * n;
+                Ok(self.io_done(m, "file_write", n, charged, true))
             }
             sys::FILE_CLOSE => {
                 if let Some(slot) = self.fds.get_mut(a0 as usize) {
@@ -832,9 +826,8 @@ impl Runtime {
                 let path = m.mem.read_cstr(Self::source(a0)?, 4096)?;
                 let name = String::from_utf8_lossy(&path).into_owned();
                 let size = self.world.files.get(&name).map(|c| c.len() as i64).unwrap_or(-1);
-                m.stats.charge_io(self.io.disk_base / 2);
                 Self::ret(m, size);
-                Ok(self.io_done(m, self.io.disk_base / 2))
+                Ok(self.io_done(m, "file_stat", 0, self.io.disk_base / 2, true))
             }
             sys::SQL_EXEC => {
                 let q = self.read_tainted(m, a0, a1)?;
@@ -863,10 +856,9 @@ impl Runtime {
                     return Ok(stop);
                 }
                 self.html_output.extend_from_slice(&h.bytes);
-                let charged = self.io.net_base / 4 + self.io.net_per_byte * a1;
-                m.stats.charge_io(charged);
                 Self::ret(m, a1 as i64);
-                Ok(self.io_done(m, charged))
+                let charged = self.io.net_base / 4 + self.io.net_per_byte * a1;
+                Ok(self.io_done(m, "html_out", a1, charged, true))
             }
             sys::BRK => {
                 // Grants round up to 16 bytes (at least 16). A break that

@@ -429,11 +429,6 @@ impl<R: Copy> Op<R> {
         }
     }
 
-    /// Returns `true` for instructions that touch data memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, Op::Ld { .. } | Op::St { .. } | Op::StSpill { .. } | Op::LdFill { .. })
-    }
-
     /// Returns `true` for control-transfer instructions.
     pub fn is_control(&self) -> bool {
         matches!(
@@ -537,7 +532,6 @@ mod tests {
         let st = Op::St { size: MemSize::B8, src: Gpr::R4, addr: Gpr::R5 };
         assert_eq!(st.def_reg(), None);
         assert_eq!(st.use_regs(), [Some(Gpr::R4), Some(Gpr::R5)]);
-        assert!(st.is_memory());
         assert!(!st.is_control());
     }
 

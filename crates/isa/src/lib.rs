@@ -49,6 +49,7 @@ mod cost;
 mod disasm;
 mod insn;
 mod provenance;
+mod ranges;
 mod reg;
 pub mod sys;
 
@@ -56,6 +57,7 @@ pub use cost::{CostModel, CLOCK_HZ};
 pub use disasm::disasm_listing;
 pub use insn::{AluOp, CmpRel, ExtKind, Insn, MemSize, Op};
 pub use provenance::Provenance;
+pub use ranges::RangeSet;
 pub use reg::{Br, Gpr, Pr};
 
 /// Number of implemented virtual-address offset bits within a region.

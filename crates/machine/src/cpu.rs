@@ -116,11 +116,6 @@ impl Cpu {
         ((addr >> 3) & 63) as u32
     }
 
-    /// Number of GPRs whose NaT bit is currently set (diagnostics).
-    pub fn nat_count(&self) -> usize {
-        self.nat.iter().filter(|&&n| n).count()
-    }
-
     /// Folds every piece of architected state into `h`, in a fixed order —
     /// two CPUs digest equal iff their observable state is identical.
     pub(crate) fn digest_into(&self, h: &mut crate::snapshot::Fnv) {
@@ -168,7 +163,6 @@ mod tests {
         cpu.set_gpr(Gpr::R5, RegVal::NAT);
         assert!(cpu.gpr(Gpr::R5).nat);
         assert_eq!(cpu.gpr(Gpr::R5).value, 0);
-        assert_eq!(cpu.nat_count(), 1);
     }
 
     #[test]

@@ -311,11 +311,6 @@ impl Machine {
         }
     }
 
-    /// Disarms the watchdog.
-    pub fn disarm_watchdog(&mut self) {
-        self.watchdog = None;
-    }
-
     /// Captures a restorable [`Snapshot`]: the full architected CPU state
     /// (GPRs with NaT bits, predicates, branch registers, `UNAT`, `ip`) plus
     /// a memory checkpoint — a copy of the page table whose shared pages
@@ -2033,8 +2028,6 @@ mod tests {
         // The exit is not sticky: petting grants a fresh budget.
         m.pet_watchdog();
         assert_eq!(m.run(&mut NullOs, 1_000_000), Exit::FuelExhausted);
-        m.disarm_watchdog();
-        assert_eq!(m.run(&mut NullOs, 100), Exit::InsnLimit);
     }
 
     #[test]

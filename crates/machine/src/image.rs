@@ -38,12 +38,6 @@ impl Image {
         self.code.len()
     }
 
-    /// Modelled code size in bytes: IA-64 packs 3 instructions per 16-byte
-    /// bundle, which is how Table 3's sizes are estimated.
-    pub fn code_bytes(&self) -> u64 {
-        (self.code.len() as u64).div_ceil(3) * 16
-    }
-
     /// Name of the function containing instruction `ip`, if known.
     pub fn symbol_at(&self, ip: usize) -> Option<&str> {
         self.symbols.range(..=ip).next_back().map(|(_, name)| name.as_str())
@@ -154,14 +148,6 @@ mod tests {
         assert_eq!(img.symbol_at(4), Some("main"));
         assert_eq!(img.symbol_at(5), Some("helper"));
         assert_eq!(img.symbol_at(9), Some("helper"));
-    }
-
-    #[test]
-    fn code_bytes_models_bundles() {
-        let img = Image::builder().code(vec![Insn::new(Op::Nop); 7]).build();
-        // 7 insns → 3 bundles → 48 bytes.
-        assert_eq!(img.code_bytes(), 48);
-        assert_eq!(img.insn_count(), 7);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   COW-faulted).
 //! * Page frames live in an arena (`frames`) indexed by a `page_idx` map, so
 //!   a frame is reachable from a plain integer slot without hashing. The
-//!   mappings are a sorted list of coalesced page ranges, searched by
-//!   bisection, so a mapping of any size costs one entry.
+//!   mapped page numbers are a [`RangeSet`]: a mapping of any size costs one
+//!   range.
 //! * A small direct-mapped software TLB caches `page → slot` translations.
 //!   An entry is only installed after a *successful* access, so a hit
 //!   implies the page is implemented and mapped — the fast path needs only
@@ -39,9 +39,9 @@
 //!   (`map_range`, `rollback`, `freeze`); hit/miss counters are
 //!   exported via [`Memory::tlb_stats`] and COW traffic via
 //!   [`Memory::cow_stats`].
-//! * Bulk accessors (`read_bytes`/`write_bytes`/`read_cstr`) work per
-//!   page-span: one permission check and one frame lookup per page instead
-//!   of per byte. Implementedness and mapping are page-granular, so
+//! * Bulk accessors work per page span, through one walker for reads and
+//!   one for writes: one permission check and one frame lookup per page
+//!   instead of per byte. Implementedness and mapping are page-granular, so
 //!   per-span checks fault at exactly the byte the per-byte loop would
 //!   have.
 //! * A [`Checkpoint`] is a value: the page table's `Arc` plus a copy of the
@@ -60,7 +60,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use shift_isa::{is_implemented, region_of};
+use shift_isa::{is_implemented, region_of, RangeSet};
 
 /// Page size in bytes.
 pub const PAGE_SIZE: u64 = 4096;
@@ -194,33 +194,14 @@ const EMPTY_TLB: [TlbEntry; TLB_SIZE] =
 struct Table {
     frames: Vec<Frame>,
     page_idx: HashMap<u64, u32>,
-    /// The mapped pages as half-open `(first, end)` page-number ranges,
-    /// sorted, disjoint and never adjacent — so a mapping costs host memory
-    /// by the number of ranges, not by its size.
-    mapped: Vec<(u64, u64)>,
+    /// The mapped page numbers.
+    mapped: RangeSet,
 }
 
 impl Table {
     /// The bytes of `page`'s frame, if the page is resident.
     fn page<'a>(&'a self, page: u64, owned: &'a [Box<Page>]) -> Option<&'a Page> {
         self.page_idx.get(&page).map(|&slot| self.frames[slot as usize].data.bytes(owned))
-    }
-
-    /// Is `page` inside a mapped range?
-    fn is_mapped(&self, page: u64) -> bool {
-        let i = self.mapped.partition_point(|&(first, _)| first <= page);
-        i > 0 && page < self.mapped[i - 1].1
-    }
-
-    /// Maps pages `first..end`, coalescing every range the new one overlaps
-    /// or touches into one.
-    fn map_pages(&mut self, first: u64, end: u64) {
-        let lo = self.mapped.partition_point(|&(_, e)| e < first);
-        let hi = self.mapped.partition_point(|&(f, _)| f <= end);
-        let joined = &self.mapped[lo..hi];
-        let first = joined.first().map_or(first, |&(f, _)| f.min(first));
-        let end = joined.last().map_or(end, |&(_, e)| e.max(end));
-        self.mapped.splice(lo..hi, [(first, end)]);
     }
 }
 
@@ -392,7 +373,7 @@ impl Memory {
             return Err(MemError::Unimplemented { addr });
         }
         let page = addr / PAGE_SIZE;
-        if !self.table.is_mapped(page) && region_of(addr) != 0 {
+        if !self.table.mapped.contains(page) && region_of(addr) != 0 {
             return Err(MemError::Unmapped { addr });
         }
         let slot = match self.table.page_idx.get(&page) {
@@ -489,19 +470,15 @@ impl Memory {
             is_implemented(addr) && is_implemented(end),
             "mapping {addr:#x}+{len:#x} touches unimplemented bits"
         );
-        Arc::make_mut(&mut self.table).map_pages(addr / PAGE_SIZE, end / PAGE_SIZE + 1);
+        Arc::make_mut(&mut self.table).mapped.insert(addr / PAGE_SIZE, end / PAGE_SIZE + 1);
         self.tlb_flush();
     }
 
     /// Returns `true` if the byte at `addr` is mapped (or lazily mappable —
     /// i.e. an implemented region-0 tag address).
     pub fn is_mapped(&self, addr: u64) -> bool {
-        let page = addr / PAGE_SIZE;
-        let e = self.tlb[Self::tlb_index(page)];
-        if e.page == page {
-            return true;
-        }
-        is_implemented(addr) && (self.table.is_mapped(page) || region_of(addr) == 0)
+        is_implemented(addr)
+            && (self.table.mapped.contains(addr / PAGE_SIZE) || region_of(addr) == 0)
     }
 
     /// Takes a checkpoint: the page table by reference, and copies of the
@@ -671,13 +648,30 @@ impl Memory {
     ///
     /// [`MemError`] if any byte is unimplemented or unmapped.
     pub fn read_bytes(&mut self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
+        self.read_spans(addr, out.len(), |done, span| {
+            out[done..done + span.len()].copy_from_slice(span);
+            true
+        })
+    }
+
+    /// The page-span read loop behind the bulk readers: `take(done, span)`
+    /// sees the `span.len()` bytes that start `done` bytes into the range,
+    /// and returns `false` to stop before the next page.
+    fn read_spans(
+        &mut self,
+        addr: u64,
+        len: usize,
+        mut take: impl FnMut(usize, &[u8]) -> bool,
+    ) -> Result<(), MemError> {
         let mut done = 0usize;
-        while done < out.len() {
+        while done < len {
             let a = addr.wrapping_add(done as u64);
             let off = (a % PAGE_SIZE) as usize;
-            let span = (PAGE_USIZE - off).min(out.len() - done);
+            let span = (PAGE_USIZE - off).min(len - done);
             let e = self.entry_for(a, false)?;
-            out[done..done + span].copy_from_slice(&self.entry_bytes(e)[off..off + span]);
+            if !take(done, &self.entry_bytes(e)[off..off + span]) {
+                break;
+            }
             done += span;
         }
         Ok(())
@@ -756,21 +750,11 @@ impl Memory {
         out: &mut Vec<u8>,
     ) -> Result<(), MemError> {
         let start = out.len();
-        let mut done = 0usize;
-        while done < len {
-            let a = addr.wrapping_add(done as u64);
-            let off = (a % PAGE_SIZE) as usize;
-            let span = (PAGE_USIZE - off).min(len - done);
-            match self.entry_for(a, false) {
-                Ok(e) => out.extend_from_slice(&self.entry_bytes(e)[off..off + span]),
-                Err(e) => {
-                    out.truncate(start);
-                    return Err(e);
-                }
-            }
-            done += span;
-        }
-        Ok(())
+        self.read_spans(addr, len, |_, span| {
+            out.extend_from_slice(span);
+            true
+        })
+        .inspect_err(|_| out.truncate(start))
     }
 
     /// Reads a NUL-terminated string starting at `addr`, up to `max` bytes
@@ -782,22 +766,11 @@ impl Memory {
     /// before `max` bytes.
     pub fn read_cstr(&mut self, addr: u64, max: usize) -> Result<Vec<u8>, MemError> {
         let mut out = Vec::new();
-        let mut done = 0usize;
-        while done < max {
-            let a = addr.wrapping_add(done as u64);
-            let off = (a % PAGE_SIZE) as usize;
-            let span = (PAGE_USIZE - off).min(max - done);
-            let e = self.entry_for(a, false)?;
-            let chunk = &self.entry_bytes(e)[off..off + span];
-            match chunk.iter().position(|&b| b == 0) {
-                Some(nul) => {
-                    out.extend_from_slice(&chunk[..nul]);
-                    return Ok(out);
-                }
-                None => out.extend_from_slice(chunk),
-            }
-            done += span;
-        }
+        self.read_spans(addr, max, |_, span| {
+            let nul = span.iter().position(|&b| b == 0);
+            out.extend_from_slice(&span[..nul.unwrap_or(span.len())]);
+            nul.is_none()
+        })?;
         Ok(out)
     }
 
@@ -833,7 +806,7 @@ impl Memory {
         }
         // Domain separators keep the variable-length sections unambiguous.
         h.word(u64::MAX);
-        for &(first, end) in &self.table.mapped {
+        for (first, end) in self.table.mapped.iter() {
             for page in first..end {
                 h.word(page);
             }
@@ -951,18 +924,18 @@ mod tests {
         let heap = crate::layout::HEAP_BASE;
         m.map_range(heap, 1 << 39);
         let (first, end) = (heap / PAGE_SIZE, (heap + (1 << 39)) / PAGE_SIZE);
-        assert_eq!(m.table.mapped, [(first, end)]);
+        assert_eq!(m.table.mapped.iter().collect::<Vec<_>>(), [(first, end)]);
         assert_eq!((m.resident_pages(), m.owned_pages()), (0, 0));
         assert!(m.is_mapped(heap + (1 << 39) - 1) && !m.is_mapped(heap + (1 << 39)));
         // A gap keeps ranges apart; touching or overlapping ones merge.
         let page = |n: u64| heap + (1 << 39) + n * PAGE_SIZE;
         m.map_range(page(2), PAGE_SIZE);
-        assert_eq!(m.table.mapped, [(first, end), (end + 2, end + 3)]);
+        assert_eq!(m.table.mapped.iter().collect::<Vec<_>>(), [(first, end), (end + 2, end + 3)]);
         assert!(!m.is_mapped(page(1)) && m.is_mapped(page(2)));
         m.map_range(page(0), PAGE_SIZE + 1);
-        assert_eq!(m.table.mapped, [(first, end + 3)]);
+        assert_eq!(m.table.mapped.iter().collect::<Vec<_>>(), [(first, end + 3)]);
         m.map_range(heap + PAGE_SIZE, 8);
-        assert_eq!(m.table.mapped, [(first, end + 3)]);
+        assert_eq!(m.table.mapped.iter().collect::<Vec<_>>(), [(first, end + 3)]);
         assert_eq!((m.resident_pages(), m.owned_pages()), (0, 0));
     }
 

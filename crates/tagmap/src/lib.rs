@@ -38,10 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use shift_isa::{is_implemented, offset_of, region_of, IMPL_BITS};
+use shift_isa::{is_implemented, offset_of, region_of, RangeSet, IMPL_BITS};
 
 /// Tag-tracking granularity (paper §6 evaluates both).
 ///
@@ -303,58 +300,21 @@ pub fn tag_range(vaddr: u64, len: u64, gran: Granularity) -> Result<TagRange, Ta
     })
 }
 
-/// Host-side reference taint map at byte granularity.
+/// Host-side reference taint map at byte granularity: the *ground truth*
+/// that runtime taint sources mark directly, and that tests compare the
+/// guest-maintained bitmap against to detect tag drift (false positives /
+/// negatives in the sense of §5.2).
 ///
-/// Backed by sparse 4 KiB-span bit pages. This is *ground truth*: runtime
-/// taint sources mark it directly, and tests compare the guest-maintained
-/// bitmap against it to detect tag drift (false positives / negatives in the
-/// sense of §5.2).
-///
-/// The runtime uses three operations: `set_range` marks a source's bytes
-/// and clears overwritten ones, and `any_tainted`/`is_tainted` answer its
-/// sink checks. Range operations run 64 bits at a time over the page words
-/// rather than looping per byte. The transition counters (`marks`/`clears`)
-/// are computed from `popcount(new & !old)` / `popcount(old & !new)` per
-/// word, which counts exactly the transitions a per-byte loop would have.
-///
-/// Pages are shared copy-on-write, mirroring the guest memory's scheme
-/// (DESIGN.md §15): each 512-byte bit page sits behind an `Arc`, so cloning
-/// a shadow — the fleet's spawn path clones one per instance — shares every
-/// page by reference and the first mutation of a shared page copies just
-/// that page. Pages that become all-clean are pruned, the tag-space analogue
-/// of deduplicating all-zero memory pages: an absent page and an all-clean
-/// page are observably identical, so a pristine clone holds no pages at all.
+/// The tainted addresses are one [`RangeSet`]; a served request leaves a
+/// run or two (its request and file buffers), which a clone copies whole.
+/// `marks`/`clears` add up the points each insert or remove changed —
+/// exactly the transitions a per-byte loop counts — so `tainted_bytes` is
+/// `marks - clears`. A range that would run past `u64::MAX` stops there.
 #[derive(Clone, Debug, Default)]
 pub struct HostShadow {
-    pages: HashMap<u64, Arc<[u8; 512]>>,
-    tainted_bytes: u64,
+    tainted: RangeSet,
     marks: u64,
     clears: u64,
-}
-
-const SPAN: u64 = 4096;
-
-/// Bits `lo..hi` of one u64 page word (`0 <= lo < hi <= 64`).
-#[inline]
-fn span_mask(lo: u32, hi: u32) -> u64 {
-    let width = hi - lo;
-    if width == 64 {
-        u64::MAX
-    } else {
-        ((1u64 << width) - 1) << lo
-    }
-}
-
-/// Page word `w` (bits `64*w .. 64*w+64` of the page), little-endian, so bit
-/// `j` of the word is the taint bit of page byte-offset `64*w + j`.
-#[inline]
-fn word_get(page: &[u8; 512], w: usize) -> u64 {
-    u64::from_le_bytes(page[w * 8..w * 8 + 8].try_into().expect("8-byte slice"))
-}
-
-#[inline]
-fn word_set(page: &mut [u8; 512], w: usize, v: u64) {
-    page[w * 8..w * 8 + 8].copy_from_slice(&v.to_le_bytes());
 }
 
 impl HostShadow {
@@ -365,7 +325,7 @@ impl HostShadow {
 
     /// Number of currently tainted bytes.
     pub fn tainted_bytes(&self) -> u64 {
-        self.tainted_bytes
+        self.marks - self.clears
     }
 
     /// Cumulative clean→tainted transitions (bitmap touch count; feeds the
@@ -380,121 +340,30 @@ impl HostShadow {
         self.clears
     }
 
-    /// Drops `page_no`'s backing if every bit is clear — the canonical
-    /// representation of an all-clean page is no page at all, which keeps
-    /// clones cheap and pristine shadows empty.
-    fn prune_if_clean(&mut self, page_no: u64) {
-        if let Some(page) = self.pages.get(&page_no) {
-            if page.iter().all(|&b| b == 0) {
-                self.pages.remove(&page_no);
-            }
-        }
-    }
-
     /// Returns `true` if the byte at `addr` is tainted.
     pub fn is_tainted(&self, addr: u64) -> bool {
-        match self.pages.get(&(addr / SPAN)) {
-            Some(page) => {
-                let off = (addr % SPAN) as usize;
-                page[off / 8] & (1 << (off % 8)) != 0
-            }
-            None => false,
-        }
+        self.tainted.contains(addr)
     }
 
     /// Returns `true` if any of the `len` bytes starting at `addr` are
     /// tainted.
     pub fn any_tainted(&self, addr: u64, len: u64) -> bool {
-        let mut done = 0u64;
-        while done < len {
-            let a = addr.wrapping_add(done);
-            let off = (a % SPAN) as u32;
-            let span = u64::from(SPAN as u32 - off).min(len - done);
-            if let Some(page) = self.pages.get(&(a / SPAN)) {
-                let (s, e) = (off, off + span as u32);
-                for w in (s / 64) as usize..=((e - 1) / 64) as usize {
-                    let base = w as u32 * 64;
-                    let mask = span_mask(s.max(base) - base, e.min(base + 64) - base);
-                    if word_get(page, w) & mask != 0 {
-                        return true;
-                    }
-                }
-            }
-            done += span;
-        }
-        false
+        self.tainted.covered(addr, addr.saturating_add(len)) > 0
     }
 
     /// Returns `true` if **all** of the `len` bytes starting at `addr` are
     /// tainted (`len == 0` returns `true`).
     pub fn all_tainted(&self, addr: u64, len: u64) -> bool {
-        let mut done = 0u64;
-        while done < len {
-            let a = addr.wrapping_add(done);
-            let off = (a % SPAN) as u32;
-            let span = u64::from(SPAN as u32 - off).min(len - done);
-            let Some(page) = self.pages.get(&(a / SPAN)) else {
-                return false;
-            };
-            let (s, e) = (off, off + span as u32);
-            for w in (s / 64) as usize..=((e - 1) / 64) as usize {
-                let base = w as u32 * 64;
-                let mask = span_mask(s.max(base) - base, e.min(base + 64) - base);
-                if word_get(page, w) & mask != mask {
-                    return false;
-                }
-            }
-            done += span;
-        }
-        true
+        self.tainted.covered(addr, addr.saturating_add(len)) == len
     }
 
     /// Marks or clears taint for `len` bytes starting at `addr`.
     pub fn set_range(&mut self, addr: u64, len: u64, tainted: bool) {
-        let mut done = 0u64;
-        while done < len {
-            let a = addr.wrapping_add(done);
-            let off = (a % SPAN) as u32;
-            let span = u64::from(SPAN as u32 - off).min(len - done);
-            let page_no = a / SPAN;
-            let (s, e) = (off, off + span as u32);
-            if tainted {
-                let page = Arc::make_mut(
-                    self.pages.entry(page_no).or_insert_with(|| Arc::new([0u8; 512])),
-                );
-                let mut marks = 0u64;
-                for w in (s / 64) as usize..=((e - 1) / 64) as usize {
-                    let base = w as u32 * 64;
-                    let mask = span_mask(s.max(base) - base, e.min(base + 64) - base);
-                    let old = word_get(page, w);
-                    let new = old | mask;
-                    if new != old {
-                        marks += u64::from((new & !old).count_ones());
-                        word_set(page, w, new);
-                    }
-                }
-                self.tainted_bytes += marks;
-                self.marks += marks;
-            } else if let Some(entry) = self.pages.get_mut(&page_no) {
-                let page = Arc::make_mut(entry);
-                let mut clears = 0u64;
-                for w in (s / 64) as usize..=((e - 1) / 64) as usize {
-                    let base = w as u32 * 64;
-                    let mask = span_mask(s.max(base) - base, e.min(base + 64) - base);
-                    let old = word_get(page, w);
-                    let new = old & !mask;
-                    if new != old {
-                        clears += u64::from((old & !new).count_ones());
-                        word_set(page, w, new);
-                    }
-                }
-                self.tainted_bytes -= clears;
-                self.clears += clears;
-                if clears > 0 {
-                    self.prune_if_clean(page_no);
-                }
-            }
-            done += span;
+        let end = addr.saturating_add(len);
+        if tainted {
+            self.marks += self.tainted.insert(addr, end);
+        } else {
+            self.clears += self.tainted.remove(addr, end);
         }
     }
 }
@@ -619,35 +488,53 @@ mod tests {
 
     #[test]
     fn shadow_clear() {
-        // Clearing a tainted run that spans three bit pages leaves nothing
-        // tainted and no page resident.
+        // Clearing a tainted run that spans three 4 KiB pages leaves nothing
+        // tainted and holds no ranges.
         let mut s = HostShadow::new();
-        let len = 2 * SPAN + 100;
-        s.set_range(SPAN - 50, len, true);
-        s.set_range(SPAN - 50, len, false);
+        let len = 2 * 4096 + 100;
+        s.set_range(4096 - 50, len, true);
+        s.set_range(4096 - 50, len, false);
         assert_eq!(s.tainted_bytes(), 0);
-        assert!(!s.any_tainted(0, 4 * SPAN));
-        assert!(s.pages.is_empty());
+        assert!(!s.any_tainted(0, 4 * 4096));
+        assert!(s.tainted.is_empty());
     }
 
     #[test]
-    fn shadow_prunes_all_clean_pages() {
+    fn shadow_all_clean_holds_no_ranges() {
         let mut s = HostShadow::new();
         s.set_range(0x1000, 64, true);
-        assert_eq!(s.pages.len(), 1);
+        assert_eq!(s.tainted.len(), 1);
         s.set_range(0x1000, 64, false);
-        // All-clean page is dropped: absent and all-clean are identical.
-        assert_eq!(s.pages.len(), 0);
+        assert!(s.tainted.is_empty());
         assert!(!s.any_tainted(0x1000, 64));
-        // Same for a single byte; clearing an absent page allocates nothing.
+        // Same for a single byte; clearing clean bytes stores nothing.
         s.set_range(0x2000, 1, true);
         s.set_range(0x2000, 1, false);
         s.set_range(0x3000, 64, false);
-        assert_eq!(s.pages.len(), 0);
+        assert!(s.tainted.is_empty());
+        assert_eq!((s.marks(), s.clears()), (65, 65));
     }
 
     #[test]
-    fn shadow_clones_share_pages_copy_on_write() {
+    fn remarked_buffer_stays_one_range() {
+        // A served request re-marks its 4 KiB file buffer chunk by chunk,
+        // over and again: the shadow keeps one range and counts each byte
+        // once.
+        let mut s = HostShadow::new();
+        let buf = 0x6000_0000_0001_0000u64;
+        for _ in 0..3 {
+            for chunk in (0..4096).step_by(512) {
+                s.set_range(buf + chunk, 512, true);
+                assert_eq!(s.tainted.len(), 1);
+            }
+        }
+        assert_eq!(s.tainted.iter().collect::<Vec<_>>(), [(buf, buf + 4096)]);
+        assert_eq!((s.tainted_bytes(), s.marks(), s.clears()), (4096, 4096, 0));
+        assert!(s.all_tainted(buf, 4096) && !s.any_tainted(buf + 4096, 1));
+    }
+
+    #[test]
+    fn shadow_clones_are_independent() {
         let mut s = HostShadow::new();
         s.set_range(0, 32, true);
         let mut c = s.clone();

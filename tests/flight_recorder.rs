@@ -152,3 +152,22 @@ fn timeline_content_reflects_the_run() {
         );
     }
 }
+
+/// Every syscall that charges I/O wait leaves one `SyscallIo` instant, so an
+/// armed trace shows exactly the legs the open-loop scheduler replays: for a
+/// connection with no recovery (whose redeliveries charge without closing a
+/// leg), one instant per closed leg — every segment but the terminal one.
+#[test]
+fn every_charged_syscall_leaves_an_io_instant() {
+    let fleet = fleet(true);
+    let conns = fleet_connections(ApacheStream::Mixed, 6, 4);
+    let world = fleet_world(ApacheStream::Mixed);
+    for (c, requests) in conns.iter().enumerate() {
+        let (report, segments) = fleet.serve_one_traced(&world, requests, &[], c, 1);
+        assert_eq!(report.recovered, 0, "connection {c} is benign");
+        let ring = report.trace.expect("armed run keeps its ring");
+        assert_eq!(ring.dropped(), 0, "connection {c} overflowed the ring");
+        let io = ring.events().filter(|e| matches!(e.kind, TraceKind::SyscallIo { .. })).count();
+        assert_eq!(io, segments.len() - 1, "connection {c}: I/O instants vs closed legs");
+    }
+}
