@@ -3,8 +3,8 @@
 //! guards them without the cost of the reference runs.
 
 use shift_bench::{
-    ablation_nat_vs_shadow, fig6_apache, fig7_spec_slowdowns, fig8_enhancements, fig9_breakdown,
-    geomean,
+    ablation_design_choices, ablation_nat_vs_shadow, fig6_apache, fig7_spec_slowdowns,
+    fig8_enhancements, fig9_breakdown, geomean,
 };
 use shift_workloads::Scale;
 
@@ -74,6 +74,83 @@ fn nat_vs_shadow_shape() {
             r.name,
             r.shadow_byte,
             r.shift_byte
+        );
+    }
+}
+
+/// Figure 9 and both ablations, pinned to their definitions: every field is
+/// recomputed here from direct [`run_spec`] calls (one uninstrumented,
+/// tainted-input baseline per kernel) and compared as an exact f64 bit
+/// pattern, so a change to how the harness schedules or shares its runs
+/// cannot move a modelled number.
+#[test]
+fn fig9_and_ablations_match_direct_runs() {
+    use shift_compiler::NatGen;
+    use shift_core::{Granularity, Mode, ShiftOptions};
+    use shift_isa::Provenance;
+    use shift_workloads::{all_benches, run_spec};
+
+    let scale = Scale::Test;
+    let same = |what: &str, name: &str, got: f64, want: f64| {
+        assert_eq!(got.to_bits(), want.to_bits(), "{name} {what}: {got} vs {want}");
+    };
+    let benches = all_benches();
+    let stats = |b: usize, mode: Mode| run_spec(&benches[b], mode, scale, true).stats;
+    let baselines: Vec<u64> =
+        (0..benches.len()).map(|b| stats(b, Mode::Uninstrumented).cycles).collect();
+    let slowdown = |b: usize, mode: Mode| stats(b, mode).cycles as f64 / baselines[b] as f64;
+    let byte = ShiftOptions::baseline(Granularity::Byte);
+    let word = ShiftOptions::baseline(Granularity::Word);
+
+    let fig9 = fig9_breakdown(scale);
+    assert_eq!(fig9.len(), 2 * benches.len());
+    for (i, r) in fig9.iter().enumerate() {
+        let (b, gran) =
+            (i % benches.len(), [Granularity::Byte, Granularity::Word][i / benches.len()]);
+        assert_eq!((r.name, r.granularity), (benches[b].name, gran));
+        let run = stats(b, Mode::Shift(ShiftOptions::baseline(gran)));
+        let frac = |p: Provenance| run.cycles_for(p) as f64 / baselines[b] as f64;
+        same("ld_compute", r.name, r.ld_compute, frac(Provenance::LdTagCompute));
+        same("ld_memory", r.name, r.ld_memory, frac(Provenance::LdTagMemory));
+        same("st_compute", r.name, r.st_compute, frac(Provenance::StTagCompute));
+        same("st_memory", r.name, r.st_memory, frac(Provenance::StTagMemory));
+        same("relax", r.name, r.relax, frac(Provenance::Relax));
+        same("taint_src", r.name, r.taint_src, frac(Provenance::TaintSource));
+    }
+
+    let nat = ablation_nat_vs_shadow(scale);
+    assert_eq!(nat.len(), benches.len());
+    for (b, r) in nat.iter().enumerate() {
+        assert_eq!(r.name, benches[b].name);
+        same("shift_byte", r.name, r.shift_byte, slowdown(b, Mode::Shift(byte)));
+        same("shadow_byte", r.name, r.shadow_byte, slowdown(b, Mode::Shadow(Granularity::Byte)));
+        same("shift_word", r.name, r.shift_word, slowdown(b, Mode::Shift(word)));
+        same("shadow_word", r.name, r.shadow_word, slowdown(b, Mode::Shadow(Granularity::Word)));
+    }
+
+    let design = ablation_design_choices(scale);
+    assert_eq!(design.len(), benches.len());
+    for (b, r) in design.iter().enumerate() {
+        let variant = |opts: ShiftOptions| slowdown(b, Mode::Shift(opts));
+        assert_eq!(r.name, benches[b].name);
+        same("default", r.name, r.default, variant(byte));
+        same(
+            "no_analysis",
+            r.name,
+            r.no_analysis,
+            variant(ShiftOptions { relax_analysis: false, ..byte }),
+        );
+        same(
+            "natgen_per_function",
+            r.name,
+            r.natgen_per_function,
+            variant(ShiftOptions { nat_gen: NatGen::PerFunction, ..byte }),
+        );
+        same(
+            "natgen_per_use",
+            r.name,
+            r.natgen_per_use,
+            variant(ShiftOptions { nat_gen: NatGen::PerUse, ..byte }),
         );
     }
 }
