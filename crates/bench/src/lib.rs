@@ -5,17 +5,23 @@
 //! Everything returns plain data structures so the integration test-suite
 //! can assert on experiment *shapes* (who wins, rough factors, orderings)
 //! without parsing text.
+//!
+//! Every SPEC experiment — Figures 7, 8 and 9, both ablations,
+//! [`bench_summary`] and `shift spec` — is a list of [`Cell`]s (a mode plus
+//! a tainted-input flag) run by one function, [`spec_matrix`], which
+//! compiles each (kernel, mode) once on the shared host pool, and a row
+//! builder that reads the cells it needs by value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
-use shift_core::{Granularity, Mode, ShiftOptions};
+use shift_core::{pool, Granularity, Mode, ShiftOptions, Stats};
 use shift_isa::Provenance;
 use shift_obs::Json;
 use shift_workloads::{
-    all_benches, compile_spec, run_spec, run_spec_precompiled, ArrivalProcess, Scale, SpecBench,
+    all_benches, compile_spec, run_spec_precompiled, ArrivalProcess, Scale, SpecBench,
 };
 
 /// Geometric mean of a non-empty slice.
@@ -23,77 +29,118 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Runs `f` over `items` on the shared host pool ([`shift_core::pool`]),
-/// one thread per host core, preserving input order in the output. Every
-/// simulated Machine is independent, so the modelled numbers are identical
-/// to a serial sweep — only host wall-clock changes.
-fn parallel_map<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
-    shift_core::pool::map(items.len(), shift_core::pool::host_threads(), |i| f(&items[i]))
+/// One cell of a SPEC experiment: a compilation mode, and whether the
+/// kernel's input file is a taint source (the paper's "unsafe" bars) or
+/// not ("safe").
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Cell {
+    /// Compilation mode.
+    pub mode: Mode,
+    /// Whether the input file is tainted.
+    pub tainted: bool,
 }
 
-/// The mode groups behind Figures 7 and 8, in one canonical order:
-///
-/// | group | mode                         | conditions    |
-/// |-------|------------------------------|---------------|
-/// | 0     | uninstrumented baseline      | tainted       |
-/// | 1     | byte baseline                | `fig7_conds`  |
-/// | 2     | word baseline                | `fig7_conds`  |
-/// | 3     | byte + `tset`/`tclr`         | tainted       |
-/// | 4     | byte + both enhancements    | tainted       |
-/// | 5     | word + `tset`/`tclr`         | tainted       |
-/// | 6     | word + both enhancements    | tainted       |
-///
-/// Groups 0–2 are exactly Figure 7's modes (pass `&[true, false]` as
-/// `fig7_conds` to get its safe bars too); groups 3–6 are the extra
-/// Figure-8 cells. Keeping both figures' modes in one table lets
-/// [`bench_summary`] run the union once and assemble each figure from it —
-/// Figure 8's stock-Itanium bars are the *same deterministic simulations*
-/// as Figure 7's unsafe bars, so re-running them would only burn host time.
-fn spec_groups(fig7_conds: &'static [bool]) -> [(Mode, &'static [bool]); 7] {
-    let set_clr = |g| ShiftOptions { set_clr: true, nat_cmp: false, ..ShiftOptions::baseline(g) };
-    [
-        (Mode::Uninstrumented, &[true]),
-        (Mode::Shift(ShiftOptions::baseline(Granularity::Byte)), fig7_conds),
-        (Mode::Shift(ShiftOptions::baseline(Granularity::Word)), fig7_conds),
-        (Mode::Shift(set_clr(Granularity::Byte)), &[true]),
-        (Mode::Shift(ShiftOptions::enhanced(Granularity::Byte)), &[true]),
-        (Mode::Shift(set_clr(Granularity::Word)), &[true]),
-        (Mode::Shift(ShiftOptions::enhanced(Granularity::Word)), &[true]),
-    ]
+const fn tainted(mode: Mode) -> Cell {
+    Cell { mode, tainted: true }
 }
 
-/// Runs a bench × mode-group matrix as one `parallel_map` job pool and
-/// returns, per benchmark, per group, one `(modelled cycles, host ns)` pair
-/// per taint condition.
+const fn safe(mode: Mode) -> Cell {
+    Cell { mode, tainted: false }
+}
+
+const BYTE: Mode = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
+const WORD: Mode = Mode::Shift(ShiftOptions::baseline(Granularity::Word));
+
+/// Stock Itanium plus `tset`/`tclr` (Figure 8's middle bars).
+const fn set_clr(g: Granularity) -> Mode {
+    Mode::Shift(ShiftOptions { set_clr: true, ..ShiftOptions::baseline(g) })
+}
+
+/// The uninstrumented, tainted-input run every slowdown divides by.
+const BASELINE: Cell = tainted(Mode::Uninstrumented);
+
+/// Figure 7's cells: both granularities, tainted and untainted.
+const FIG7: [Cell; 5] = [BASELINE, tainted(BYTE), safe(BYTE), tainted(WORD), safe(WORD)];
+
+/// Figure 8's cells: each enhancement step at both granularities, tainted.
+/// The stock-Itanium cells are Figure 7's unsafe cells.
+const FIG8: [Cell; 7] = [
+    BASELINE,
+    tainted(BYTE),
+    tainted(set_clr(Granularity::Byte)),
+    tainted(Mode::Shift(ShiftOptions::enhanced(Granularity::Byte))),
+    tainted(WORD),
+    tainted(set_clr(Granularity::Word)),
+    tainted(Mode::Shift(ShiftOptions::enhanced(Granularity::Word))),
+];
+
+/// The SPEC experiment runner behind Figures 7–9, both ablations and
+/// `shift spec`: runs every cell on every benchmark and returns
+/// `[bench][cell]` → (the run's [`Stats`], host ns), in `benches` and
+/// `cells` order.
 ///
-/// Each job compiles its mode once and runs every condition against that
-/// compile (compilation is taint-independent); the shared compile's host
-/// time is billed to the group's first condition.
-fn spec_matrix(scale: Scale, groups: &[(Mode, &'static [bool])]) -> Vec<Vec<Vec<(u64, u64)>>> {
-    let benches = all_benches();
-    let jobs: Vec<(usize, Mode, &[bool])> = benches
-        .iter()
-        .enumerate()
-        .flat_map(|(b, _)| groups.iter().map(move |&(m, conds)| (b, m, conds)))
-        .collect();
-    let results: Vec<Vec<(u64, u64)>> = parallel_map(&jobs, |&(b, mode, conds)| {
-        let bench = &benches[b];
-        let t0 = Instant::now();
-        let compiled = compile_spec(bench, mode);
-        let compile_ns = t0.elapsed().as_nanos() as u64;
-        let mut out: Vec<(u64, u64)> = conds
-            .iter()
-            .map(|&tainted| {
-                let t = Instant::now();
-                let cycles =
-                    run_spec_precompiled(bench, &compiled, mode, scale, tainted).stats.cycles;
-                (cycles, t.elapsed().as_nanos() as u64)
-            })
-            .collect();
-        out[0].1 += compile_ns;
-        out
+/// Compilation depends only on the mode, so each (benchmark, mode) pair is
+/// one job on the shared host pool: it compiles once, runs that mode's
+/// cells against the compile, and bills the compile's host time to the
+/// mode's first cell. Every run is an independent deterministic machine, so
+/// the modelled numbers do not depend on how the pool schedules the jobs.
+pub fn spec_matrix(benches: &[SpecBench], scale: Scale, cells: &[Cell]) -> Vec<Vec<(Stats, u64)>> {
+    let mut modes: Vec<Mode> = Vec::new();
+    for cell in cells {
+        if !modes.contains(&cell.mode) {
+            modes.push(cell.mode);
+        }
+    }
+    let jobs: Vec<(&SpecBench, Mode)> =
+        benches.iter().flat_map(|b| modes.iter().map(move |&m| (b, m))).collect();
+    let results = pool::map(jobs.len(), pool::host_threads(), |j| {
+        let (bench, mode) = jobs[j];
+        let (compiled, mut compile_ns) = timed(|| compile_spec(bench, mode));
+        let mine = cells.iter().enumerate().filter(|(_, c)| c.mode == mode);
+        mine.map(|(i, cell)| {
+            let (run, ns) =
+                timed(|| run_spec_precompiled(bench, &compiled, mode, scale, cell.tainted));
+            (i, run.stats, ns + std::mem::take(&mut compile_ns))
+        })
+        .collect::<Vec<_>>()
     });
-    results.chunks(groups.len()).map(|chunk| chunk.to_vec()).collect()
+    results
+        .chunks(modes.len().max(1))
+        .map(|bench_jobs| {
+            let mut row: Vec<_> = bench_jobs.iter().flatten().cloned().collect();
+            row.sort_by_key(|&(i, ..)| i);
+            row.into_iter().map(|(_, stats, ns)| (stats, ns)).collect()
+        })
+        .collect()
+}
+
+/// One benchmark's [`spec_matrix`] row, read by cell value.
+struct Runs<'a> {
+    cells: &'a [Cell],
+    runs: &'a [(Stats, u64)],
+}
+
+impl Runs<'_> {
+    fn get(&self, cell: Cell) -> &(Stats, u64) {
+        &self.runs[self.cells.iter().position(|&c| c == cell).expect("cell was run")]
+    }
+
+    /// `cell`'s modelled cycles over the uninstrumented baseline's.
+    fn slowdown(&self, cell: Cell) -> f64 {
+        self.get(cell).0.cycles as f64 / self.get(BASELINE).0.cycles as f64
+    }
+
+    /// Host ns spent on the `billed` cells.
+    fn host_ns(&self, billed: &[Cell]) -> u64 {
+        billed.iter().map(|&c| self.get(c).1).sum()
+    }
+}
+
+/// Runs `cells` over every benchmark and builds one row per benchmark.
+fn spec_rows<T>(scale: Scale, cells: &[Cell], row: impl Fn(&SpecBench, &Runs) -> T) -> Vec<T> {
+    let benches = all_benches();
+    let matrix = spec_matrix(&benches, scale, cells);
+    benches.iter().zip(&matrix).map(|(b, runs)| row(b, &Runs { cells, runs })).collect()
 }
 
 /// A Figure-7 row: slowdowns relative to the uninstrumented baseline.
@@ -115,41 +162,22 @@ pub struct SpecRow {
     pub host_ns: u64,
 }
 
-/// Figure 7: SPEC slowdowns at both granularities and taint conditions.
-///
-/// The whole bench × mode matrix (including the uninstrumented baselines)
-/// runs as one job list over `parallel_map`, so a slow benchmark's modes
-/// overlap instead of serializing behind each other. The tainted and
-/// untainted bars of a mode share one job — compilation is independent of
-/// the taint condition, so each mode compiles once and runs twice.
+/// Figure 7: SPEC slowdowns at both granularities and taint conditions,
+/// one [`spec_matrix`] over its five cells.
 pub fn fig7_spec_slowdowns(scale: Scale) -> Vec<SpecRow> {
-    let groups = spec_groups(&[true, false]);
-    let matrix = spec_matrix(scale, &groups[..3]);
-    fig7_rows_from(&matrix, &[0, 1, 2])
+    spec_rows(scale, &FIG7, |bench, runs| fig7_row(bench, runs, &FIG7))
 }
 
-/// Assembles Figure-7 rows from a `spec_matrix` whose groups 0–2 follow
-/// the [`spec_groups`] layout with `&[true, false]` conditions. `bill` lists
-/// the group indices whose host time is charged to each row's `host_ns` —
-/// the whole matrix when it was run for this figure alone, only this
-/// figure's share when the matrix is shared (see [`bench_summary`]).
-fn fig7_rows_from(matrix: &[Vec<Vec<(u64, u64)>>], bill: &[usize]) -> Vec<SpecRow> {
-    all_benches()
-        .iter()
-        .zip(matrix)
-        .map(|(bench, row)| {
-            let baseline = row[0][0].0;
-            let slowdown = |cell: &(u64, u64)| cell.0 as f64 / baseline as f64;
-            SpecRow {
-                name: bench.name,
-                byte_unsafe: slowdown(&row[1][0]),
-                byte_safe: slowdown(&row[1][1]),
-                word_unsafe: slowdown(&row[2][0]),
-                word_safe: slowdown(&row[2][1]),
-                host_ns: bill.iter().flat_map(|&g| &row[g]).map(|&(_, ns)| ns).sum(),
-            }
-        })
-        .collect()
+/// A Figure-7 row, billed for the `bill` cells' host time.
+fn fig7_row(bench: &SpecBench, runs: &Runs, bill: &[Cell]) -> SpecRow {
+    SpecRow {
+        name: bench.name,
+        byte_unsafe: runs.slowdown(tainted(BYTE)),
+        byte_safe: runs.slowdown(safe(BYTE)),
+        word_unsafe: runs.slowdown(tainted(WORD)),
+        word_safe: runs.slowdown(safe(WORD)),
+        host_ns: runs.host_ns(bill),
+    }
 }
 
 /// A Figure-8 row: slowdowns under the architectural-enhancement modes
@@ -187,43 +215,25 @@ impl EnhanceRow {
     }
 }
 
-/// Figure 8: the effect of the proposed instructions.
-///
-/// Like [`fig7_spec_slowdowns`], the full bench × mode matrix runs as one
-/// `parallel_map` job list.
+/// Figure 8: the effect of the proposed instructions, one [`spec_matrix`]
+/// over its seven cells.
 pub fn fig8_enhancements(scale: Scale) -> Vec<EnhanceRow> {
-    let matrix = spec_matrix(scale, &spec_groups(&[true]));
-    fig8_rows_from(&matrix, &[0, 1, 2, 3, 4, 5, 6])
+    spec_rows(scale, &FIG8, |bench, runs| fig8_row(bench, runs, &FIG8))
 }
 
-/// Where each Figure-8 column lives in the [`spec_groups`] matrix, as
-/// `(group, condition)` cells, in row order: baseline, byte-unsafe,
-/// byte-set/clr, byte-both, word-unsafe, word-set/clr, word-both. The
-/// stock-Itanium columns point into Figure 7's groups (1 and 2).
-const FIG8_CELLS: [(usize, usize); 7] = [(0, 0), (1, 0), (3, 0), (4, 0), (2, 0), (5, 0), (6, 0)];
-
-/// Assembles Figure-8 rows from a full seven-group [`spec_groups`] matrix;
-/// `bill` works as in [`fig7_rows_from`].
-fn fig8_rows_from(matrix: &[Vec<Vec<(u64, u64)>>], bill: &[usize]) -> Vec<EnhanceRow> {
-    all_benches()
-        .iter()
-        .zip(matrix)
-        .map(|(bench, row)| {
-            let cell = |i: usize| row[FIG8_CELLS[i].0][FIG8_CELLS[i].1].0;
-            let baseline = cell(0);
-            let slowdown = |i: usize| cell(i) as f64 / baseline as f64;
-            EnhanceRow {
-                name: bench.name,
-                byte_unsafe: slowdown(1),
-                byte_set_clr: slowdown(2),
-                byte_both: slowdown(3),
-                word_unsafe: slowdown(4),
-                word_set_clr: slowdown(5),
-                word_both: slowdown(6),
-                host_ns: bill.iter().flat_map(|&g| &row[g]).map(|&(_, ns)| ns).sum(),
-            }
-        })
-        .collect()
+/// A Figure-8 row, billed for the `bill` cells' host time.
+fn fig8_row(bench: &SpecBench, runs: &Runs, bill: &[Cell]) -> EnhanceRow {
+    let slowdown = |i: usize| runs.slowdown(FIG8[i]);
+    EnhanceRow {
+        name: bench.name,
+        byte_unsafe: slowdown(1),
+        byte_set_clr: slowdown(2),
+        byte_both: slowdown(3),
+        word_unsafe: slowdown(4),
+        word_set_clr: slowdown(5),
+        word_both: slowdown(6),
+        host_ns: runs.host_ns(bill),
+    }
 }
 
 /// A Figure-9 row: the instrumentation-cycle breakdown, as fractions of the
@@ -249,13 +259,17 @@ pub struct BreakdownRow {
 }
 
 /// Figure 9: where the instrumented cycles go, per benchmark and
-/// granularity (tainted input).
+/// granularity (tainted input) — every byte row, then every word row. The
+/// per-provenance cycles come from Figure 7's unsafe cells, over one
+/// baseline per kernel.
 pub fn fig9_breakdown(scale: Scale) -> Vec<BreakdownRow> {
-    let mut out = Vec::new();
-    for gran in [Granularity::Byte, Granularity::Word] {
-        let rows = run_suite(scale, |bench, baseline| {
-            let run = run_spec(bench, Mode::Shift(ShiftOptions::baseline(gran)), scale, true);
-            let frac = |p: Provenance| run.stats.cycles_for(p) as f64 / baseline as f64;
+    let grans = [Granularity::Byte, Granularity::Word];
+    let cells = [BASELINE, tainted(BYTE), tainted(WORD)];
+    let rows = spec_rows(scale, &cells, |bench, runs| {
+        grans.map(|gran| {
+            let stats = &runs.get(tainted(Mode::Shift(ShiftOptions::baseline(gran)))).0;
+            let frac =
+                |p: Provenance| stats.cycles_for(p) as f64 / runs.get(BASELINE).0.cycles as f64;
             BreakdownRow {
                 name: bench.name,
                 granularity: gran,
@@ -266,20 +280,9 @@ pub fn fig9_breakdown(scale: Scale) -> Vec<BreakdownRow> {
                 relax: frac(Provenance::Relax),
                 taint_src: frac(Provenance::TaintSource),
             }
-        });
-        out.extend(rows);
-    }
-    out
-}
-
-/// Runs `f` for every benchmark (on the worker pool), handing it the
-/// baseline (uninstrumented, tainted-config) cycle count.
-fn run_suite<T: Send>(scale: Scale, f: impl Fn(&SpecBench, u64) -> T + Sync) -> Vec<T> {
-    let benches = all_benches();
-    parallel_map(&benches, |bench| {
-        let baseline = run_spec(bench, Mode::Uninstrumented, scale, true).stats.cycles;
-        f(bench, baseline)
-    })
+        })
+    });
+    (0..grans.len()).flat_map(|g| rows.iter().map(move |pair| pair[g].clone())).collect()
 }
 
 /// A Figure-6 cell: server overhead at one file size and granularity.
@@ -304,21 +307,17 @@ pub struct ApacheRow {
 ///
 /// `requests` scales the run length (the paper used 1,000 requests with
 /// `ab`; the simulator preserves the CPU-to-I/O structure at smaller
-/// counts). The size × mode matrix runs on the `parallel_map` pool —
+/// counts). The size × mode matrix runs on the shared host pool —
 /// every server run is an independent simulated machine.
 pub fn fig6_apache(file_sizes: &[usize], requests: usize) -> Vec<ApacheRow> {
     use shift_workloads::apache::run_apache;
-    let modes: [Mode; 3] = [
-        Mode::Uninstrumented,
-        Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
-        Mode::Shift(ShiftOptions::baseline(Granularity::Word)),
-    ];
+    let modes = [Mode::Uninstrumented, BYTE, WORD];
     let jobs: Vec<(usize, Mode)> =
         file_sizes.iter().flat_map(|&size| modes.iter().map(move |&m| (size, m))).collect();
-    let results = parallel_map(&jobs, |&(size, mode)| {
-        let t0 = Instant::now();
-        let run = run_apache(mode, size, requests);
-        (run.latency(), run.throughput(), t0.elapsed().as_nanos() as u64)
+    let results = pool::map(jobs.len(), pool::host_threads(), |j| {
+        let (size, mode) = jobs[j];
+        let (run, ns) = timed(|| run_apache(mode, size, requests));
+        (run.latency(), run.throughput(), ns)
     });
     file_sizes
         .iter()
@@ -375,10 +374,7 @@ pub fn serve_sweep(
     requests_per_conn: usize,
 ) -> Vec<Json> {
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
-    let modes: [(&'static str, Mode); 2] = [
-        ("byte", Mode::Shift(ShiftOptions::baseline(Granularity::Byte))),
-        ("word", Mode::Shift(ShiftOptions::baseline(Granularity::Word))),
-    ];
+    let modes = [("byte", BYTE), ("word", WORD)];
     let mut streams: Vec<ApacheStream> =
         file_sizes.iter().map(|&s| ApacheStream::Uniform(s)).collect();
     streams.push(ApacheStream::Mixed);
@@ -419,12 +415,12 @@ pub fn serve_sweep(
 /// arming the flight recorder costs the *host* and proves it costs the
 /// *model* nothing. Returns the `trace_overhead` object:
 ///
-/// - `disarmed_host_ns`, `armed_host_ns`: best host time with the recorder
-///   disarmed and armed;
-/// - `overhead_frac`: `armed / disarmed − 1` (negative means the armed run
-///   measured faster — pure host noise);
+/// - `disarmed_host_ns`, `armed_host_ns`: best per-serve host time with
+///   the recorder disarmed and armed;
+/// - `overhead_frac`: the median sample's `armed / disarmed − 1` (negative
+///   means the armed serves measured faster — pure host noise);
 /// - `trace_events`, `trace_samples`: merged trace events and time-series
-///   samples the armed run recorded;
+///   samples one armed serve recorded;
 /// - `modelled_identical`: whether the armed run's modelled outcome was
 ///   bit-identical to the disarmed run's — per-connection exits, state
 ///   digests, stats, latencies, violations, and the fleet makespan.
@@ -432,37 +428,35 @@ pub fn serve_sweep(
 /// The same mixed-stream connections are served on one host thread
 /// ([`shift_core::Fleet::serve_sequential`], so host scheduling noise stays
 /// out of the measurement) at modelled width 1, with the recorder off and
-/// on; each arm takes the best of nine repetitions, interleaved so a host
-/// slowdown hits both arms alike — the modelled outcome is identical across
-/// repetitions by construction, so min() is a pure noise filter. The armed
-/// ring uses the default cap with `sample_cycles` time-series sampling,
-/// i.e. the `serve --trace-out --sample-cycles` configuration.
+/// on. Each of nine timed samples serves the connection list enough times
+/// per arm to run for at least 10 ms (a warm disarmed serve sizes it),
+/// alternating single disarmed and armed serves so a host slowdown hits
+/// both arms alike; the median sample's ratio filters out a burst that
+/// still lands on one arm. The modelled outcome is identical across serves
+/// by construction, so the repetition only steadies the host-time estimate.
+/// The armed ring uses the default cap with `sample_cycles` time-series
+/// sampling, i.e. the `serve --trace-out --sample-cycles` configuration.
 pub fn trace_overhead(connections: usize, requests_per_conn: usize, sample_cycles: u64) -> Json {
-    use shift_core::{Fleet, FleetReport, FlightConfig, DEFAULT_TRACE_CAP};
+    use shift_core::{Fleet, FlightConfig, DEFAULT_TRACE_CAP};
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     let stream = ApacheStream::Mixed;
     let world = fleet_world(stream);
     let conns = fleet_connections(stream, connections, requests_per_conn);
-    let mode = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
-    let disarmed = apache_fleet(mode);
-    let armed = apache_fleet(mode)
+    let disarmed = apache_fleet(BYTE);
+    let armed = apache_fleet(BYTE)
         .with_flight_recorder(FlightConfig { cap: DEFAULT_TRACE_CAP, sample_cycles });
-    let keep_best = |best: &mut Option<(FleetReport, u64)>, fleet: &Fleet| {
-        let r = fleet.serve_sequential(&world, &conns, 1);
-        let ns = r.host_ns.max(1);
-        if best.as_ref().is_none_or(|&(_, b)| ns < b) {
-            *best = Some((r, ns));
-        }
-    };
-    let (mut base, mut traced) = (None, None);
-    // One repetition serves in about 3 ms, where best-of-three left the
-    // overhead estimate too noisy to hold the 10% budget; nine keep it steady.
-    for _ in 0..9 {
-        keep_best(&mut base, &disarmed);
-        keep_best(&mut traced, &armed);
-    }
-    let (base, disarmed_host_ns) = base.expect("repetitions ran");
-    let (traced, armed_host_ns) = traced.expect("repetitions ran");
+    let serve = |fleet: &Fleet| fleet.serve_sequential(&world, &conns, 1);
+    let (base, traced) = (serve(&disarmed), serve(&armed));
+    let serves = 10_000_000u64.div_ceil(serve(&disarmed).host_ns.max(1));
+    let samples: Vec<(u64, u64)> = (0..9)
+        .map(|_| {
+            (0..serves)
+                .fold((1, 1), |(d, a), _| (d + serve(&disarmed).host_ns, a + serve(&armed).host_ns))
+        })
+        .collect();
+    let best = |arm: fn(&(u64, u64)) -> u64| samples.iter().map(arm).min().unwrap_or(1) / serves;
+    let mut ratios: Vec<f64> = samples.iter().map(|&(d, a)| a as f64 / d as f64).collect();
+    ratios.sort_by(f64::total_cmp);
     let modelled_identical = base.wall_cycles == traced.wall_cycles
         && base.connections.len() == traced.connections.len()
         && base.connections.iter().zip(&traced.connections).all(|(a, b)| {
@@ -473,9 +467,9 @@ pub fn trace_overhead(connections: usize, requests_per_conn: usize, sample_cycle
                 && a.violations == b.violations
         });
     Json::obj(vec![
-        ("disarmed_host_ns", Json::U64(disarmed_host_ns)),
-        ("armed_host_ns", Json::U64(armed_host_ns)),
-        ("overhead_frac", Json::F64(armed_host_ns as f64 / disarmed_host_ns as f64 - 1.0)),
+        ("disarmed_host_ns", Json::U64(best(|s| s.0).max(1))),
+        ("armed_host_ns", Json::U64(best(|s| s.1).max(1))),
+        ("overhead_frac", Json::F64(ratios[ratios.len() / 2] - 1.0)),
         ("trace_events", Json::U64(traced.merged_trace_events().len() as u64)),
         ("trace_samples", Json::U64(traced.merged_samples().len() as u64)),
         ("modelled_identical", Json::Bool(modelled_identical)),
@@ -579,7 +573,7 @@ pub fn connection_sweep(
     use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     let stream = ApacheStream::Mixed;
     let world = fleet_world(stream);
-    let fleet = apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
+    let fleet = apache_fleet(BYTE);
     connections_list
         .iter()
         .map(|&n| {
@@ -646,10 +640,10 @@ pub fn open_loop_sweep(
     use shift_workloads::chaos;
     let stream = ApacheStream::Mixed;
     let world = fleet_world(stream);
-    let fleet = apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
+    let fleet = apache_fleet(BYTE);
     let conns = fleet_connections(stream, connections, requests_per_conn);
     let cfg = OpenLoopConfig { workers, accept_cap: 16, max_resident: 8, quantum: 100_000 };
-    let host = shift_core::pool::host_threads();
+    let host = pool::host_threads();
     rates_rps
         .iter()
         .map(|&rate| {
@@ -727,32 +721,23 @@ pub fn table3_codesize() -> Vec<CodeSizeRow> {
             .sum()
     };
 
-    let mut rows = Vec::new();
-    // glibc row: measured inside the first benchmark's image (the libc is
-    // identical across programs).
-    let probe = (all_benches()[0].build)();
-    let orig = compile(&probe, Mode::Uninstrumented);
-    let word = compile(&probe, Mode::Shift(ShiftOptions::baseline(Granularity::Word)));
-    let byte = compile(&probe, Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
-    rows.push(CodeSizeRow {
-        name: "glibc".into(),
-        orig: libc_size(&orig),
-        word: libc_size(&word),
-        byte: libc_size(&byte),
-    });
-    for bench in all_benches() {
-        let program = (bench.build)();
-        let orig = compile(&program, Mode::Uninstrumented);
-        let word = compile(&program, Mode::Shift(ShiftOptions::baseline(Granularity::Word)));
-        let byte = compile(&program, Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
-        rows.push(CodeSizeRow {
-            name: bench.name.into(),
-            orig: app_size(&orig),
-            word: app_size(&word),
-            byte: app_size(&byte),
-        });
-    }
-    rows
+    // Per benchmark, its compiles in the three modes. The glibc row is
+    // measured inside the first benchmark's image (the libc is identical
+    // across programs).
+    let compiled: Vec<(&str, [CompiledProgram; 3])> = all_benches()
+        .iter()
+        .map(|bench| {
+            let program = (bench.build)();
+            (bench.name, [Mode::Uninstrumented, WORD, BYTE].map(|m| compile(&program, m)))
+        })
+        .collect();
+    let row = |name: &str,
+               [orig, word, byte]: &[CompiledProgram; 3],
+               size: &dyn Fn(&CompiledProgram) -> usize| {
+        CodeSizeRow { name: name.into(), orig: size(orig), word: size(word), byte: size(byte) }
+    };
+    let glibc = row("glibc", &compiled[0].1, &libc_size);
+    std::iter::once(glibc).chain(compiled.iter().map(|(name, c)| row(name, c, &app_size))).collect()
 }
 
 /// An ablation row over SHIFT's implementation choices (byte-level
@@ -794,18 +779,14 @@ pub struct NatVsShadowRow {
 /// The headline ablation: what is the NaT reuse actually worth? Runs every
 /// kernel under SHIFT and under the software-only shadow-register mode.
 pub fn ablation_nat_vs_shadow(scale: Scale) -> Vec<NatVsShadowRow> {
-    run_suite(scale, |bench, baseline| {
-        let slowdown = |mode: Mode| {
-            let run = run_spec(bench, mode, scale, true);
-            run.stats.cycles as f64 / baseline as f64
-        };
-        NatVsShadowRow {
-            name: bench.name,
-            shift_byte: slowdown(Mode::Shift(ShiftOptions::baseline(Granularity::Byte))),
-            shadow_byte: slowdown(Mode::Shadow(Granularity::Byte)),
-            shift_word: slowdown(Mode::Shift(ShiftOptions::baseline(Granularity::Word))),
-            shadow_word: slowdown(Mode::Shadow(Granularity::Word)),
-        }
+    let [shadow_byte, shadow_word] = [Granularity::Byte, Granularity::Word].map(Mode::Shadow);
+    let cells = [Mode::Uninstrumented, BYTE, shadow_byte, WORD, shadow_word].map(tainted);
+    spec_rows(scale, &cells, |bench, runs| NatVsShadowRow {
+        name: bench.name,
+        shift_byte: runs.slowdown(cells[1]),
+        shadow_byte: runs.slowdown(cells[2]),
+        shift_word: runs.slowdown(cells[3]),
+        shadow_word: runs.slowdown(cells[4]),
     })
 }
 
@@ -813,20 +794,51 @@ pub fn ablation_nat_vs_shadow(scale: Scale) -> Vec<NatVsShadowRow> {
 /// analysis, quantified.
 pub fn ablation_design_choices(scale: Scale) -> Vec<AblationRow> {
     use shift_compiler::NatGen;
-    run_suite(scale, |bench, baseline| {
-        let slowdown = |opts: ShiftOptions| {
-            let run = run_spec(bench, Mode::Shift(opts), scale, true);
-            run.stats.cycles as f64 / baseline as f64
-        };
-        let base = ShiftOptions::baseline(Granularity::Byte);
-        AblationRow {
-            name: bench.name,
-            default: slowdown(base),
-            no_analysis: slowdown(ShiftOptions { relax_analysis: false, ..base }),
-            natgen_per_function: slowdown(ShiftOptions { nat_gen: NatGen::PerFunction, ..base }),
-            natgen_per_use: slowdown(ShiftOptions { nat_gen: NatGen::PerUse, ..base }),
-        }
+    let base = ShiftOptions::baseline(Granularity::Byte);
+    let cells = [
+        Mode::Uninstrumented,
+        Mode::Shift(base),
+        Mode::Shift(ShiftOptions { relax_analysis: false, ..base }),
+        Mode::Shift(ShiftOptions { nat_gen: NatGen::PerFunction, ..base }),
+        Mode::Shift(ShiftOptions { nat_gen: NatGen::PerUse, ..base }),
+    ]
+    .map(tainted);
+    spec_rows(scale, &cells, |bench, runs| AblationRow {
+        name: bench.name,
+        default: runs.slowdown(cells[1]),
+        no_analysis: runs.slowdown(cells[2]),
+        natgen_per_function: runs.slowdown(cells[3]),
+        natgen_per_use: runs.slowdown(cells[4]),
     })
+}
+
+/// Runs `f` and returns its result with the host ns it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_nanos() as u64)
+}
+
+/// A named `f64` column of a figure's rows.
+type Column<R> = (&'static str, fn(&R) -> f64);
+
+/// A figure's `*_rows` array (the `key` field, every column, `host_ns`)
+/// and its geomean object (every column), from one column list.
+fn figure_json<R>(
+    rows: &[R],
+    key: fn(&R) -> (&'static str, Json),
+    cols: &[Column<R>],
+    host_ns: fn(&R) -> u64,
+) -> (Json, Json) {
+    let row = |r: &R| {
+        let mut fields = vec![key(r)];
+        fields.extend(cols.iter().map(|&(k, col)| (k, Json::F64(col(r)))));
+        fields.push(("host_ns", Json::U64(host_ns(r))));
+        Json::obj(fields)
+    };
+    let gm =
+        |&(k, col): &Column<R>| (k, Json::F64(geomean(&rows.iter().map(col).collect::<Vec<_>>())));
+    (Json::Arr(rows.iter().map(row).collect()), Json::obj(cols.iter().map(gm).collect()))
 }
 
 /// A machine-readable summary of the headline experiments — Figure-7/8 SPEC
@@ -843,14 +855,13 @@ pub fn ablation_design_choices(scale: Scale) -> Vec<AblationRow> {
 /// tracks real interpreter speedups across PRs alongside the modelled
 /// results.
 ///
-/// Figures 7 and 8 share five of their seven mode groups (Figure 8's
-/// stock-Itanium bars *are* Figure 7's unsafe bars — identical
+/// Figure 8's baseline and stock-Itanium cells *are* Figure 7's (identical
 /// deterministic simulations), so the summary runs the union of both
-/// figures' modes as one `spec_matrix` pool and assembles each figure
-/// from it. The numbers are bit-identical to running each figure alone;
-/// only the duplicate host work disappears. `host_ns.fig7`/`host_ns.fig8`
-/// are therefore row sums under that split — the shared runs are billed to
-/// Figure 7, and Figure 8 is charged only for its extra enhancement modes.
+/// figures' cells as one [`spec_matrix`] and builds each figure's rows from
+/// it. The numbers are bit-identical to running each figure alone; only
+/// the duplicate host work disappears. `host_ns.fig7`/`host_ns.fig8` are
+/// therefore row sums under that split — the shared cells are billed to
+/// Figure 7, and Figure 8 is charged only for its extra enhancement cells.
 /// `seed` is the run's master seed, stamped into the summary so any
 /// randomized harness seeded from the same integer (the chaos trials, the
 /// injection sweeps) is reproducible from the artifact alone — the
@@ -858,93 +869,70 @@ pub fn ablation_design_choices(scale: Scale) -> Vec<AblationRow> {
 pub fn bench_summary(scale: Scale, file_sizes: &[usize], requests: usize, seed: u64) -> Json {
     let t_total = Instant::now();
 
-    let matrix = spec_matrix(scale, &spec_groups(&[true, false]));
-    let spec = fig7_rows_from(&matrix, &[0, 1, 2]);
-    let enh = fig8_rows_from(&matrix, &[3, 4, 5, 6]);
+    let fig8_extra: Vec<Cell> = FIG8.into_iter().filter(|c| !FIG7.contains(c)).collect();
+    let cells = [&FIG7[..], &fig8_extra].concat();
+    let (spec, enh): (Vec<SpecRow>, Vec<EnhanceRow>) = spec_rows(scale, &cells, |bench, runs| {
+        (fig7_row(bench, runs, &FIG7), fig8_row(bench, runs, &fig8_extra))
+    })
+    .into_iter()
+    .unzip();
     let fig7_ns: u64 = spec.iter().map(|r| r.host_ns).sum();
     let fig8_ns: u64 = enh.iter().map(|r| r.host_ns).sum();
 
-    let t0 = Instant::now();
-    let apache = fig6_apache(file_sizes, requests);
-    let fig6_ns = t0.elapsed().as_nanos() as u64;
-
-    let t0 = Instant::now();
+    let (apache, fig6_ns) = timed(|| fig6_apache(file_sizes, requests));
     let (serve_conns, serve_reqs) = match scale {
         Scale::Test => (8, 4),
         Scale::Reference => (16, 8),
     };
-    let serve = serve_sweep(&[1, 2, 4, 8], file_sizes, serve_conns, serve_reqs);
-    let serve_ns = t0.elapsed().as_nanos() as u64;
-
-    let t0 = Instant::now();
-    let trace = trace_overhead(serve_conns, serve_reqs, 100_000);
-    let trace_ns = t0.elapsed().as_nanos() as u64;
-
-    let t0 = Instant::now();
-    let spawn = spawn_latency();
-    let spawn_ns = t0.elapsed().as_nanos() as u64;
-
-    let t0 = Instant::now();
-    let conn_sweep = connection_sweep(&[8, 256, 1024], 8, 1);
-    let conn_sweep_ns = t0.elapsed().as_nanos() as u64;
-
+    let (serve, serve_ns) =
+        timed(|| serve_sweep(&[1, 2, 4, 8], file_sizes, serve_conns, serve_reqs));
+    let (trace, trace_ns) = timed(|| trace_overhead(serve_conns, serve_reqs, 100_000));
+    let (spawn, spawn_ns) = timed(spawn_latency);
+    let (conn_sweep, conn_sweep_ns) = timed(|| connection_sweep(&[8, 256, 1024], 8, 1));
     // Open-loop tail-latency sweep: one rate well below the tight admission
     // controller's capacity, one far above it, so the CI smoke can assert
     // both sides of saturation from the same artifact.
-    let t0 = Instant::now();
     let (ol_conns, ol_rates): (usize, &[f64]) = match scale {
         Scale::Test => (96, &[1_000.0, 1_000_000.0]),
         Scale::Reference => (4096, &[2_000.0, 1_000_000.0]),
     };
-    let open_loop = open_loop_sweep(ol_conns, ol_rates, 8, 2, seed);
-    let open_loop_ns = t0.elapsed().as_nanos() as u64;
+    let (open_loop, open_loop_ns) = timed(|| open_loop_sweep(ol_conns, ol_rates, 8, 2, seed));
 
-    let gm = |sel: &dyn Fn(&SpecRow) -> f64| geomean(&spec.iter().map(sel).collect::<Vec<f64>>());
-    let egm =
-        |sel: &dyn Fn(&EnhanceRow) -> f64| geomean(&enh.iter().map(sel).collect::<Vec<f64>>());
-    let agm =
-        |sel: &dyn Fn(&ApacheRow) -> f64| geomean(&apache.iter().map(sel).collect::<Vec<f64>>());
-    let fig7_rows = spec
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("name", Json::Str(r.name.to_string())),
-                ("byte_unsafe", Json::F64(r.byte_unsafe)),
-                ("byte_safe", Json::F64(r.byte_safe)),
-                ("word_unsafe", Json::F64(r.word_unsafe)),
-                ("word_safe", Json::F64(r.word_safe)),
-                ("host_ns", Json::U64(r.host_ns)),
-            ])
-        })
-        .collect();
-    let fig8_rows = enh
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("name", Json::Str(r.name.to_string())),
-                ("byte_unsafe", Json::F64(r.byte_unsafe)),
-                ("byte_set_clr", Json::F64(r.byte_set_clr)),
-                ("byte_both", Json::F64(r.byte_both)),
-                ("word_unsafe", Json::F64(r.word_unsafe)),
-                ("word_set_clr", Json::F64(r.word_set_clr)),
-                ("word_both", Json::F64(r.word_both)),
-                ("host_ns", Json::U64(r.host_ns)),
-            ])
-        })
-        .collect();
-    let fig6_rows = apache
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("file_size", Json::U64(r.file_size as u64)),
-                ("byte_latency", Json::F64(r.byte_latency)),
-                ("byte_throughput", Json::F64(r.byte_throughput)),
-                ("word_latency", Json::F64(r.word_latency)),
-                ("word_throughput", Json::F64(r.word_throughput)),
-                ("host_ns", Json::U64(r.host_ns)),
-            ])
-        })
-        .collect();
+    let (fig7_rows, fig7_gm) = figure_json(
+        &spec,
+        |r| ("name", Json::Str(r.name.to_string())),
+        &[
+            ("byte_unsafe", |r| r.byte_unsafe),
+            ("byte_safe", |r| r.byte_safe),
+            ("word_unsafe", |r| r.word_unsafe),
+            ("word_safe", |r| r.word_safe),
+        ],
+        |r| r.host_ns,
+    );
+    let (fig8_rows, fig8_gm) = figure_json(
+        &enh,
+        |r| ("name", Json::Str(r.name.to_string())),
+        &[
+            ("byte_unsafe", |r| r.byte_unsafe),
+            ("byte_set_clr", |r| r.byte_set_clr),
+            ("byte_both", |r| r.byte_both),
+            ("word_unsafe", |r| r.word_unsafe),
+            ("word_set_clr", |r| r.word_set_clr),
+            ("word_both", |r| r.word_both),
+        ],
+        |r| r.host_ns,
+    );
+    let (fig6_rows, fig6_gm) = figure_json(
+        &apache,
+        |r| ("file_size", Json::U64(r.file_size as u64)),
+        &[
+            ("byte_latency", |r| r.byte_latency),
+            ("byte_throughput", |r| r.byte_throughput),
+            ("word_latency", |r| r.word_latency),
+            ("word_throughput", |r| r.word_throughput),
+        ],
+        |r| r.host_ns,
+    );
     Json::obj(vec![
         ("schema_version", Json::U64(shift_obs::SCHEMA_VERSION)),
         ("seed", Json::U64(seed)),
@@ -956,38 +944,12 @@ pub fn bench_summary(scale: Scale, file_sizes: &[usize], requests: usize, seed: 
             }),
         ),
         ("spec_benches", Json::U64(spec.len() as u64)),
-        (
-            "fig7_spec_geomean",
-            Json::obj(vec![
-                ("byte_unsafe", Json::F64(gm(&|r| r.byte_unsafe))),
-                ("byte_safe", Json::F64(gm(&|r| r.byte_safe))),
-                ("word_unsafe", Json::F64(gm(&|r| r.word_unsafe))),
-                ("word_safe", Json::F64(gm(&|r| r.word_safe))),
-            ]),
-        ),
-        (
-            "fig8_spec_geomean",
-            Json::obj(vec![
-                ("byte_unsafe", Json::F64(egm(&|r| r.byte_unsafe))),
-                ("byte_set_clr", Json::F64(egm(&|r| r.byte_set_clr))),
-                ("byte_both", Json::F64(egm(&|r| r.byte_both))),
-                ("word_unsafe", Json::F64(egm(&|r| r.word_unsafe))),
-                ("word_set_clr", Json::F64(egm(&|r| r.word_set_clr))),
-                ("word_both", Json::F64(egm(&|r| r.word_both))),
-            ]),
-        ),
-        (
-            "fig6_apache_geomean",
-            Json::obj(vec![
-                ("byte_latency", Json::F64(agm(&|r| r.byte_latency))),
-                ("byte_throughput", Json::F64(agm(&|r| r.byte_throughput))),
-                ("word_latency", Json::F64(agm(&|r| r.word_latency))),
-                ("word_throughput", Json::F64(agm(&|r| r.word_throughput))),
-            ]),
-        ),
-        ("fig7_rows", Json::Arr(fig7_rows)),
-        ("fig8_rows", Json::Arr(fig8_rows)),
-        ("fig6_rows", Json::Arr(fig6_rows)),
+        ("fig7_spec_geomean", fig7_gm),
+        ("fig8_spec_geomean", fig8_gm),
+        ("fig6_apache_geomean", fig6_gm),
+        ("fig7_rows", fig7_rows),
+        ("fig8_rows", fig8_rows),
+        ("fig6_rows", fig6_rows),
         ("serve_rows", Json::Arr(serve)),
         ("conn_sweep_rows", Json::Arr(conn_sweep)),
         ("open_loop_rows", Json::Arr(open_loop)),

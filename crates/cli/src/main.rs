@@ -25,8 +25,8 @@
 //! the modelled numbers do not depend on the host). Without `--size-kb`
 //! the connections carry the mixed
 //! production-traffic stream; with it, every request fetches one file of
-//! that size. Every simulation — `serve` in both loops and the `bench`
-//! sweeps — runs on one host thread per core
+//! that size. Every simulation — `serve` in both loops, `spec` and the
+//! `bench` sweeps — runs on one host thread per core
 //! ([`shift_core::pool::host_threads`]); no flag sizes that pool, and every
 //! modelled number is bit-identical at any host thread count.
 //!
@@ -107,9 +107,10 @@
 
 use std::process::ExitCode as ProcessExit;
 
+use shift_bench::{spec_matrix, Cell};
 use shift_core::replay::mode_from_key;
-use shift_core::{CompileError, Exit, Granularity, Mode, Shift, ShiftOptions};
-use shift_workloads::{run_spec, Scale};
+use shift_core::{CompileError, Exit, Granularity, Mode, Shift, ShiftOptions, MODES};
+use shift_workloads::Scale;
 
 /// Every process exit code `shift` can return, in one place.
 ///
@@ -219,16 +220,10 @@ fn compile_failed(e: &CompileError) -> ExitCode {
 
 /// Pulls `--mode <m>` out of the argument list (default: byte-level SHIFT).
 fn take_mode(args: &mut Vec<String>) -> Result<Mode, String> {
-    if let Some(i) = args.iter().position(|a| a == "--mode") {
-        if i + 1 >= args.len() {
-            return Err("--mode needs a value".into());
-        }
-        let name = args.remove(i + 1);
-        args.remove(i);
-        mode_from_key(&name).ok_or_else(|| format!("unknown mode `{name}` (try `shift modes`)"))
-    } else {
-        Ok(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)))
-    }
+    let Some(name) = take_opt(args, "--mode")? else {
+        return Ok(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
+    };
+    mode_from_key(&name).ok_or_else(|| format!("unknown mode `{name}` (try `shift modes`)"))
 }
 
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
@@ -283,15 +278,7 @@ fn mode_name(mode: Mode) -> String {
 
 fn cmd_modes() {
     println!("compilation modes:");
-    for (name, what) in [
-        ("plain", "no taint tracking (the experiments' baseline)"),
-        ("byte", "SHIFT, byte-level tags, stock Itanium (default)"),
-        ("word", "SHIFT, word-level tags, stock Itanium"),
-        ("byte-enhanced", "SHIFT, byte-level, with tset/tclr + cmp.nat"),
-        ("word-enhanced", "SHIFT, word-level, with tset/tclr + cmp.nat"),
-        ("shadow-byte", "software-only shadow-register tracking (the ablation)"),
-        ("shadow-word", "software-only, word-level tags"),
-    ] {
+    for (name, _, what) in MODES {
         println!("  {name:<14} {what}");
     }
 }
@@ -478,28 +465,26 @@ fn cmd_bench(json: bool, scale: Scale, seed: u64) -> ExitCode {
 }
 
 fn cmd_spec(name: &str, mode: Mode, scale: Scale, tainted: bool) -> ExitCode {
-    let benches = shift_workloads::all_benches();
-    let selected: Vec<_> = if name == "all" {
-        benches
-    } else {
-        benches.into_iter().filter(|b| b.name == name).collect()
-    };
+    let selected: Vec<_> = shift_workloads::all_benches()
+        .into_iter()
+        .filter(|b| name == "all" || b.name == name)
+        .collect();
     if selected.is_empty() {
         eprintln!(
             "no benchmark `{name}`; try: all, gzip, gcc, crafty, bzip2, vpr, mcf, parser, twolf"
         );
         return ExitCode::Usage;
     }
+    let cells = [Cell { mode: Mode::Uninstrumented, tainted }, Cell { mode, tainted }];
     println!("{:<10} {:>14} {:>14} {:>10}", "bench", "cycles", "instructions", "slowdown");
-    for bench in selected {
-        let run = run_spec(&bench, mode, scale, tainted);
-        let base = run_spec(&bench, Mode::Uninstrumented, scale, tainted);
+    for (bench, runs) in selected.iter().zip(spec_matrix(&selected, scale, &cells)) {
+        let (base, run) = (&runs[0].0, &runs[1].0);
         println!(
             "{:<10} {:>14} {:>14} {:>9.2}x",
             bench.name,
-            run.stats.cycles,
-            run.stats.instructions,
-            run.stats.cycles as f64 / base.stats.cycles as f64
+            run.cycles,
+            run.instructions,
+            run.cycles as f64 / base.cycles as f64
         );
     }
     ExitCode::Success
@@ -1506,16 +1491,8 @@ mod tests {
 
     #[test]
     fn all_documented_modes_parse() {
-        for name in [
-            "plain",
-            "byte",
-            "word",
-            "byte-enhanced",
-            "word-enhanced",
-            "shadow-byte",
-            "shadow-word",
-        ] {
-            assert!(mode_from_key(name).is_some(), "{name}");
+        for (name, mode, _) in MODES {
+            assert_eq!(mode_from_key(name), Some(mode), "{name}");
         }
         assert!(mode_from_key("turbo").is_none());
     }

@@ -80,7 +80,7 @@ pub struct ShiftOptions {
 
 impl ShiftOptions {
     /// Baseline SHIFT on stock Itanium at the given granularity.
-    pub fn baseline(granularity: Granularity) -> ShiftOptions {
+    pub const fn baseline(granularity: Granularity) -> ShiftOptions {
         ShiftOptions {
             granularity,
             set_clr: false,
@@ -91,7 +91,7 @@ impl ShiftOptions {
     }
 
     /// Both proposed enhancements on (Figure 8's "both" bars).
-    pub fn enhanced(granularity: Granularity) -> ShiftOptions {
+    pub const fn enhanced(granularity: Granularity) -> ShiftOptions {
         ShiftOptions { set_clr: true, nat_cmp: true, ..ShiftOptions::baseline(granularity) }
     }
 }

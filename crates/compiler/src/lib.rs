@@ -84,6 +84,24 @@ pub enum Mode {
     Shadow(Granularity),
 }
 
+/// Every mode key `shift --mode` accepts, with the mode it names and a
+/// one-line description, in the order `shift modes` lists them. The CLI,
+/// the replay log's `mode` field and the tests all read their keys here.
+#[rustfmt::skip]
+pub const MODES: [(&str, Mode, &str); 7] = {
+    use Granularity::{Byte, Word};
+    use ShiftOptions as O;
+    [
+        ("plain",         Mode::Uninstrumented,           "no taint tracking (the experiments' baseline)"),
+        ("byte",          Mode::Shift(O::baseline(Byte)), "SHIFT, byte-level tags, stock Itanium (default)"),
+        ("word",          Mode::Shift(O::baseline(Word)), "SHIFT, word-level tags, stock Itanium"),
+        ("byte-enhanced", Mode::Shift(O::enhanced(Byte)), "SHIFT, byte-level, with tset/tclr + cmp.nat"),
+        ("word-enhanced", Mode::Shift(O::enhanced(Word)), "SHIFT, word-level, with tset/tclr + cmp.nat"),
+        ("shadow-byte",   Mode::Shadow(Byte),             "software-only shadow-register tracking (the ablation)"),
+        ("shadow-word",   Mode::Shadow(Word),             "software-only, word-level tags"),
+    ]
+};
+
 /// Compilation failure.
 #[derive(Clone, PartialEq, Debug)]
 pub enum CompileError {

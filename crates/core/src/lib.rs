@@ -78,7 +78,7 @@ pub use replay::{OpenLoopLog, ReplayLog, ReplayOutcome, ShrinkResult, REPLAY_SCH
 pub use runtime::{IoCostModel, Runtime, World};
 
 // Re-export the pieces callers need to drive a session without extra deps.
-pub use shift_compiler::{CompileError, CompiledProgram, Compiler, Mode, ShiftOptions};
+pub use shift_compiler::{CompileError, CompiledProgram, Compiler, Mode, ShiftOptions, MODES};
 pub use shift_isa::CLOCK_HZ;
 pub use shift_machine::{Exit, Fault, Injection, NatFaultKind, Stats, Violation};
 pub use shift_machine::{FuncSpan, Profiler, TaintObserver};

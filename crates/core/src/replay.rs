@@ -37,7 +37,7 @@ use shift_obs::Json;
 
 use crate::event::{self, Disposition, OpenLoopConfig, Segment};
 use crate::fleet::{ConnectionReport, FaultPlan, Fleet, FleetReport};
-use crate::{Granularity, IoCostModel, Mode, Shift, ShiftOptions, TaintConfig, World};
+use crate::{IoCostModel, Mode, Shift, ShiftOptions, TaintConfig, World, MODES};
 
 /// Version stamp of the replay-log schema. Bump on any breaking change to
 /// the document layout; the committed fixture test catches accidental
@@ -47,36 +47,28 @@ pub const REPLAY_SCHEMA_VERSION: u64 = 1;
 /// The `kind` discriminator every replay log carries.
 pub const REPLAY_LOG_KIND: &str = "shift-replay-log";
 
-/// Canonical key for a compilation mode — the same names `shift --mode`
-/// accepts. (A `Mode::Shift` with exactly one architectural enhancement has
-/// no distinct key and maps to `-enhanced`; the recorded image digest
-/// catches any resulting code mismatch at replay time.)
+/// Canonical key for a compilation mode — its [`MODES`] key, the name
+/// `shift --mode` accepts. (A `Mode::Shift` with exactly one architectural
+/// enhancement has no distinct key and maps to `-enhanced`, and other
+/// non-default options map to their granularity's key; the recorded image
+/// digest catches any resulting code mismatch at replay time.)
 pub fn mode_key(mode: Mode) -> &'static str {
-    match mode {
-        Mode::Uninstrumented => "plain",
-        Mode::Shift(o) => match (o.granularity, o.set_clr || o.nat_cmp) {
-            (Granularity::Byte, false) => "byte",
-            (Granularity::Word, false) => "word",
-            (Granularity::Byte, true) => "byte-enhanced",
-            (Granularity::Word, true) => "word-enhanced",
-        },
-        Mode::Shadow(Granularity::Byte) => "shadow-byte",
-        Mode::Shadow(Granularity::Word) => "shadow-word",
-    }
+    let canonical = match mode {
+        Mode::Shift(o) if o.set_clr || o.nat_cmp => {
+            Mode::Shift(ShiftOptions::enhanced(o.granularity))
+        }
+        Mode::Shift(o) => Mode::Shift(ShiftOptions::baseline(o.granularity)),
+        other => other,
+    };
+    MODES.iter().find(|&&(_, m, _)| m == canonical).expect("every canonical mode has a key").0
 }
 
-/// Parses a canonical mode key (see [`mode_key`]).
+/// Parses a [`MODES`] key, or the `uninstrumented` alias of `plain`.
 pub fn mode_from_key(key: &str) -> Option<Mode> {
-    Some(match key {
-        "plain" | "uninstrumented" => Mode::Uninstrumented,
-        "byte" => Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
-        "word" => Mode::Shift(ShiftOptions::baseline(Granularity::Word)),
-        "byte-enhanced" => Mode::Shift(ShiftOptions::enhanced(Granularity::Byte)),
-        "word-enhanced" => Mode::Shift(ShiftOptions::enhanced(Granularity::Word)),
-        "shadow-byte" => Mode::Shadow(Granularity::Byte),
-        "shadow-word" => Mode::Shadow(Granularity::Word),
-        _ => return None,
-    })
+    if key == "uninstrumented" {
+        return Some(Mode::Uninstrumented);
+    }
+    MODES.iter().find(|&&(k, ..)| k == key).map(|&(_, mode, _)| mode)
 }
 
 /// A stable one-line signature of how a run ended, used to compare a replay
@@ -1022,16 +1014,8 @@ mod tests {
 
     #[test]
     fn mode_keys_round_trip() {
-        for key in [
-            "plain",
-            "byte",
-            "word",
-            "byte-enhanced",
-            "word-enhanced",
-            "shadow-byte",
-            "shadow-word",
-        ] {
-            let mode = mode_from_key(key).unwrap();
+        for (key, mode, _) in MODES {
+            assert_eq!(mode_from_key(key), Some(mode));
             assert_eq!(mode_key(mode), key);
         }
         assert!(mode_from_key("turbo").is_none());

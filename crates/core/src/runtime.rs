@@ -371,27 +371,30 @@ impl Runtime {
         }
     }
 
-    /// Refuses a guest source buffer in region 0 — the tag space, which
-    /// reads as lazily zero-backed memory without any mapping — with an
-    /// unmapped fault before a byte is read, in every mode, the way
-    /// [`Runtime::write_guest`] refuses a region-0 destination. Every
-    /// runtime read of a guest buffer starts here; the guest's own tag
-    /// loads never pass through the runtime.
-    fn source(addr: u64) -> Result<u64, MemError> {
+    /// Checks a guest source buffer `(addr, len)` and returns it with `len`
+    /// clamped to [`sys::MAX_TRANSFER`]. A buffer in region 0 — the tag
+    /// space, which reads as lazily zero-backed memory without any mapping
+    /// — is refused with an unmapped fault before a byte is read, in every
+    /// mode, the way [`Runtime::write_guest`] refuses a region-0
+    /// destination. Every runtime read of a guest buffer starts here; the
+    /// guest's own tag loads never pass through the runtime.
+    fn source(addr: u64, len: u64) -> Result<(u64, u64), MemError> {
         if region_of(addr) == 0 {
             return Err(MemError::Unmapped { addr });
         }
-        Ok(addr)
+        Ok((addr, len.min(sys::MAX_TRANSFER)))
     }
 
     /// Reads guest bytes plus their taint **as the guest's bitmap records
     /// it** — this is what policy checks must use. Bytes without tags
     /// (uninstrumented guest) read as clean. The buffers grow as the reads
     /// succeed, so a guest-supplied length past mapped memory faults at the
-    /// first unmapped byte without allocating it first.
+    /// first unmapped byte without allocating it first; a longer one is
+    /// clamped by [`Runtime::source`].
     fn read_tainted(&self, m: &mut Machine, addr: u64, len: u64) -> Result<TaintedBytes, MemError> {
+        let (addr, len) = Self::source(addr, len)?;
         let mut bytes = Vec::new();
-        m.mem.append_bytes(Self::source(addr)?, len as usize, &mut bytes)?;
+        m.mem.append_bytes(addr, len as usize, &mut bytes)?;
         let taint = match self.gran.and_then(|gran| tag_range(addr, len, gran).ok()) {
             Some(r) => {
                 let mut span = Vec::new();
@@ -407,9 +410,10 @@ impl Runtime {
         &self,
         m: &mut Machine,
         addr: u64,
-        max: usize,
+        max: u64,
     ) -> Result<TaintedBytes, MemError> {
-        let bytes = m.mem.read_cstr(Self::source(addr)?, max)?;
+        let (addr, max) = Self::source(addr, max)?;
+        let bytes = m.mem.read_cstr(addr, max as usize)?;
         let len = bytes.len() as u64;
         self.read_tainted(m, addr, len)
     }
@@ -709,8 +713,9 @@ impl Runtime {
         match num {
             sys::EXIT => Ok(SysResult::Stop(Exit::Halted(a0 as i64))),
             sys::PRINT => {
+                let (addr, len) = Self::source(a0, a1)?;
                 let mut bytes = Vec::new();
-                m.mem.append_bytes(Self::source(a0)?, a1 as usize, &mut bytes)?;
+                m.mem.append_bytes(addr, len as usize, &mut bytes)?;
                 self.log.push(bytes);
                 Self::ret(m, 0);
                 Ok(SysResult::Continue)
@@ -742,10 +747,11 @@ impl Runtime {
             }
             sys::NET_WRITE => {
                 // Append in place; a faulting read leaves the output as it was.
-                m.mem.append_bytes(Self::source(a0)?, a1 as usize, &mut self.net_output)?;
-                Self::ret(m, a1 as i64);
-                let charged = self.io.net_base + self.io.net_per_byte * a1;
-                Ok(self.io_done(m, "net_write", a1, charged, true))
+                let (addr, len) = Self::source(a0, a1)?;
+                m.mem.append_bytes(addr, len as usize, &mut self.net_output)?;
+                Self::ret(m, len as i64);
+                let charged = self.io.net_base + self.io.net_per_byte * len;
+                Ok(self.io_done(m, "net_write", len, charged, true))
             }
             sys::FILE_OPEN => {
                 let path = self.read_tainted_cstr(m, a0, 4096)?;
@@ -804,8 +810,9 @@ impl Runtime {
                     Self::ret(m, -1);
                     return Ok(SysResult::Continue);
                 }
+                let (addr, len) = Self::source(a1, a2)?;
                 let mut bytes = Vec::new();
-                m.mem.append_bytes(Self::source(a1)?, a2 as usize, &mut bytes)?;
+                m.mem.append_bytes(addr, len as usize, &mut bytes)?;
                 let n = bytes.len() as u64;
                 Arc::make_mut(&mut self.world.files)
                     .entry(f.name.clone())
@@ -823,7 +830,8 @@ impl Runtime {
                 Ok(SysResult::Continue)
             }
             sys::FILE_STAT => {
-                let path = m.mem.read_cstr(Self::source(a0)?, 4096)?;
+                let (addr, max) = Self::source(a0, 4096)?;
+                let path = m.mem.read_cstr(addr, max as usize)?;
                 let name = String::from_utf8_lossy(&path).into_owned();
                 let size = self.world.files.get(&name).map(|c| c.len() as i64).unwrap_or(-1);
                 Self::ret(m, size);
@@ -856,9 +864,10 @@ impl Runtime {
                     return Ok(stop);
                 }
                 self.html_output.extend_from_slice(&h.bytes);
-                Self::ret(m, a1 as i64);
-                let charged = self.io.net_base / 4 + self.io.net_per_byte * a1;
-                Ok(self.io_done(m, "html_out", a1, charged, true))
+                let n = h.bytes.len() as u64;
+                Self::ret(m, n as i64);
+                let charged = self.io.net_base / 4 + self.io.net_per_byte * n;
+                Ok(self.io_done(m, "html_out", n, charged, true))
             }
             sys::BRK => {
                 // Grants round up to 16 bytes (at least 16). A break that
@@ -1207,6 +1216,47 @@ mod tests {
                 SysResult::Stop(Exit::Fault(Fault::Unmapped { addr: end, ip })),
                 "syscall {num}"
             );
+        }
+    }
+
+    /// A guest may map half the heap region and hand the runtime a buffer
+    /// of that length: each bulk read stops at [`sys::MAX_TRANSFER`] bytes,
+    /// so host output and resident frames stay bounded by one transfer.
+    #[test]
+    fn bulk_reads_of_a_huge_grant_are_clamped_to_one_transfer() {
+        const LEN: u64 = 1 << 39;
+        let io = IoCostModel::SERVER;
+        let frames = 2 * sys::MAX_TRANSFER / shift_machine::PAGE_SIZE;
+        let out_len = |num: u32, r: &Runtime| match num {
+            sys::PRINT => r.log.concat().len(),
+            sys::NET_WRITE => r.net_output.len(),
+            sys::SQL_EXEC => r.sql_log.concat().len(),
+            _ => r.html_output.len(),
+        };
+        for num in [sys::PRINT, sys::NET_WRITE, sys::SQL_EXEC, sys::HTML_OUT] {
+            let mut m = machine();
+            let mut r = rt(World::new()).with_io(io);
+            assert_eq!(call(&mut r, &mut m, sys::BRK, &[LEN]), SysResult::Continue);
+            let (resident, zero) = (m.mem.resident_pages(), m.mem.zero_pages());
+            let io_before = m.stats.io_cycles;
+            assert_eq!(call(&mut r, &mut m, num, &[layout::HEAP_BASE, LEN]), SysResult::Continue);
+            let name = sys::name(num);
+            assert_eq!(out_len(num, &r) as u64, sys::MAX_TRANSFER, "{name}");
+            assert!(m.mem.resident_pages() - resident <= frames as usize, "{name}");
+            assert!(m.mem.zero_pages() - zero <= frames as usize, "{name}");
+            assert_eq!(m.mem.owned_pages(), 0, "{name}: a read owns no page");
+            let charged = m.stats.io_cycles - io_before;
+            match num {
+                sys::NET_WRITE => {
+                    assert_eq!(m.cpu.gpr(Gpr::RET).value, sys::MAX_TRANSFER);
+                    assert_eq!(charged, io.net_base + io.net_per_byte * sys::MAX_TRANSFER);
+                }
+                sys::HTML_OUT => {
+                    assert_eq!(m.cpu.gpr(Gpr::RET).value, sys::MAX_TRANSFER);
+                    assert_eq!(charged, io.net_base / 4 + io.net_per_byte * sys::MAX_TRANSFER);
+                }
+                _ => {}
+            }
         }
     }
 

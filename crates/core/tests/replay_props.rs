@@ -12,15 +12,12 @@ use proptest::prelude::*;
 use shift_core::replay::{
     mode_from_key, mode_key, ConnectionLog, Expected, OpenLoopLog, ReplayLog,
 };
-use shift_core::{IoCostModel, Mode, Source, TaintConfig, ViolationAction, World};
+use shift_core::{IoCostModel, Mode, Source, TaintConfig, ViolationAction, World, MODES};
 use shift_isa::Gpr;
 use shift_machine::{Fault, Injection, NatFaultKind};
 
-const MODE_KEYS: [&str; 7] =
-    ["plain", "byte", "word", "byte-enhanced", "word-enhanced", "shadow-byte", "shadow-word"];
-
 fn mode_strategy() -> impl Strategy<Value = Mode> {
-    (0usize..MODE_KEYS.len()).prop_map(|i| mode_from_key(MODE_KEYS[i]).unwrap())
+    (0usize..MODES.len()).prop_map(|i| MODES[i].1)
 }
 
 fn injection_strategy() -> impl Strategy<Value = Injection> {
@@ -229,8 +226,8 @@ proptest! {
 
 #[test]
 fn mode_keys_cover_every_mode() {
-    for key in MODE_KEYS {
-        let mode = mode_from_key(key).unwrap();
+    for (key, mode, _) in MODES {
+        assert_eq!(mode_from_key(key), Some(mode));
         assert_eq!(mode_key(mode), key);
     }
     assert!(mode_from_key("nonsense").is_none());

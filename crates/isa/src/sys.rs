@@ -55,6 +55,13 @@ pub const CLOCK: u32 = 16;
 /// Never returns: the runtime stops the run with a `GUARD` violation.
 pub const ALERT: u32 = 17;
 
+/// The most bytes one runtime call reads from a guest buffer, as Linux caps
+/// `read`/`write` at `MAX_RW_COUNT`: the host reads (and, for `net_write`
+/// and `html_out`, returns and charges) at most this many bytes, so a
+/// guest-supplied length cannot size a host allocation. The largest single
+/// transfer of any shipped workload is a 4 KiB Apache file chunk.
+pub const MAX_TRANSFER: u64 = 64 << 10;
+
 /// Human-readable name for a runtime-call number (diagnostics).
 pub fn name(num: u32) -> &'static str {
     match num {

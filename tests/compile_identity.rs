@@ -16,16 +16,12 @@
 //! cargo test --release --test compile_identity -- --ignored regenerate
 //! ```
 
-use shift_core::{replay, Shift};
+use shift_core::{Shift, MODES};
 use shift_ir::Program;
 use shift_obs::Json;
 
 const FIXTURE_PATH: &str = "tests/data/compile_digests.json";
 const FIXTURE: &str = include_str!("data/compile_digests.json");
-
-/// The canonical mode keys `shift --mode` accepts.
-const MODES: [&str; 7] =
-    ["plain", "byte", "word", "byte-enhanced", "word-enhanced", "shadow-byte", "shadow-word"];
 
 /// Every distinct guest program, by name. The chaos registry's `apache`
 /// entry is `apache_program` again, so only its other guests are added.
@@ -57,8 +53,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn collect() -> Vec<(String, String)> {
     let mut out = Vec::new();
     for (name, program) in guests() {
-        for key in MODES {
-            let mode = replay::mode_from_key(key).expect("canonical mode key");
+        for (key, mode, _) in MODES {
             let c = Shift::new(mode).compile(&program).expect("guest compiles");
             let mut ranges: Vec<_> = c.func_ranges.iter().collect();
             ranges.sort();
