@@ -20,6 +20,9 @@ use std::time::Instant;
 use shift_core::{pool, Granularity, Mode, ShiftOptions, Stats};
 use shift_isa::Provenance;
 use shift_obs::Json;
+use shift_workloads::apache::{
+    apache_fleet, fleet_connections, fleet_world, run_apache, ApacheStream,
+};
 use shift_workloads::{
     all_benches, compile_spec, run_spec_precompiled, ArrivalProcess, Scale, SpecBench,
 };
@@ -310,7 +313,6 @@ pub struct ApacheRow {
 /// counts). The size × mode matrix runs on the shared host pool —
 /// every server run is an independent simulated machine.
 pub fn fig6_apache(file_sizes: &[usize], requests: usize) -> Vec<ApacheRow> {
-    use shift_workloads::apache::run_apache;
     let modes = [Mode::Uninstrumented, BYTE, WORD];
     let jobs: Vec<(usize, Mode)> =
         file_sizes.iter().flat_map(|&size| modes.iter().map(move |&m| (size, m))).collect();
@@ -373,7 +375,6 @@ pub fn serve_sweep(
     connections: usize,
     requests_per_conn: usize,
 ) -> Vec<Json> {
-    use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     let modes = [("byte", BYTE), ("word", WORD)];
     let mut streams: Vec<ApacheStream> =
         file_sizes.iter().map(|&s| ApacheStream::Uniform(s)).collect();
@@ -438,7 +439,6 @@ pub fn serve_sweep(
 /// sampling, i.e. the `serve --trace-out --sample-cycles` configuration.
 pub fn trace_overhead(connections: usize, requests_per_conn: usize, sample_cycles: u64) -> Json {
     use shift_core::{Fleet, FlightConfig, DEFAULT_TRACE_CAP};
-    use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     let stream = ApacheStream::Mixed;
     let world = fleet_world(stream);
     let conns = fleet_connections(stream, connections, requests_per_conn);
@@ -512,16 +512,9 @@ pub fn spawn_latency() -> Json {
         MachineSeed::new(&image)
     };
     let measure = |seed: &MachineSeed| -> u64 {
-        const BATCH: u32 = 256;
-        let mut best = u64::MAX;
-        for _ in 0..3 {
-            let t = Instant::now();
-            for _ in 0..BATCH {
-                std::hint::black_box(seed.spawn());
-            }
-            best = best.min((t.elapsed().as_nanos() as u64 / u64::from(BATCH)).max(1));
-        }
-        best
+        const BATCH: u64 = 256;
+        let batch = || timed(|| (0..BATCH).for_each(|_| drop(std::hint::black_box(seed.spawn()))));
+        (0..3).map(|_| (batch().1 / BATCH).max(1)).min().expect("three batches ran")
     };
 
     let small = build(256); // 1 MiB of image data
@@ -570,7 +563,6 @@ pub fn connection_sweep(
     workers: usize,
     requests_per_conn: usize,
 ) -> Vec<Json> {
-    use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     let stream = ApacheStream::Mixed;
     let world = fleet_world(stream);
     let fleet = apache_fleet(BYTE);
@@ -636,7 +628,6 @@ pub fn open_loop_sweep(
     seed: u64,
 ) -> Vec<Json> {
     use shift_core::OpenLoopConfig;
-    use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     use shift_workloads::chaos;
     let stream = ApacheStream::Mixed;
     let world = fleet_world(stream);

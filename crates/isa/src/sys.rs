@@ -59,7 +59,8 @@ pub const ALERT: u32 = 17;
 /// `read`/`write` at `MAX_RW_COUNT`: the host reads (and, for `net_write`
 /// and `html_out`, returns and charges) at most this many bytes, so a
 /// guest-supplied length cannot size a host allocation. The largest single
-/// transfer of any shipped workload is a 4 KiB Apache file chunk.
+/// transfer of any shipped workload is gcc's 6 388-byte reference-input
+/// `print`; Apache's file chunks are 4 KiB.
 pub const MAX_TRANSFER: u64 = 64 << 10;
 
 /// Human-readable name for a runtime-call number (diagnostics).
