@@ -17,7 +17,9 @@ use shift_machine::{
     layout, Exit, Image, Machine, MachineSeed, Memory, NullOs, Os, SysResult, PAGE_SIZE,
 };
 use shift_tagmap::HostShadow;
-use shift_workloads::apache::{apache_program, run_apache};
+use shift_workloads::apache::{
+    apache_fleet, apache_program, fleet_connections, fleet_world, ApacheStream,
+};
 
 /// Loop iterations for the dispatch A/B — enough retired instructions
 /// (~20k) that per-iteration dispatch overhead dominates setup.
@@ -333,10 +335,11 @@ fn bench_apache_request(c: &mut Criterion) {
     // One full simulated request at the smallest file size: compile, serve,
     // tag-propagate, and check — the composite all the hot paths feed.
     g.bench_function("request_byte_1k", |b| {
+        let stream = ApacheStream::Uniform(1 << 10);
+        let (world, conns) = (fleet_world(stream), fleet_connections(stream, 1, 1));
         b.iter(|| {
-            let run =
-                run_apache(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)), 1 << 10, 1);
-            run.latency()
+            let fleet = apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
+            fleet.serve(&world, &conns, 1).wall_cycles
         })
     });
     g.finish();

@@ -110,6 +110,7 @@ use std::process::ExitCode as ProcessExit;
 use shift_bench::{spec_matrix, Cell};
 use shift_core::replay::mode_from_key;
 use shift_core::{CompileError, Exit, Granularity, Mode, Shift, ShiftOptions, MODES};
+use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
 use shift_workloads::Scale;
 
 /// Every process exit code `shift` can return, in one place.
@@ -465,14 +466,12 @@ fn cmd_bench(json: bool, scale: Scale, seed: u64) -> ExitCode {
 }
 
 fn cmd_spec(name: &str, mode: Mode, scale: Scale, tainted: bool) -> ExitCode {
-    let selected: Vec<_> = shift_workloads::all_benches()
-        .into_iter()
-        .filter(|b| name == "all" || b.name == name)
-        .collect();
+    let benches = shift_workloads::all_benches();
+    let selected: Vec<_> =
+        benches.iter().filter(|b| name == "all" || b.name == name).copied().collect();
     if selected.is_empty() {
-        eprintln!(
-            "no benchmark `{name}`; try: all, gzip, gcc, crafty, bzip2, vpr, mcf, parser, twolf"
-        );
+        let names: Vec<_> = benches.iter().map(|b| b.name).collect();
+        eprintln!("no benchmark `{name}`; try: all, {}", names.join(", "));
         return ExitCode::Usage;
     }
     let cells = [Cell { mode: Mode::Uninstrumented, tainted }, Cell { mode, tainted }];
@@ -491,15 +490,17 @@ fn cmd_spec(name: &str, mode: Mode, scale: Scale, tainted: bool) -> ExitCode {
 }
 
 fn cmd_apache(size_kb: usize, requests: usize, mode: Mode) -> ExitCode {
-    let run = shift_workloads::apache::run_apache(mode, size_kb << 10, requests);
-    let base = shift_workloads::apache::run_apache(Mode::Uninstrumented, size_kb << 10, requests);
+    let stream = ApacheStream::Uniform(size_kb << 10);
+    let conns = fleet_connections(stream, 1, requests);
+    let serve = |mode| apache_fleet(mode).serve(&fleet_world(stream), &conns, 1);
+    let (run, base) = (serve(mode), serve(Mode::Uninstrumented));
     println!("mode       : {}", mode_name(mode));
     println!("served     : {} requests of {size_kb} KB", run.served);
     println!("cpu cycles : {} (baseline {})", run.stats.cycles, base.stats.cycles);
     println!("io cycles  : {}", run.stats.io_cycles);
     println!(
         "overhead   : {:+.2}% end-to-end, {:.2}x cpu",
-        (run.total_time() as f64 / base.total_time() as f64 - 1.0) * 100.0,
+        (run.stats.total_time() as f64 / base.stats.total_time() as f64 - 1.0) * 100.0,
         run.stats.cycles as f64 / base.stats.cycles as f64
     );
     ExitCode::Success
@@ -634,7 +635,6 @@ struct ServeRun {
 fn serve_run(mode: Mode, opts: &ServeOpts) -> ServeRun {
     use shift_core::ReplayLog;
     use shift_obs::Json;
-    use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
     use shift_workloads::chaos;
     let stream = match opts.size_kb {
         Some(kb) => ApacheStream::Uniform(kb << 10),

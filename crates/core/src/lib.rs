@@ -451,15 +451,8 @@ impl Shift {
             }
             break exit;
         };
-        // Close the final request's latency window, mirroring it into the
-        // flight recorder like the in-stream windows.
-        let session_end = machine.stats.total_time();
-        if let Some((start, latency)) = runtime.finish_request_window(session_end) {
-            let index = runtime.request_latencies.len() as u64 - 1;
-            if let Some(fr) = machine.flight_recorder_mut() {
-                fr.span(start, start + latency, TraceKind::Request { index });
-            }
-        }
+        // Close the final request's latency window like the in-stream ones.
+        runtime.close_request_window(&mut machine);
         let halted = matches!(exit, Exit::Halted(_));
         // A request still open at a halt completed — the guest finished it
         // and exited without asking for more work. Open at any other stop,

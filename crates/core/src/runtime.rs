@@ -581,15 +581,24 @@ impl Runtime {
     }
 
     /// Closes the open per-request latency window (if any) at modelled time
-    /// `now`. The serve loop calls this once after the guest exits so the
-    /// final request's latency is recorded. Returns the closed window's
-    /// `(start, latency)` so callers can mirror it into the flight recorder
-    /// as a request span.
+    /// `now`, so a session's final request has its latency recorded once the
+    /// guest exits. Returns the closed window's `(start, latency)`.
     pub fn finish_request_window(&mut self, now: u64) -> Option<(u64, u64)> {
         let start = self.request_start.take()?;
         let latency = now.saturating_sub(start);
         self.request_latencies.push(latency);
         Some((start, latency))
+    }
+
+    /// [`Runtime::finish_request_window`] at `m`'s modelled clock, with the
+    /// closed window mirrored into `m`'s flight recorder as a request span.
+    pub(crate) fn close_request_window(&mut self, m: &mut Machine) {
+        if let Some((start, latency)) = self.finish_request_window(m.stats.total_time()) {
+            let index = self.request_latencies.len() as u64 - 1;
+            if let Some(fr) = m.flight_recorder_mut() {
+                fr.span(start, start + latency, TraceKind::Request { index });
+            }
+        }
     }
 
     // ---- syscall bodies ---------------------------------------------------
@@ -639,18 +648,12 @@ impl Runtime {
             _ => ("kbd_read", 0),
         };
         let out = self.io_done(m, name, n, charged, close_leg);
-        let now = m.stats.total_time();
         if matches!(source, Source::Network) {
             // Per-request latency: the window for request k runs from its
-            // delivery to the next `net_read` (or `finish_request_window`).
-            if let Some((start, latency)) = self.finish_request_window(now) {
-                let index = self.request_latencies.len() as u64 - 1;
-                if let Some(fr) = m.flight_recorder_mut() {
-                    fr.span(start, start + latency, TraceKind::Request { index });
-                }
-            }
+            // delivery to the next `net_read` (or the end of the session).
+            self.close_request_window(m);
             if delivered {
-                self.request_start = Some(now);
+                self.request_start = Some(m.stats.total_time());
             }
         }
         Self::ret(m, n as i64);
@@ -672,14 +675,7 @@ impl Os for Runtime {
     fn syscall(&mut self, m: &mut Machine, num: u32) -> SysResult {
         let out = match self.dispatch(m, num) {
             Ok(r) => r,
-            Err(e) => {
-                let ip = m.cpu.ip;
-                SysResult::Stop(Exit::Fault(match e {
-                    MemError::Unimplemented { addr } => Fault::Unimplemented { addr, ip },
-                    MemError::Unmapped { addr } => Fault::Unmapped { addr, ip },
-                    MemError::Unaligned { addr, size } => Fault::Unaligned { addr, size, ip },
-                }))
-            }
+            Err(e) => SysResult::Stop(Exit::Fault(e.fault(m.cpu.ip))),
         };
         // Time-series sampling. Syscalls are the only points where the
         // modelled clock can cross a threshold with the runtime's counters

@@ -8,7 +8,7 @@ use crate::cache::{CacheHierarchy, MEM_LATENCY};
 use crate::cpu::{Cpu, RegVal};
 use crate::fault::{Fault, NatFaultKind};
 use crate::image::Image;
-use crate::mem::{MemError, Memory};
+use crate::mem::Memory;
 use crate::snapshot::{Fnv, Injection, Snapshot};
 use crate::stats::{Exit, Stats};
 use crate::COST;
@@ -833,7 +833,7 @@ impl Machine {
                             self.stats.deferred_loads += 1;
                             self.cpu.set_gpr(dst, RegVal::NAT);
                         }
-                        Err(e) => return Err(Leave::fault(mem_fault(e, ip))),
+                        Err(e) => return Err(Leave::fault(e.fault(ip))),
                     }
                 }
             }
@@ -846,7 +846,7 @@ impl Machine {
                     nat_fault!(NatFaultKind::StoreValue);
                 }
                 if let Err(e) = self.mem.write_int(a.value, size.bytes(), v.value) {
-                    return Err(Leave::fault(mem_fault(e, ip)));
+                    return Err(Leave::fault(e.fault(ip)));
                 }
                 dev!(self.cache.access(a.value, size.bytes()));
                 if u.prov == Provenance::Original {
@@ -859,7 +859,7 @@ impl Machine {
                     nat_fault!(NatFaultKind::StoreAddress);
                 }
                 if let Err(e) = self.mem.write_int(a.value, 8, v.value) {
-                    return Err(Leave::fault(mem_fault(e, ip)));
+                    return Err(Leave::fault(e.fault(ip)));
                 }
                 dev!(self.cache.access(a.value, 8));
                 self.cpu.unat = set_unat_bit(self.cpu.unat, a.value, v.nat);
@@ -875,7 +875,7 @@ impl Machine {
                 }
                 let raw = match self.mem.read_int(a.value, 8) {
                     Ok(raw) => raw,
-                    Err(e) => return Err(Leave::fault(mem_fault(e, ip))),
+                    Err(e) => return Err(Leave::fault(e.fault(ip))),
                 };
                 dev!(self.cache.access(a.value, 8));
                 let nat = self.mem.spill_nat(a.value);
@@ -982,7 +982,7 @@ impl Machine {
                 let v = self.cpu.gpr(l.r);
                 if let Err(e) = self.mem.write_int(l.slot, 8, v.value) {
                     return Err(Leave::Fault {
-                        fault: mem_fault(e, spill_ip),
+                        fault: e.fault(spill_ip),
                         member: l.lead + 1,
                         unretired_base: l.reload_base,
                     });
@@ -1004,7 +1004,7 @@ impl Machine {
                     }
                     Err(e) => {
                         return Err(Leave::Fault {
-                            fault: mem_fault(e, spill_ip + 1),
+                            fault: e.fault(spill_ip + 1),
                             member: l.lead + 2,
                             unretired_base: 0,
                         })
@@ -1273,7 +1273,7 @@ impl Machine {
                                 }
                             }
                         }
-                        Err(e) => fault!(mem_fault(e, ip)),
+                        Err(e) => fault!(e.fault(ip)),
                     }
                 }
             }
@@ -1300,7 +1300,7 @@ impl Machine {
                             }
                         }
                     }
-                    Err(e) => fault!(mem_fault(e, ip)),
+                    Err(e) => fault!(e.fault(ip)),
                 }
             }
             Op::StSpill { src, addr } => {
@@ -1325,7 +1325,7 @@ impl Machine {
                             }
                         }
                     }
-                    Err(e) => fault!(mem_fault(e, ip)),
+                    Err(e) => fault!(e.fault(ip)),
                 }
             }
             Op::LdFill { dst, addr } => {
@@ -1347,7 +1347,7 @@ impl Machine {
                             }
                         }
                     }
-                    Err(e) => fault!(mem_fault(e, ip)),
+                    Err(e) => fault!(e.fault(ip)),
                 }
             }
             Op::ChkS { src, target } => {
@@ -1493,14 +1493,6 @@ fn set_unat_bit(unat: u64, addr: u64, nat: bool) -> u64 {
         unat | (1 << slot)
     } else {
         unat & !(1 << slot)
-    }
-}
-
-fn mem_fault(e: MemError, ip: usize) -> Fault {
-    match e {
-        MemError::Unimplemented { addr } => Fault::Unimplemented { addr, ip },
-        MemError::Unmapped { addr } => Fault::Unmapped { addr, ip },
-        MemError::Unaligned { addr, size } => Fault::Unaligned { addr, size, ip },
     }
 }
 

@@ -62,6 +62,8 @@ use std::sync::Arc;
 
 use shift_isa::{is_implemented, region_of, RangeSet};
 
+use crate::fault::Fault;
+
 /// Page size in bytes.
 pub const PAGE_SIZE: u64 = 4096;
 
@@ -79,8 +81,8 @@ const TLB_SIZE: usize = 1 << TLB_BITS;
 /// implemented-bits ceiling.
 const TLB_EMPTY: u64 = u64::MAX;
 
-/// Error from a raw memory access (converted to a [`crate::Fault`] by the
-/// executor, which adds the faulting `ip`).
+/// Error from a raw memory access (converted to a [`Fault`] by
+/// [`MemError::fault`], which adds the faulting `ip`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MemError {
     /// Address has unimplemented bits set.
@@ -109,6 +111,17 @@ impl MemError {
             MemError::Unimplemented { addr }
             | MemError::Unmapped { addr }
             | MemError::Unaligned { addr, .. } => addr,
+        }
+    }
+
+    /// The architectural fault this error raises at instruction `ip` — the
+    /// one mapping the executor and the runtime's syscalls share.
+    #[inline]
+    pub fn fault(self, ip: usize) -> Fault {
+        match self {
+            MemError::Unimplemented { addr } => Fault::Unimplemented { addr, ip },
+            MemError::Unmapped { addr } => Fault::Unmapped { addr, ip },
+            MemError::Unaligned { addr, size } => Fault::Unaligned { addr, size, ip },
         }
     }
 }

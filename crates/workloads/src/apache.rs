@@ -12,7 +12,7 @@
 use shift_ir::{Program, ProgramBuilder, Rhs};
 use shift_isa::{sys, CmpRel};
 
-use shift_core::{Fleet, IoCostModel, Mode, Shift, Stats, TaintConfig, ViolationAction, World};
+use shift_core::{Fleet, IoCostModel, Mode, Shift, TaintConfig, ViolationAction, World};
 
 /// A served file's name in the guest filesystem.
 pub const DOC_PATH: &str = "www/page";
@@ -138,48 +138,6 @@ pub fn apache_program() -> Program {
     pb.build().expect("apache guest is well-formed")
 }
 
-/// Result of one Apache-experiment run.
-#[derive(Clone, Debug)]
-pub struct ApacheRun {
-    /// Requests successfully served.
-    pub served: i64,
-    /// Full accounting.
-    pub stats: Stats,
-    /// Bytes that went out on the simulated socket.
-    pub bytes_out: usize,
-}
-
-impl ApacheRun {
-    /// End-to-end time of the run (CPU + I/O waits).
-    pub fn total_time(&self) -> u64 {
-        self.stats.total_time()
-    }
-
-    /// Mean per-request latency.
-    pub fn latency(&self) -> f64 {
-        self.total_time() as f64 / self.served.max(1) as f64
-    }
-
-    /// Throughput in requests per mega-cycle.
-    pub fn throughput(&self) -> f64 {
-        self.served as f64 * 1e6 / self.total_time() as f64
-    }
-}
-
-/// Runs the server under `mode`, serving `requests` requests for a file of
-/// `file_size` bytes (the paper's 4/8/16/512 KiB sweep).
-pub fn run_apache(mode: Mode, file_size: usize, requests: usize) -> ApacheRun {
-    let shift = Shift::new(mode).with_io(IoCostModel::SERVER).with_insn_limit(4_000_000_000);
-    let world = (0..requests)
-        .fold(fleet_world(ApacheStream::Uniform(file_size)), |w, _| w.net(benign_request()));
-    let report = shift.run(&apache_program(), world).expect("apache guest compiles");
-    let served = match report.exit {
-        shift_core::Exit::Halted(v) => v,
-        other => panic!("apache run ended badly: {other}"),
-    };
-    ApacheRun { served, stats: report.stats, bytes_out: report.runtime.net_output.len() }
-}
-
 // ---- fleet serving ---------------------------------------------------------
 
 /// The request mix a fleet connection carries.
@@ -264,10 +222,11 @@ mod tests {
 
     #[test]
     fn serves_requests_and_streams_bytes() {
-        let run = run_apache(Mode::Uninstrumented, 4096, 3);
+        let run = serve(Mode::Uninstrumented, uniform_world(4096), &vec![benign_request(); 3]);
         assert_eq!(run.served, 3);
         // 3 × (header + 4096 bytes of body).
-        assert!(run.bytes_out > 3 * 4096, "bytes_out = {}", run.bytes_out);
+        let bytes_out = run.runtime.net_output.len();
+        assert!(bytes_out > 3 * 4096, "bytes_out = {bytes_out}");
         assert!(run.stats.io_cycles > 0);
     }
 
@@ -313,10 +272,12 @@ mod tests {
         // Figure 6's core claim: instrumented vs baseline end-to-end time
         // differs by a few percent at most, even though CPU time differs by
         // 2–4×.
-        let base = run_apache(Mode::Uninstrumented, 4096, 4);
-        let inst = run_apache(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)), 4096, 4);
+        let reqs = vec![benign_request(); 4];
+        let base = serve(Mode::Uninstrumented, uniform_world(4096), &reqs);
+        let byte = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
+        let inst = serve(byte, uniform_world(4096), &reqs);
         assert_eq!(base.served, inst.served);
-        let overhead = inst.total_time() as f64 / base.total_time() as f64;
+        let overhead = inst.stats.total_time() as f64 / base.stats.total_time() as f64;
         assert!(overhead < 1.25, "server overhead should be I/O-masked, got {overhead:.3}");
         let cpu_ratio = inst.stats.cycles as f64 / base.stats.cycles as f64;
         assert!(cpu_ratio > 1.5, "CPU work must still differ, got {cpu_ratio:.2}");
@@ -330,10 +291,15 @@ mod tests {
         fleet.shift().serve_image(fleet.image(), world, &[])
     }
 
-    /// The Figure-6 document at `file_size` bytes plus the out-of-docroot
-    /// secret the traversal exploit goes after.
+    /// The Figure-6 document at `file_size` bytes.
+    fn uniform_world(file_size: usize) -> World {
+        fleet_world(ApacheStream::Uniform(file_size))
+    }
+
+    /// The Figure-6 document plus the out-of-docroot secret the traversal
+    /// exploit goes after.
     fn secret_world(file_size: usize) -> World {
-        fleet_world(ApacheStream::Uniform(file_size)).file(SECRET_PATH, SECRET_BYTES)
+        uniform_world(file_size).file(SECRET_PATH, SECRET_BYTES)
     }
 
     #[test]
@@ -411,8 +377,10 @@ mod tests {
     #[test]
     fn benign_requests_raise_no_alarms() {
         // Full policy set armed; normal traffic must not trip anything.
-        let run = run_apache(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)), 2048, 3);
+        let byte = Mode::Shift(ShiftOptions::baseline(Granularity::Byte));
+        let run = serve(byte, uniform_world(2048), &vec![benign_request(); 3]);
         assert_eq!(run.served, 3, "false positive stopped the server");
+        assert!(run.violations.is_empty(), "{:?}", run.violations);
     }
 
     #[test]

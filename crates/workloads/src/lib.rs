@@ -15,12 +15,13 @@
 //!   file and socket transfer time comes from the runtime's I/O cost model,
 //!   so the experiment preserves the paper's I/O-dominated structure.
 //!
-//! The [`run_spec`] / [`apache::run_apache`] helpers compile and execute a
-//! workload under any [`Mode`] and return cycle accounting, which the bench
-//! harness turns into the paper's tables and figures. Serving goes through
-//! [`apache::apache_fleet`], the one definition of the Apache serving
-//! session, and the [`chaos`] guest registry ([`chaos::guest`]) resolves a
-//! guest's name to its program, fleet, world, requests and escape check.
+//! [`run_spec`] compiles and executes a kernel under any [`Mode`] and
+//! returns cycle accounting, which the bench harness turns into the paper's
+//! tables and figures. Every Apache run — Figure 6 included — serves
+//! through [`apache::apache_fleet`], the one definition of the Apache
+//! serving session, and the [`chaos`] guest registry ([`chaos::guest`])
+//! resolves a guest's name to its program, fleet, world, requests and
+//! escape check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

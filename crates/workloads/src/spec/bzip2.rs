@@ -14,12 +14,7 @@ use crate::{Scale, SpecBench};
 
 /// Benchmark descriptor.
 pub fn bench() -> SpecBench {
-    SpecBench {
-        name: "bzip2",
-        description: "RLE + move-to-front: byte-store storms over tainted data",
-        build,
-        input,
-    }
+    SpecBench { name: "bzip2", build, input }
 }
 
 fn input(scale: Scale) -> Vec<u8> {

@@ -15,12 +15,7 @@ use crate::{Scale, SpecBench};
 
 /// Benchmark descriptor.
 pub fn bench() -> SpecBench {
-    SpecBench {
-        name: "crafty",
-        description: "bitboard attack counting: register-dominated SWAR arithmetic",
-        build,
-        input,
-    }
+    SpecBench { name: "crafty", build, input }
 }
 
 fn input(scale: Scale) -> Vec<u8> {

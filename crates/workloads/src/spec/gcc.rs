@@ -14,12 +14,7 @@ use crate::{Scale, SpecBench};
 
 /// Benchmark descriptor.
 pub fn bench() -> SpecBench {
-    SpecBench {
-        name: "gcc",
-        description: "expression tokenizing and constant folding over tainted text",
-        build,
-        input,
-    }
+    SpecBench { name: "gcc", build, input }
 }
 
 fn input(scale: Scale) -> Vec<u8> {

@@ -14,12 +14,7 @@ use crate::{Scale, SpecBench};
 
 /// Benchmark descriptor.
 pub fn bench() -> SpecBench {
-    SpecBench {
-        name: "gzip",
-        description: "LZ77 compression: hash-table match finding over tainted bytes",
-        build,
-        input,
-    }
+    SpecBench { name: "gzip", build, input }
 }
 
 fn input(scale: Scale) -> Vec<u8> {

@@ -19,12 +19,7 @@ const INF: i64 = 1 << 40;
 
 /// Benchmark descriptor.
 pub fn bench() -> SpecBench {
-    SpecBench {
-        name: "mcf",
-        description: "Bellman-Ford arc relaxation: load-dominated, almost no taint",
-        build,
-        input,
-    }
+    SpecBench { name: "mcf", build, input }
 }
 
 fn input(scale: Scale) -> Vec<u8> {

@@ -32,8 +32,6 @@ use crate::Scale;
 pub struct SpecBench {
     /// Short name, matching the paper's figures ("gzip", "gcc", …).
     pub name: &'static str,
-    /// One-line description of the kernel.
-    pub description: &'static str,
     /// Builds the guest program (libc is linked in by the runner).
     pub build: fn() -> Program,
     /// Generates the (deterministic) input file contents.

@@ -19,12 +19,7 @@ const DICT: &[&str] = &[
 
 /// Benchmark descriptor.
 pub fn bench() -> SpecBench {
-    SpecBench {
-        name: "parser",
-        description: "dictionary word matching: tainted-compare-dominated",
-        build,
-        input,
-    }
+    SpecBench { name: "parser", build, input }
 }
 
 fn input(scale: Scale) -> Vec<u8> {

@@ -15,12 +15,7 @@ const CELLS: i64 = 256;
 
 /// Benchmark descriptor.
 pub fn bench() -> SpecBench {
-    SpecBench {
-        name: "twolf",
-        description: "cell annealing with cost-table lookups and tainted byte swaps",
-        build,
-        input,
-    }
+    SpecBench { name: "twolf", build, input }
 }
 
 fn input(scale: Scale) -> Vec<u8> {

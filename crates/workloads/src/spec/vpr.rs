@@ -16,12 +16,7 @@ const CELLS: i64 = GRID * GRID;
 
 /// Benchmark descriptor.
 pub fn bench() -> SpecBench {
-    SpecBench {
-        name: "vpr",
-        description: "annealing placement: word-array swaps, little tainted data",
-        build,
-        input,
-    }
+    SpecBench { name: "vpr", build, input }
 }
 
 fn input(scale: Scale) -> Vec<u8> {

@@ -5,8 +5,14 @@
 //! cargo run --release --example apache_overhead
 //! ```
 
-use shift_core::{Granularity, Mode, ShiftOptions};
-use shift_workloads::apache::run_apache;
+use shift_core::{FleetReport, Granularity, Mode, ShiftOptions};
+use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
+
+/// Serves one connection of `requests` requests for a `size`-byte file.
+fn serve(mode: Mode, size: usize, requests: usize) -> FleetReport {
+    let stream = ApacheStream::Uniform(size);
+    apache_fleet(mode).serve(&fleet_world(stream), &fleet_connections(stream, 1, requests), 1)
+}
 
 fn main() {
     let requests = 6;
@@ -17,18 +23,17 @@ fn main() {
     );
     println!("{:-<68}", "");
     for size in [4 << 10, 16 << 10, 128 << 10] {
-        let base = run_apache(Mode::Uninstrumented, size, requests);
-        let inst =
-            run_apache(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)), size, requests);
-        assert_eq!(base.served, requests as i64);
-        assert_eq!(inst.served, requests as i64);
+        let base = serve(Mode::Uninstrumented, size, requests);
+        let inst = serve(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)), size, requests);
+        assert_eq!(base.served, requests as u64);
+        assert_eq!(inst.served, requests as u64);
         println!(
             "{:<10} {:>14} {:>14} {:>11.2}x {:>11.2}%",
             format!("{} KB", size >> 10),
             base.stats.cycles,
             inst.stats.cycles,
             inst.stats.cycles as f64 / base.stats.cycles as f64,
-            (inst.total_time() as f64 / base.total_time() as f64 - 1.0) * 100.0,
+            (inst.stats.total_time() as f64 / base.stats.total_time() as f64 - 1.0) * 100.0,
         );
     }
     println!("{:-<68}", "");

@@ -4,6 +4,7 @@
 use shift_core::{Granularity, Mode, Policy, Shift, ShiftOptions, Source, TaintConfig, World};
 use shift_ir::{ProgramBuilder, Rhs};
 use shift_isa::sys;
+use shift_workloads::apache::{apache_fleet, fleet_connections, fleet_world, ApacheStream};
 
 fn byte_shift() -> Shift {
     Shift::new(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)))
@@ -19,11 +20,9 @@ fn corpus_and_server_coexist() {
         let hit = byte_shift().run(&app, (atk.exploit)()).unwrap();
         assert!(hit.exit.is_detection(), "{}", atk.program);
     }
-    let run = shift_workloads::apache::run_apache(
-        Mode::Shift(ShiftOptions::baseline(Granularity::Byte)),
-        2048,
-        2,
-    );
+    let stream = ApacheStream::Uniform(2048);
+    let fleet = apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
+    let run = fleet.serve(&fleet_world(stream), &fleet_connections(stream, 1, 2), 1);
     assert_eq!(run.served, 2);
 }
 

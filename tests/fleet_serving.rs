@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use shift_core::{
-    Exit, Fleet, Granularity, IoCostModel, Mode, ProgramImage, Shift, ShiftOptions, TaintConfig,
+    Exit, Fleet, Granularity, Mode, ProgramImage, Shift, ShiftOptions, TaintConfig,
     ViolationAction, World,
 };
 use shift_ir::{Program, ProgramBuilder, Rhs};
@@ -30,14 +30,8 @@ use shift_workloads::apache::{
 /// The Apache fleet of [`apache_fleet`], with taint tracing switched on so
 /// violations carry their full provenance chains into the merge.
 fn traced_fleet() -> Fleet {
-    let mut cfg = TaintConfig::default_secure();
-    cfg.set_default_action(ViolationAction::AbortTransaction);
-    let shift = Shift::new(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)))
-        .with_config(cfg)
-        .with_io(IoCostModel::SERVER)
-        .with_fuel(20_000_000)
-        .with_taint_trace();
-    shift.fleet(&apache_program()).expect("apache guest compiles")
+    let fleet = apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
+    fleet.shift().clone().with_taint_trace().fleet(&apache_program()).expect("apache compiles")
 }
 
 #[test]
@@ -211,13 +205,8 @@ fn fleet_of_256_pays_a_fraction_of_the_deep_clone_footprint() {
     // segment — the shape of a real server's read-mostly image — placed
     // well past the compiler's global layout in the static-data region.
     const EXTRA_PAGES: usize = 100;
-    let mut cfg = TaintConfig::default_secure();
-    cfg.set_default_action(ViolationAction::AbortTransaction);
-    let shift = Shift::new(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)))
-        .with_config(cfg)
-        .with_io(IoCostModel::SERVER)
-        .with_insn_limit(4_000_000_000)
-        .with_fuel(20_000_000);
+    let shift =
+        apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte))).shift().clone();
     let mut compiled = shift.compile(&apache_program()).expect("apache guest compiles");
     compiled
         .image

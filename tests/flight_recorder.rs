@@ -8,24 +8,18 @@
 //! this file is the differential test that keeps the construction honest.
 
 use shift_core::{
-    timeline_digest, Fleet, FlightConfig, Granularity, IoCostModel, Mode, Shift, ShiftOptions,
-    TaintConfig, TraceKind, ViolationAction,
+    timeline_digest, Fleet, FlightConfig, Granularity, Mode, ShiftOptions, TraceKind,
 };
 use shift_workloads::apache::{
-    apache_program, exploit_request, fleet_connections, fleet_world, ApacheStream, SECRET_BYTES,
-    SECRET_PATH,
+    apache_fleet, apache_program, exploit_request, fleet_connections, fleet_world, ApacheStream,
+    SECRET_BYTES, SECRET_PATH,
 };
 
 /// The traced Apache fleet of `tests/fleet_serving.rs`, optionally with the
 /// flight recorder armed (default ring cap, 100k-cycle sampling).
 fn fleet(armed: bool) -> Fleet {
-    let mut cfg = TaintConfig::default_secure();
-    cfg.set_default_action(ViolationAction::AbortTransaction);
-    let shift = Shift::new(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)))
-        .with_config(cfg)
-        .with_io(IoCostModel::SERVER)
-        .with_fuel(20_000_000)
-        .with_taint_trace();
+    let fleet = apache_fleet(Mode::Shift(ShiftOptions::baseline(Granularity::Byte)));
+    let shift = fleet.shift().clone().with_taint_trace();
     let shift = if armed {
         shift.with_flight_recorder(FlightConfig { cap: 4096, sample_cycles: 100_000 })
     } else {

@@ -7,7 +7,7 @@
 //! totals reconciling exactly) without perturbing it — the zero-perturbation
 //! half lives in `tests/taint_invariants.rs`.
 
-use shift_core::{metrics, Exit, Granularity, Mode, Shift, ShiftOptions, World};
+use shift_core::{metrics, Exit, Granularity, Json, Mode, Registry, Shift, ShiftOptions, World};
 use shift_ir::ProgramBuilder;
 use shift_isa::sys;
 
@@ -113,6 +113,41 @@ fn journal_counts_births_and_sinks() {
     assert_eq!(reg.counter("journal.births"), observer.births());
     assert_eq!(reg.counter("journal.propagations"), observer.propagations());
     assert_eq!(reg.counter("journal.sinks"), observer.sinks());
+}
+
+/// A tier-1 twin of CI's metrics smoke (`shift attacks --metrics`): byte
+/// mode with taint tracing on, `run_metrics` merged over every exploit run,
+/// and the smoke's checks on the exported JSON.
+#[test]
+fn attack_corpus_metrics_smoke_twin() {
+    let shift =
+        Shift::new(Mode::Shift(ShiftOptions::baseline(Granularity::Byte))).with_taint_trace();
+    let mut merged = Registry::new();
+    for atk in shift_attacks::all_attacks() {
+        let hit = shift.run(&(atk.build)(), (atk.exploit)()).unwrap();
+        merged.merge(&metrics::run_metrics(&hit));
+    }
+    let doc = Json::parse(&merged.to_json().render()).unwrap();
+    for key in ["schema_version", "stats", "cache", "mem", "tagmap", "journal", "runtime"] {
+        assert!(doc.get(key).is_some(), "metrics JSON missing {key}");
+    }
+    let at = |path: &str| {
+        let leaf = path.split('.').try_fold(&doc, |j, key| j.get(key));
+        leaf.and_then(Json::as_u64).unwrap_or_else(|| panic!("metrics JSON missing {path}"))
+    };
+    assert_eq!(at("stats.total_time"), at("stats.cycles") + at("stats.io_cycles"));
+    // The corpus runs with the taint observer armed, so its counters must
+    // be live: exploit inputs are born tainted and reach sinks.
+    assert!(at("journal.births") > 0, "no taint births counted over the attack corpus");
+    assert!(at("journal.sinks") > 0, "no sink hits counted over the attack corpus");
+    for key in ["hits", "misses"] {
+        at(&format!("machine.blocks.{key}"));
+    }
+    assert!(at("machine.blocks.decoded") > 0, "no superblocks decoded over the attack corpus");
+    for key in ["owned", "shared"] {
+        at(&format!("mem.cow.{key}"));
+    }
+    assert!(at("mem.cow.faults") > 0, "attack corpus dirtied no pages");
 }
 
 fn spec_like_app() -> shift_ir::Program {
